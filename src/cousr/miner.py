@@ -7,20 +7,23 @@ and lift (``min_lift``). The search:
 1. drops items whose sequence-estimated utility (SEU) is below ``min_util``
    and rebuilds the database without them (strategy 1);
 2. scans once for all occurring 1*1 rules, recording per ordered pair the
-   supporting sequences and the rule SEU (which doubles as the rule-seu
-   pruning table), and keeps the pairs with SEU >= ``min_util``
-   (strategy 2);
+   rule SEU (which doubles as the rule-seu pruning table), and keeps the
+   pairs with SEU >= ``min_util`` (strategy 2);
 3. builds those rules' utility-lists and explores expansions depth-first,
    right (consequent) expansions first, then left; a left expansion is never
    followed by a right one, which makes the enumeration canonical.
 
 Candidate expansions are filtered, in order, by the rule-seu table
 (strategy 7, toggleable), the pairwise bond matrix (strategy 6, toggleable),
-and the exact bond of the extended side (strategy 3). Recursion is gated by
-the utility-list bounds: the four-column sum for right subtrees (strategy 4)
-and the sum without ``rutil`` for left subtrees (strategy 5). Strategies 6
-and 7 are sound, so toggling them never changes the mined rule set, only the
-number of utility-lists constructed.
+and the exact bond of the extended side (strategy 3). A node's candidates
+are one item mask (see :class:`cousr.rulecore.Expansion`); strategies 7 and 6
+intersect it with per-item pass masks taken from their tables once, before
+the search, and only the survivors of strategy 3 get utility-lists, built in
+ascending item order. Recursion is gated by the utility-list bounds: the
+four-column sum for right subtrees (strategy 4) and the sum without
+``rutil`` for left subtrees (strategy 5). Strategies 6 and 7 are sound, so
+toggling them never changes the mined rule set, only the number of
+utility-lists constructed.
 
 The optional confidence gate (``conf_prune``) skips right recursion below
 ``min_conf``. It is off by default and NOT output-preserving under this
@@ -37,6 +40,7 @@ sequences.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
@@ -265,11 +269,10 @@ def enumerate_initial_rules(db: SequenceDatabase, min_util) -> list[RuleContext]
     contexts = []
     pairs = rulecore.scan_rule_pairs(db)
     for (a, b) in sorted(pairs):
-        scan = pairs[(a, b)]
-        if scan.seu < threshold:
+        if pairs[(a, b)] < threshold:
             continue
         rule = Rule((a,), (b,))
-        ul = rulecore.build_utility_list(rule, db, sids=scan.sids_mask)
+        ul = rulecore.build_utility_list(rule, db, sids=bitvectors[a] & bitvectors[b])
         contexts.append(
             RuleContext(rule, ul, bitvectors[a], bitvectors[b], bitvectors[a], bitvectors[b])
         )
@@ -280,13 +283,12 @@ class _Search:
     """Mutable search state shared across one mine() run."""
 
     def __init__(self, db: SequenceDatabase, config: MinerConfig, sequence_count: int,
-                 bitvectors, bond_matrix, pair_scan, stats: MiningStats):
+                 bitvectors, stats: MiningStats):
         self.config = config
         self.n = sequence_count
         self.scale = db.require_utilities().scale
         self.bitvectors = bitvectors
-        self.bond_matrix = bond_matrix
-        self.pair_scan = pair_scan
+        self.tables = rulecore.sequence_tables(db)
         self.stats = stats
         self.emitted: list[MinedRule] = []
         self.min_util_grid = ceil(config.min_util * self.scale)
@@ -296,11 +298,29 @@ class _Search:
         self.bond_den = config.min_bond.denominator
         self.lift_num = config.min_lift.numerator
         self.lift_den = config.min_lift.denominator
-        # sid -> (sequence, grid utility map), covering the filtered database
-        self.per_sid = {
-            seq.sid: (seq, db.grid_item_utilities[index])
-            for index, seq in enumerate(db.sequences)
-        }
+        # pass masks, per anchor item: strategy 7 for right expansions keys
+        # the antecedent's last item, for left ones the consequent's last;
+        # strategy 6 keys the last item of the side that grows
+        self.s7_right: dict[int, int] | None = None
+        self.s7_left: dict[int, int] | None = None
+        self.s6_pass: dict[int, int] | None = None
+
+    def set_rule_seu_passes(self, kept_pairs) -> None:
+        """Strategy 7: the pairs whose rule SEU reaches ``min_util``."""
+        rank = self.tables.rank
+        self.s7_right, self.s7_left = {}, {}
+        for a, b in kept_pairs:
+            self.s7_right[a] = self.s7_right.get(a, 0) | 1 << rank[b]
+            self.s7_left[b] = self.s7_left.get(b, 0) | 1 << rank[a]
+
+    def set_bond_passes(self, bond_matrix) -> None:
+        """Strategy 6: the unordered pairs whose bond reaches ``min_bond``."""
+        rank = self.tables.rank
+        self.s6_pass = {}
+        for (a, b), value in bond_matrix.items():
+            if self._bond_ok(value.numerator, value.denominator):
+                self.s6_pass[a] = self.s6_pass.get(a, 0) | 1 << rank[b]
+                self.s6_pass[b] = self.s6_pass.get(b, 0) | 1 << rank[a]
 
     # -- threshold checks (exact integer arithmetic) --
 
@@ -359,51 +379,35 @@ class _Search:
                 self._record("s5", ctx.rule)
             else:
                 want_left = True
-        if not (want_right or want_left):
-            return
-        # classify every supporting row once; both directions reuse it
-        rows_data = []
-        for row in ul.rows:
-            seq, grid = self.per_sid[row.sid]
-            max_pos_x, min_pos_y, flags = rulecore._classification(ctx.rule, seq)
-            rows_data.append((row, grid, max_pos_x, min_pos_y, flags))
         if want_right:
-            self.expand(ctx, rows_data, "right")
+            self.expand(ctx, "right")
         if want_left:
-            self.expand(ctx, rows_data, "left")
+            self.expand(ctx, "left")
 
-    def expand(self, ctx: RuleContext, rows_data, direction: str) -> None:
+    def _cut(self, candidates: int, passes: int, kind: str, rule: Rule, right: bool):
+        """Keep the candidates in ``passes``; returns (kept, number cut)."""
+        cut = candidates & ~passes
+        if cut and self.config.record_prune_events:
+            for item in self.tables.items_of(cut):
+                self._record(kind, self._candidate_rule(rule, item, right))
+        return candidates & passes, cut.bit_count()
+
+    def expand(self, ctx: RuleContext, direction: str) -> None:
         right = direction == "right"
-        flag_index = 2 if right else 1
-        # invert rows_data: candidate item -> the rows where it is feasible
-        item_rows: dict[int, list] = {}
-        for data in rows_data:
-            for item, entry in data[4].items():
-                if entry[flag_index]:
-                    item_rows.setdefault(item, []).append((data, entry[0]))
-        if not item_rows:
-            return
         recording = self.config.record_prune_events
+        expansion = rulecore.Expansion(ctx.ul, direction, self.tables)
+        candidates = expansion.candidates
         last_x = ctx.rule.antecedent[-1]
         last_y = ctx.rule.consequent[-1]
-        for item in sorted(item_rows):
-            if self.config.esucs_prune:
-                key = (last_x, item) if right else (item, last_y)
-                scan = self.pair_scan.get(key)
-                if scan is None or scan.seu < self.min_util_grid:
-                    self.stats.pruned_s7 += 1
-                    if recording:
-                        self._record(f"s7-{direction}", self._candidate_rule(ctx.rule, item, right))
-                    continue
-            if self.bond_matrix is not None:
-                anchor = last_y if right else last_x
-                pair = (anchor, item) if anchor < item else (item, anchor)
-                value = self.bond_matrix.get(pair)
-                if value is None or value < self.config.min_bond:
-                    self.stats.pruned_s6 += 1
-                    if recording:
-                        self._record(f"s6-{direction}", self._candidate_rule(ctx.rule, item, right))
-                    continue
+        if candidates and self.s7_right is not None:
+            passes = self.s7_right.get(last_x, 0) if right else self.s7_left.get(last_y, 0)
+            candidates, cut = self._cut(candidates, passes, f"s7-{direction}", ctx.rule, right)
+            self.stats.pruned_s7 += cut
+        if candidates and self.s6_pass is not None:
+            passes = self.s6_pass.get(last_y if right else last_x, 0)
+            candidates, cut = self._cut(candidates, passes, f"s6-{direction}", ctx.rule, right)
+            self.stats.pruned_s6 += cut
+        for item in self.tables.items_of(candidates):
             vector = self.bitvectors[item]
             if right:
                 new_side = ctx.sids_y & vector
@@ -416,16 +420,7 @@ class _Search:
                 if recording:
                     self._record(f"s3-{direction}", self._candidate_rule(ctx.rule, item, right))
                 continue
-            new_rows = []
-            for (row, grid, max_pos_x, min_pos_y, flags), pos_item in item_rows[item]:
-                lutil, rutil, lrutil = rulecore._expanded_sums(
-                    flags, grid, item, pos_item, direction, max_pos_x, min_pos_y
-                )
-                new_rows.append(
-                    rulecore.UtilityListRow(
-                        row.sid, row.iutil + grid[item], lutil, rutil, lrutil
-                    )
-                )
+            new_rows = expansion.rows(item)
             new_rule = self._candidate_rule(ctx.rule, item, right)
             ul = UtilityList(rule=new_rule, rows=tuple(new_rows))
             self.stats.utility_lists_built += 1
@@ -447,7 +442,20 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     """Mine the complete set of correlated high-utility sequential rules.
 
     The result is independent of the strategy-6/7 toggles; the stats are not.
+    The cyclic garbage collector is paused while mining (the search
+    allocates millions of acyclic tuples) and restored to the caller's state
+    on return or error.
     """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _mine(db, config)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     if not isinstance(config, MinerConfig):
         raise ConfigError(f"expected a MinerConfig, got {type(config).__name__}")
     db.require_utilities()
@@ -463,33 +471,32 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
             stats.prune_events.append(PruneEvent("s1", (item,), ()))
 
     bitvectors = measures.build_item_bitvectors(filtered)
-    bond_matrix = (
-        rulecore.build_bond_matrix(filtered, bitvectors=bitvectors)
-        if config.bond_matrix_prune
-        else None
-    )
-    pair_scan = rulecore.scan_rule_pairs(filtered)
-    search = _Search(filtered, config, sequence_count, bitvectors, bond_matrix, pair_scan, stats)
-
-    roots = []
-    for (a, b) in sorted(pair_scan):
-        scan = pair_scan[(a, b)]
-        if scan.seu < search.min_util_grid:
+    search = _Search(filtered, config, sequence_count, bitvectors, stats)
+    if config.bond_matrix_prune:
+        search.set_bond_passes(rulecore.build_bond_matrix(filtered, bitvectors=bitvectors))
+    pair_seu = rulecore.scan_rule_pairs(filtered)
+    kept = []
+    for (a, b) in sorted(pair_seu):
+        if pair_seu[(a, b)] < search.min_util_grid:
             stats.pruned_s2 += 1
             if config.record_prune_events:
                 stats.prune_events.append(PruneEvent("s2", (a,), (b,)))
             continue
+        kept.append((a, b))
+    del pair_seu  # the search needs only the kept pairs; free the table first
+    if config.esucs_prune:
+        search.set_rule_seu_passes(kept)
+    stats.initial_rules_kept = len(kept)
+
+    for a, b in kept:
         rule = Rule((a,), (b,))
-        ul = rulecore.build_utility_list(rule, filtered, sids=scan.sids_mask)
+        ul = rulecore.build_utility_list(rule, filtered, sids=bitvectors[a] & bitvectors[b])
         stats.utility_lists_built += 1
         stats.utility_list_rows += len(ul.rows)
-        roots.append(
-            RuleContext(rule, ul, bitvectors[a], bitvectors[b], bitvectors[a], bitvectors[b])
+        search.handle(
+            RuleContext(rule, ul, bitvectors[a], bitvectors[b], bitvectors[a], bitvectors[b]),
+            left_only=False,
         )
-    stats.initial_rules_kept = len(roots)
-
-    for ctx in roots:
-        search.handle(ctx, left_only=False)
 
     rules = tuple(sorted(search.emitted, key=lambda m: m.sort_key))
     if len({m.sort_key for m in rules}) != len(rules):

@@ -1,34 +1,58 @@
-"""Utility-lists, expansion-item classification, and co-occurrence tables.
+"""Utility-lists, per-sequence row tables, and co-occurrence tables.
 
 The search grows rules one item at a time: a *left* expansion adds an item to
 the antecedent, a *right* expansion adds one to the consequent. To keep the
 enumeration canonical (each rule reachable exactly once), an added item must
 be strictly greater than every item already on the extended side.
 
-For a rule occurring in a sequence, an outside item is
+For a rule occurring in a sequence, let ``max_pos_x`` be the (1-based)
+itemset position of its last antecedent itemset and ``min_pos_y`` that of its
+first consequent itemset. An outside item is
 
-* left-feasible  iff it is greater than the whole antecedent and positioned
-  strictly before the first consequent itemset, and
-* right-feasible iff it is greater than the whole consequent and positioned
-  strictly after the last antecedent itemset.
+* left-feasible  iff it is greater than the last antecedent item ``last_x``
+  and positioned strictly before ``min_pos_y``, and
+* right-feasible iff it is greater than the last consequent item ``last_y``
+  and positioned strictly after ``max_pos_x``.
 
-``only_left`` / ``only_right`` / ``left_right`` partition the feasible items
-by which of the two hold. The utility-list of a rule has one row per
-supporting sequence: ``(sid, iutil, lutil, rutil, lrutil)`` where ``iutil``
-is the rule's utility in that sequence and the other three are the utility
-sums over the three classes. Consequences used by the miner:
+These two conditions already exclude the rule's own items: antecedent items
+fail the order bound on the left and the position bound on the right, and
+consequent items the other way round. ``only_left`` / ``only_right`` /
+``left_right`` partition the feasible items by which of the two hold.
+
+The utility-list of a rule has one row per supporting sequence::
+
+    (sid, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y)
+
+``iutil`` is the rule's utility in that sequence and ``lutil``, ``rutil``,
+``lrutil`` are the utility sums over the three classes. Consequences used by
+the miner:
 
 * sum of ``iutil``          = rule utility; row count = rule support
-* sum of all four columns   >= utility of the rule and of every descendant
+* sum of the four utilities >= utility of the rule and of every descendant
   reachable by further expansions (and is itself bounded by the rule's
   sequence-estimated utility)
 * sum minus ``rutil``       >= utility of every left-only descendant
 
-Expansion rebuilds each surviving parent row incrementally: the new ``iutil``
-adds the new item's utility, and class membership is re-derived from the
-stored flags (constraints only ever tighten, so no sequence rescan is
-needed). :func:`build_utility_list` computes the same rows from scratch; the
-two paths must agree field-for-field.
+**Row tables.** Each sequence with ``k`` items in ``l`` itemsets gets one
+:class:`SequenceTable`, built on first use: a flat ``(k+1) x (l+1)`` list
+``T`` of dominance sums, ``T[r][q]`` = utility of the items whose rank in the
+sequence (ascending item order, from 0) is ``>= r`` and whose position is
+``<= q``. With ``rL = rank(last_x) + 1``, ``rR = rank(last_y) + 1``,
+``mx = max_pos_x`` and ``my = min_pos_y``, the class sums are rectangles::
+
+    L      = T[rL][my - 1]                      left-feasible
+    R      = T[rR][l] - T[rR][mx]               right-feasible
+    lrutil = T[max(rL, rR)][my - 1] - T[max(rL, rR)][mx]
+    lutil  = L - lrutil,   rutil = R - lrutil
+
+:meth:`SequenceTable.row` is the one place rows are derived. A child row
+needs only its parent's ``mx``/``my``: a right expansion by an item at
+position ``p`` sets ``my' = min(my, p)``, a left one ``mx' = max(mx, p)``,
+so :class:`Expansion` builds each child row in constant time and
+:func:`build_utility_list` builds from scratch through the same function.
+The table also keeps, per position ``q``, the items after and before ``q`` as
+bit masks over the database's dense item ranks, so a node's candidate items
+are the OR of one mask per row.
 
 All utility amounts in this module are integers on the utility table's grid
 (see :attr:`cousr.seqdb.UtilityTable.scale`).
@@ -37,9 +61,9 @@ Two sparse pruning tables summarize item pairs:
 
 * bond matrix: unordered pair -> bond of the two-item itemset; absent pair
   means the items never co-occur.
-* rule-seu table ("ESUCS"): ordered pair (a, b) -> sequence-estimated
-  utility of the rule a => b; absent means the rule never occurs. The table
-  is asymmetric because occurrence is order-sensitive.
+* rule-seu table ("ESUCS", :func:`scan_rule_pairs`): ordered pair (a, b) ->
+  sequence-estimated utility of the rule a => b; absent means the rule never
+  occurs. The table is asymmetric because occurrence is order-sensitive.
 """
 
 from __future__ import annotations
@@ -53,6 +77,9 @@ from .measures import Rule, build_item_bitvectors
 from .seqdb import Sequence, SequenceDatabase
 
 Direction = Literal["left", "right"]
+
+# builds a row without the Python-level NamedTuple constructor (hot path)
+_new_tuple = tuple.__new__
 
 
 class RuleAbsentError(ValueError):
@@ -77,6 +104,8 @@ class UtilityListRow(NamedTuple):
     lutil: int
     rutil: int
     lrutil: int
+    max_pos_x: int
+    min_pos_y: int
 
 
 @dataclass(frozen=True)
@@ -118,10 +147,11 @@ def ul_left_total(ul: UtilityList) -> int:
     return ul.left_total
 
 
-def _classification(rule: Rule, seq: Sequence):
-    """(max antecedent pos, min consequent pos, {item: (pos, left_ok, right_ok)}).
+def classify_expansion_items(rule: Rule, seq: Sequence) -> ExpansionClasses:
+    """Partition the items that can extend the rule in this sequence.
 
-    Raises RuleAbsentError when the rule does not occur in the sequence.
+    Item by item from the definitions above; the row tables must agree with
+    it (the tests use it as their reference).
     """
     positions = seq.positions
     try:
@@ -133,76 +163,170 @@ def _classification(rule: Rule, seq: Sequence):
         raise RuleAbsentError(f"rule {rule} does not occur in sequence {seq.sid}")
     last_x = rule.antecedent[-1]
     last_y = rule.consequent[-1]
-    members = set(rule.antecedent)
-    members.update(rule.consequent)
-    flags: dict[int, tuple[int, bool, bool]] = {}
+    members = set(rule.items)
+    only_left, only_right, left_right = set(), set(), set()
     for item, pos in positions.items():
         if item in members:
             continue
         left_ok = item > last_x and pos < min_pos_y
         right_ok = item > last_y and pos > max_pos_x
-        if left_ok or right_ok:
-            flags[item] = (pos, left_ok, right_ok)
-    return max_pos_x, min_pos_y, flags
-
-
-def classify_expansion_items(rule: Rule, seq: Sequence) -> ExpansionClasses:
-    """Partition the items that can extend the rule in this sequence."""
-    _, _, flags = _classification(rule, seq)
-    only_left, only_right, left_right = set(), set(), set()
-    for item, (_, left_ok, right_ok) in flags.items():
         if left_ok and right_ok:
             left_right.add(item)
         elif left_ok:
             only_left.add(item)
-        else:
+        elif right_ok:
             only_right.add(item)
     return ExpansionClasses(frozenset(only_left), frozenset(only_right), frozenset(left_right))
 
 
-def _class_sums(flags: dict[int, tuple[int, bool, bool]], grid: dict[int, int]):
-    lutil = rutil = lrutil = 0
-    for item, (_, left_ok, right_ok) in flags.items():
-        value = grid[item]
-        if left_ok:
-            if right_ok:
-                lrutil += value
-            else:
-                lutil += value
-        else:
-            rutil += value
-    return lutil, rutil, lrutil
+class SequenceTable:
+    """Row table of one sequence: dominance sums plus feasible-item masks.
+
+    ``where[item]`` is ``(base, pos, utility)``, where ``base`` is the offset
+    in ``sums`` of the table row ``rank(item) + 1``. ``after[q]`` /
+    ``before[q]`` mask the items positioned after / before ``q``.
+    """
+
+    __slots__ = ("sums", "last", "where", "after", "before")
+
+    def __init__(self, seq: Sequence, grid: dict[int, int], rank: dict[int, int]):
+        positions = seq.positions
+        last = len(seq.itemsets)
+        width = last + 1
+        # table rows from the highest item rank down; row r sums ranks >= r
+        row = [0] * width
+        rows = [row]
+        where = {}
+        bits = [0] * width
+        base = len(positions) * width
+        for item in sorted(positions, reverse=True):
+            pos = positions[item]
+            value = grid[item]
+            where[item] = (base, pos, value)
+            row = row[:pos] + [cell + value for cell in row[pos:]]
+            rows.append(row)
+            base -= width
+            bits[pos] |= 1 << rank[item]
+        rows.reverse()
+        self.sums = [cell for row in rows for cell in row]
+        self.last = last
+        self.where = where
+        self.after = [0] * width
+        self.before = [0] * width
+        running = 0
+        for q in range(last, 0, -1):
+            self.after[q] = running
+            running |= bits[q]
+        running = 0
+        for q in range(1, width):
+            self.before[q] = running
+            running |= bits[q]
+
+    def row(
+        self, sid: int, iutil: int, base_x: int, base_y: int, max_pos_x: int, min_pos_y: int
+    ) -> UtilityListRow:
+        """A rule's row in this sequence.
+
+        ``base_x`` / ``base_y`` are ``where[last_x][0]`` / ``where[last_y][0]``
+        for the rule's last antecedent / consequent item.
+        """
+        sums = self.sums
+        both = base_x if base_x > base_y else base_y
+        lrutil = sums[both + min_pos_y - 1] - sums[both + max_pos_x]
+        return _new_tuple(UtilityListRow, (
+            sid,
+            iutil,
+            sums[base_x + min_pos_y - 1] - lrutil,
+            sums[base_y + self.last] - sums[base_y + max_pos_x] - lrutil,
+            lrutil,
+            max_pos_x,
+            min_pos_y,
+        ))
+
+
+class SequenceTables:
+    """The row tables of one database, each built on first use.
+
+    Item masks index :attr:`items` (the database's items, ascending) by
+    position, so the lowest set bit is the smallest item.
+    """
+
+    def __init__(self, db: SequenceDatabase):
+        self._sequences = db.sequences
+        self._grids = db.grid_item_utilities
+        self._index_by_sid = db.index_by_sid
+        self._by_sid: dict[int, SequenceTable] = {}
+        self.items = tuple(sorted(db.item_universe))
+        self.rank = {item: bit for bit, item in enumerate(self.items)}
+
+    def table(self, sid: int) -> SequenceTable:
+        table = self._by_sid.get(sid)
+        if table is None:
+            index = self._index_by_sid[sid]
+            table = SequenceTable(self._sequences[index], self._grids[index], self.rank)
+            self._by_sid[sid] = table
+        return table
+
+    def items_of(self, mask: int) -> list[int]:
+        """The items of a mask, ascending."""
+        items = self.items
+        found = []
+        while mask:
+            low = mask & -mask
+            found.append(items[low.bit_length() - 1])
+            mask ^= low
+        return found
+
+
+def sequence_tables(db: SequenceDatabase) -> SequenceTables:
+    """The database's row tables, kept in its instance dict like its cached properties."""
+    tables = db.__dict__.get("_sequence_tables")
+    if tables is None:
+        db.require_utilities()
+        tables = db.__dict__["_sequence_tables"] = SequenceTables(db)
+    return tables
 
 
 def build_utility_list(rule: Rule, db: SequenceDatabase, sids: int | None = None) -> UtilityList:
     """Build a rule's utility-list from scratch by scanning the database.
 
-    ``sids`` optionally restricts the scan to a known supporting-sequence
-    mask (the rows are identical either way).
+    ``sids`` optionally restricts the scan to a mask of candidate sequences
+    (any superset of the supporting ones gives the same rows).
     """
-    db.require_utilities()
-    rows: list[UtilityListRow] = []
-    rule_items = rule.items
+    tables = sequence_tables(db)
     if sids is None:
-        indices = range(len(db.sequences))
+        candidates = [seq.sid for seq in db.sequences]
     else:
-        index_by_sid = db.index_by_sid
-        indices = []
-        mask = sids
-        while mask:
-            low = mask & -mask
-            indices.append(index_by_sid[low.bit_length()])
-            mask ^= low
-    for index in indices:
-        seq = db.sequences[index]
+        # set bits of the mask, lowest first (sid j is bit j - 1)
+        bits = bin(sids)[:1:-1]
+        candidates = []
+        bit = bits.find("1")
+        while bit >= 0:
+            candidates.append(bit + 1)
+            bit = bits.find("1", bit + 1)
+    antecedent, consequent = rule.antecedent, rule.consequent
+    table_of = tables.table
+    rows: list[UtilityListRow] = []
+    for sid in candidates:
+        table = table_of(sid)
+        where = table.where
+        iutil = max_pos_x = 0
+        min_pos_y = table.last
         try:
-            _, _, flags = _classification(rule, seq)
-        except RuleAbsentError:
+            for item in antecedent:
+                base_x, pos, value = where[item]
+                iutil += value
+                if pos > max_pos_x:
+                    max_pos_x = pos
+            for item in consequent:
+                base_y, pos, value = where[item]
+                iutil += value
+                if pos < min_pos_y:
+                    min_pos_y = pos
+        except KeyError:
             continue
-        grid = db.grid_item_utilities[index]
-        iutil = sum(grid[item] for item in rule_items)
-        lutil, rutil, lrutil = _class_sums(flags, grid)
-        rows.append(UtilityListRow(seq.sid, iutil, lutil, rutil, lrutil))
+        if max_pos_x < min_pos_y:
+            rows.append(table.row(sid, iutil, base_x, base_y, max_pos_x, min_pos_y))
     return UtilityList(rule=rule, rows=tuple(rows))
 
 
@@ -211,47 +335,6 @@ def build_initial_utility_list(rule: Rule, db: SequenceDatabase) -> UtilityList:
     if rule.size != (1, 1):
         raise ValueError(f"expected a 1*1 rule, got size {rule.size}")
     return build_utility_list(rule, db)
-
-
-def _expanded_sums(
-    flags: dict[int, tuple[int, bool, bool]],
-    grid: dict[int, int],
-    item: int,
-    pos_item: int,
-    direction: Direction,
-    max_pos_x: int,
-    min_pos_y: int,
-):
-    """Class utility sums for the expanded rule, derived from parent flags.
-
-    A right expansion tightens the positional bound for left-feasibility
-    (the first consequent itemset may move earlier) and the order bound for
-    right-feasibility; a left expansion tightens the mirror pair. Items can
-    migrate between classes (e.g. left_right -> only_left) but never enter
-    from outside the parent's feasible set.
-    """
-    if direction == "right":
-        bound = min(min_pos_y, pos_item)
-    else:
-        bound = max(max_pos_x, pos_item)
-    lutil = rutil = lrutil = 0
-    for other, (pos, left_ok, right_ok) in flags.items():
-        if other == item:
-            continue
-        if direction == "right":
-            new_left = left_ok and pos < bound
-            new_right = right_ok and other > item
-        else:
-            new_left = left_ok and other > item
-            new_right = right_ok and pos > bound
-        if new_left:
-            if new_right:
-                lrutil += grid[other]
-            else:
-                lutil += grid[other]
-        elif new_right:
-            rutil += grid[other]
-    return lutil, rutil, lrutil
 
 
 def expanded_rule(rule: Rule, item: int, direction: Direction) -> Rule:
@@ -273,33 +356,72 @@ def expanded_rule(rule: Rule, item: int, direction: Direction) -> Rule:
     raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
 
 
+class Expansion:
+    """A utility-list's rows made ready to grow in one direction.
+
+    ``candidates`` masks every item feasible in at least one row (the
+    items a search node may try); :meth:`rows` derives the expanded rule's
+    rows for one such item.
+    """
+
+    __slots__ = ("right", "prepared", "candidates")
+
+    def __init__(self, ul: UtilityList, direction: Direction, tables: SequenceTables):
+        right = direction == "right"
+        rule = ul.rule
+        # the side that does not grow keeps its last item, hence its table row
+        fixed = rule.antecedent[-1] if right else rule.consequent[-1]
+        bound = rule.consequent[-1] if right else rule.antecedent[-1]
+        table_of = tables.table
+        prepared = []
+        mask = 0
+        for sid, iutil, _, _, _, max_pos_x, min_pos_y in ul.rows:
+            table = table_of(sid)
+            mask |= table.after[max_pos_x] if right else table.before[min_pos_y]
+            prepared.append(
+                (sid, iutil, max_pos_x, min_pos_y, table, table.where[fixed][0])
+            )
+        if mask:
+            cut = tables.rank[bound] + 1
+            mask = mask >> cut << cut
+        self.right = right
+        self.prepared = prepared
+        self.candidates = mask
+
+    def rows(self, item: int) -> list[UtilityListRow]:
+        rows = []
+        if self.right:
+            for sid, iutil, max_pos_x, min_pos_y, table, base_x in self.prepared:
+                hit = table.where.get(item)
+                if hit is not None and hit[1] > max_pos_x:
+                    base_y, pos, value = hit
+                    rows.append(table.row(
+                        sid, iutil + value, base_x, base_y, max_pos_x,
+                        pos if pos < min_pos_y else min_pos_y,
+                    ))
+        else:
+            for sid, iutil, max_pos_x, min_pos_y, table, base_y in self.prepared:
+                hit = table.where.get(item)
+                if hit is not None and hit[1] < min_pos_y:
+                    base_x, pos, value = hit
+                    rows.append(table.row(
+                        sid, iutil + value, base_x, base_y,
+                        pos if pos > max_pos_x else max_pos_x, min_pos_y,
+                    ))
+        return rows
+
+
 def expand_utility_list(
     parent: UtilityList, item: int, direction: Direction, db: SequenceDatabase
 ) -> UtilityList:
     """Incrementally derive the expanded rule's utility-list from the parent.
 
     Rows survive only where the new item is feasible for the chosen
-    direction; the new ``iutil`` is the parent's plus the item's utility,
-    and the class sums are re-derived from the parent-row flags.
+    direction; each is derived in constant time from its parent row.
     """
     new_rule = expanded_rule(parent.rule, item, direction)
-    db.require_utilities()
-    by_index = {seq.sid: index for index, seq in enumerate(db.sequences)}
-    want_right = direction == "right"
-    rows: list[UtilityListRow] = []
-    for row in parent.rows:
-        index = by_index[row.sid]
-        seq = db.sequences[index]
-        max_pos_x, min_pos_y, flags = _classification(parent.rule, seq)
-        entry = flags.get(item)
-        if entry is None or not entry[2 if want_right else 1]:
-            continue
-        grid = db.grid_item_utilities[index]
-        lutil, rutil, lrutil = _expanded_sums(
-            flags, grid, item, entry[0], direction, max_pos_x, min_pos_y
-        )
-        rows.append(UtilityListRow(row.sid, row.iutil + grid[item], lutil, rutil, lrutil))
-    return UtilityList(rule=new_rule, rows=tuple(rows))
+    expansion = Expansion(parent, direction, sequence_tables(db))
+    return UtilityList(rule=new_rule, rows=tuple(expansion.rows(item)))
 
 
 def build_bond_matrix(
@@ -328,27 +450,19 @@ def build_bond_matrix(
     return matrix
 
 
-class PairScan(NamedTuple):
-    """Occurrence summary of a 1*1 rule: supporting-sid mask and rule SEU."""
-
-    sids_mask: int
-    seu: int
-
-
 def scan_rule_pairs(
     db: SequenceDatabase, items: Iterable[int] | None = None
-) -> dict[tuple[int, int], PairScan]:
-    """One database scan over all ordered pairs (a before b, distinct itemsets).
+) -> dict[tuple[int, int], int]:
+    """Ordered pair (a, b) -> SEU of the rule a => b, in grid units.
 
-    Yields, per pair, the supporting-sequence mask and the sequence-estimated
-    utility of the rule a => b in grid units. This single scan feeds both the
-    initial 1*1 rule enumeration and the rule-seu pruning table.
+    One database scan over all ordered pairs (a before b, distinct
+    itemsets). It feeds both the initial 1*1 rules (strategy 2) and the
+    rule-seu pruning table (strategy 7).
     """
     db.require_utilities()
     wanted = set(items) if items is not None else None
-    pairs: dict[tuple[int, int], list[int]] = {}
+    pairs: dict[tuple[int, int], int] = {}
     for index, seq in enumerate(db.sequences):
-        bit = 1 << (seq.sid - 1)
         su = db.grid_sequence_utilities[index]
         earlier: list[int] = []
         for itemset in seq.itemsets:
@@ -357,21 +471,10 @@ def scan_rule_pairs(
             ]
             for b in current:
                 for a in earlier:
-                    entry = pairs.get((a, b))
-                    if entry is None:
-                        pairs[(a, b)] = [bit, su]
-                    else:
-                        entry[0] |= bit
-                        entry[1] += su
+                    key = (a, b)
+                    pairs[key] = pairs.get(key, 0) + su
             earlier.extend(current)
-    return {pair: PairScan(mask, seu) for pair, (mask, seu) in pairs.items()}
-
-
-def build_esucs(
-    db: SequenceDatabase, items: Iterable[int] | None = None
-) -> dict[tuple[int, int], int]:
-    """Ordered pair (a, b) -> SEU of the rule a => b, in grid units."""
-    return {pair: scan.seu for pair, scan in scan_rule_pairs(db, items).items()}
+    return pairs
 
 
 def dump_utility_list(ul: UtilityList) -> str:

@@ -27,8 +27,13 @@ from cousr.measures import (
 )
 from cousr.miner import VARIANTS
 from cousr.oracle import oracle_chusrs
-from cousr.rulecore import build_utility_list, expand_utility_list, scan_rule_pairs
-from cousr.rulecore import _classification
+from cousr.rulecore import (
+    Expansion,
+    build_utility_list,
+    expand_utility_list,
+    scan_rule_pairs,
+    sequence_tables,
+)
 from cousr.synth import random_small_database, random_thresholds, synthesize_database
 
 from conftest import A, B, C, D, E, G
@@ -97,9 +102,9 @@ def test_intermediate_example_values(example_db):
         assert itemset_support([A, C], bvs) == 2
         assert itemset_dissup([A, C], bvs) == 5
         ul = build_utility_list(Rule.of([A], [E]), example_db)
-        assert tuple(ul.rows[0]) == (1, 9, 5, 2, 0)
+        assert tuple(ul.rows[0]) == (1, 9, 5, 2, 0, 1, 2)
         expanded = expand_utility_list(ul, C, "left", example_db)
-        assert tuple(expanded.rows[0]) == (2, 16, 9, 4, 0)
+        assert tuple(expanded.rows[0]) == (2, 16, 9, 4, 0, 2, 4)
 
 
 # 3 ------------------------------------------------------------------------------
@@ -260,16 +265,6 @@ def test_upper_bound_soundness(example_db):
 
 # 8 ------------------------------------------------------------------------------
 
-def _feasible_items(ul, db, direction):
-    index = 2 if direction == "right" else 1
-    found = set()
-    for row in ul.rows:
-        seq = db.by_sid[row.sid]
-        _, _, flags = _classification(ul.rule, seq)
-        found.update(item for item, entry in flags.items() if entry[index])
-    return sorted(found)
-
-
 def test_incremental_expansion_equivalence_at_scale():
     with criterion("expansion equivalence: incremental == rebuild on 10^4 cases"):
         rng = random.Random(99)
@@ -279,12 +274,13 @@ def test_incremental_expansion_equivalence_at_scale():
             pairs = sorted(scan_rule_pairs(db))
             if not pairs:
                 continue
+            tables = sequence_tables(db)
             for _ in range(4):
                 a, b = pairs[rng.randrange(len(pairs))]
                 ul = build_utility_list(Rule.of([a], [b]), db)
                 for _ in range(3):
                     direction = rng.choice(("left", "right"))
-                    feasible = _feasible_items(ul, db, direction)
+                    feasible = tables.items_of(Expansion(ul, direction, tables).candidates)
                     if not feasible:
                         break
                     item = rng.choice(feasible)

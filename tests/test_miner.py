@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from cousr.miner import (
     enumerate_initial_rules,
     filter_unpromising_items,
 )
-from cousr.synth import random_small_database, random_thresholds
+from cousr.synth import random_small_database, random_thresholds, synthesize_database
 
 from conftest import A, B, C, D, E, F, G
 
@@ -157,6 +158,26 @@ def test_mine_requires_utilities():
         mine(db, MinerConfig())
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_mine_restores_callers_gc_state(example_db, enabled):
+    was_enabled = gc.isenabled()
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        mine(example_db, MinerConfig(**GOLDEN_THRESHOLDS))
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError):
+            mine(parse_database("1:1 -1 2:1 -1 -2\n"), MinerConfig())
+        assert gc.isenabled() is enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
 def test_mine_rejects_raw_dict_config(example_db):
     with pytest.raises(ConfigError):
         mine(example_db, {"min_util": 50})
@@ -286,6 +307,32 @@ def test_stats_counters(example_db):
     assert payload["pruned_s1"] == 2
     assert set(payload) >= {"pruned_s2", "pruned_s3", "pruned_s4", "pruned_s5",
                             "pruned_s6", "pruned_s7", "utility_lists_built", "wall_ms"}
+
+
+def test_search_counters_are_pinned():
+    # the search order fixes every counter; these are the values of the
+    # flag-based row derivation that preceded the row tables
+    db = synthesize_database(2000, 200, 8, seed=3)
+    config = MinerConfig.for_variant(
+        "s6s7", min_util=800, min_conf="0.3", min_bond="0.1", min_lift="0"
+    )
+    result = mine(db, config)
+    assert len(result.rules) == 26
+    stats = result.stats.as_dict()
+    assert {key: stats[key] for key in (
+        "initial_rules_kept", "pruned_s2", "pruned_s3", "pruned_s4", "pruned_s5",
+        "pruned_s6", "pruned_s7", "utility_lists_built", "utility_list_rows",
+    )} == {
+        "initial_rules_kept": 1822,
+        "pruned_s2": 12959,
+        "pruned_s3": 4246,
+        "pruned_s4": 2677,
+        "pruned_s5": 6729,
+        "pruned_s6": 67058,
+        "pruned_s7": 85288,
+        "utility_lists_built": 8578,
+        "utility_list_rows": 69359,
+    }
 
 
 # -- the confidence gate is not output-preserving ------------------------------------------------

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cousr import Rule, parse_database, parse_utility_table, with_utilities
-from cousr.measures import rule_sids, rule_utility, seu_of_rule, sids_of
+from cousr.measures import build_item_bitvectors, rule_sids, rule_utility, seu_of_rule, sids_of
 from cousr.rulecore import (
+    Expansion,
     OrderConstraintError,
     RuleAbsentError,
     build_bond_matrix,
-    build_esucs,
     build_initial_utility_list,
     build_utility_list,
     classify_expansion_items,
@@ -22,9 +22,11 @@ from cousr.rulecore import (
     dump_utility_list,
     expand_utility_list,
     scan_rule_pairs,
+    sequence_tables,
     ul_left_total,
     ul_total,
 )
+from cousr.seqdb import Sequence, SequenceDatabase, UtilityTable
 from cousr.synth import random_small_database
 
 from conftest import A, B, C, D, E, F, G
@@ -64,12 +66,13 @@ def test_classify_rejects_non_occurring_rule(example_db):
 
 def test_initial_utility_list_rows(example_db):
     ul = build_initial_utility_list(AE, example_db)
+    # (sid, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y)
     assert [tuple(row) for row in ul.rows] == [
-        (1, 9, 5, 2, 0),
-        (2, 12, 18, 4, 0),
-        (3, 15, 10, 0, 3),
-        (4, 9, 7, 6, 0),
-        (5, 15, 5, 11, 0),
+        (1, 9, 5, 2, 0, 1, 2),
+        (2, 12, 18, 4, 0, 1, 4),
+        (3, 15, 10, 0, 3, 1, 4),
+        (4, 9, 7, 6, 0, 1, 2),
+        (5, 15, 5, 11, 0, 1, 2),
     ]
     assert ul.utility == rule_utility(AE, example_db) == 60
     assert ul.support == 5
@@ -99,7 +102,7 @@ def test_left_expansion_with_c_matches_worked_values(example_db):
     parent = build_utility_list(AE, example_db)
     expanded = expand_utility_list(parent, C, "left", example_db)
     assert expanded.rule == Rule.of([A, C], [E])
-    assert [tuple(row) for row in expanded.rows] == [(2, 16, 9, 4, 0)]
+    assert [tuple(row) for row in expanded.rows] == [(2, 16, 9, 4, 0, 2, 4)]
     assert expanded.rows == build_utility_list(expanded.rule, example_db).rows
 
 
@@ -196,7 +199,7 @@ def test_bond_matrix_restricted_to_items(example_db):
 
 
 def test_esucs_examples(example_db):
-    table = build_esucs(example_db)
+    table = scan_rule_pairs(example_db)
     assert table[(A, B)] == 62
     assert (B, A) not in table  # b never strictly precedes a
     assert all(a != b for a, b in table)
@@ -205,26 +208,17 @@ def test_esucs_examples(example_db):
 
 def test_scan_rule_pairs_agrees_with_direct_measures(example_db):
     pairs = scan_rule_pairs(example_db)
-    for (a, b), scan in pairs.items():
+    bitvectors = build_item_bitvectors(example_db)
+    for (a, b), seu in pairs.items():
         rule = Rule.of([a], [b])
-        assert scan.sids_mask == rule_sids(rule, example_db)
-        assert scan.seu == seu_of_rule(scan.sids_mask, example_db)
+        sids = rule_sids(rule, example_db)
+        assert seu == seu_of_rule(sids, example_db)
+        root = build_utility_list(rule, example_db, sids=bitvectors[a] & bitvectors[b])
+        assert root.sids_mask == sids
     assert (B, A) not in pairs
 
 
 # -- randomized invariants ----------------------------------------------------------------
-
-def _feasible_items(ul, db, direction):
-    from cousr.rulecore import _classification
-
-    index = 2 if direction == "right" else 1
-    found = set()
-    for row in ul.rows:
-        seq = db.by_sid[row.sid]
-        _, _, flags = _classification(ul.rule, seq)
-        found.update(item for item, entry in flags.items() if entry[index])
-    return sorted(found)
-
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9))
@@ -238,7 +232,8 @@ def test_incremental_expansion_equals_rebuild(seed):
     ul = build_utility_list(Rule.of([a], [b]), db)
     for _ in range(4):
         direction = rng.choice(("left", "right"))
-        feasible = _feasible_items(ul, db, direction)
+        tables = sequence_tables(db)
+        feasible = tables.items_of(Expansion(ul, direction, tables).candidates)
         if not feasible:
             break
         item = rng.choice(feasible)
@@ -250,17 +245,74 @@ def test_incremental_expansion_equals_rebuild(seed):
         ul = expanded
 
 
+def _long_database():
+    """Three sequences of 48 items in 24 itemsets, each in its own item order."""
+    sequences = []
+    for sid, step in enumerate((5, 7, 11), start=1):
+        itemsets = [[] for _ in range(24)]
+        for item in range(1, 49):
+            itemsets[item * step % 24].append((item, 1 + item % 5))
+        sequences.append(Sequence(sid=sid, itemsets=tuple(map(tuple, itemsets))))
+    entries = {item: Fraction(1 + item % 7, 1 + item % 2) for item in range(1, 49)}
+    return SequenceDatabase(sequences=tuple(sequences), utilities=UtilityTable(entries=entries))
+
+
+LONG_DB = _long_database()
+
+
+def _assert_rows_match_classification(ul, db):
+    """Rows and candidates agree with the item-by-item reference classification."""
+    tables = sequence_tables(db)
+    left, right = set(), set()
+    for row in ul.rows:
+        index = db.index_by_sid[row.sid]
+        seq, grid = db.sequences[index], db.grid_item_utilities[index]
+        classes = classify_expansion_items(ul.rule, seq)
+        assert (row.lutil, row.rutil, row.lrutil) == tuple(
+            sum(grid[item] for item in part) for part in classes
+        )
+        assert row.iutil == sum(grid[item] for item in ul.rule.items)
+        assert row.max_pos_x == max(seq.positions[item] for item in ul.rule.antecedent)
+        assert row.min_pos_y == min(seq.positions[item] for item in ul.rule.consequent)
+        left |= classes.only_left | classes.left_right
+        right |= classes.only_right | classes.left_right
+    assert tables.items_of(Expansion(ul, "left", tables).candidates) == sorted(left)
+    assert tables.items_of(Expansion(ul, "right", tables).candidates) == sorted(right)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_rows_equal_class_sums_of_reference_classification(seed, long):
+    rng = random.Random(seed)
+    db = LONG_DB if long else random_small_database(rng)
+    pairs = sorted(scan_rule_pairs(db))
+    if not pairs:
+        return
+    tables = sequence_tables(db)
+    for _ in range(3):
+        a, b = pairs[rng.randrange(len(pairs))]
+        ul = build_utility_list(Rule.of([a], [b]), db)
+        for _ in range(6):
+            _assert_rows_match_classification(ul, db)
+            direction = rng.choice(("left", "right"))
+            feasible = tables.items_of(Expansion(ul, direction, tables).candidates)
+            if not feasible:
+                break
+            ul = expand_utility_list(ul, rng.choice(feasible), direction, db)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
 def test_utility_list_totals_match_direct_measures(seed):
     db = random_small_database(random.Random(seed))
-    for (a, b), scan in scan_rule_pairs(db).items():
+    for a, b in scan_rule_pairs(db):
         rule = Rule.of([a], [b])
         ul = build_utility_list(rule, db)
         scale = db.utilities.scale
         assert Fraction(ul.utility, scale) == rule_utility(rule, db)
-        assert ul.support == scan.sids_mask.bit_count()
-        assert ul.sids_mask == scan.sids_mask
+        sids = rule_sids(rule, db)
+        assert ul.support == sids.bit_count()
+        assert ul.sids_mask == sids
         for row in ul.rows:
             assert min(row.iutil, row.lutil, row.rutil, row.lrutil) >= 0
 
@@ -273,4 +325,4 @@ def test_dumps_are_tab_separated(example_db):
     assert dump.splitlines()[1] == "sid\tiutil\tlutil\trutil\tlrutil"
     assert "1\t9\t5\t2\t0" in dump
     assert "3\t6\t1/3" in dump_bond_matrix(build_bond_matrix(example_db))
-    assert "1\t2\t62" in dump_esucs(build_esucs(example_db))
+    assert "1\t2\t62" in dump_esucs(scan_rule_pairs(example_db))
