@@ -40,7 +40,6 @@ sequences.
 
 from __future__ import annotations
 
-import gc
 import time
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
@@ -51,7 +50,7 @@ from typing import NamedTuple
 from . import measures, rulecore
 from .measures import Rule
 from .rulecore import UtilityList
-from .seqdb import Sequence, SequenceDatabase
+from .seqdb import Sequence, SequenceDatabase, gc_paused
 
 VARIANTS = {
     "base": (False, False),
@@ -313,14 +312,21 @@ class _Search:
             self.s7_right[a] = self.s7_right.get(a, 0) | 1 << rank[b]
             self.s7_left[b] = self.s7_left.get(b, 0) | 1 << rank[a]
 
-    def set_bond_passes(self, bond_matrix) -> None:
-        """Strategy 6: the unordered pairs whose bond reaches ``min_bond``."""
+    def set_bond_passes(self, co_counts) -> None:
+        """Strategy 6: the unordered pairs whose bond reaches ``min_bond``.
+
+        ``co_counts`` maps each co-occurring pair to the number of sequences
+        holding both items; the pair's disjunctive support is
+        ``sup_a + sup_b - co``.
+        """
         rank = self.tables.rank
-        self.s6_pass = {}
-        for (a, b), value in bond_matrix.items():
-            if self._bond_ok(value.numerator, value.denominator):
-                self.s6_pass[a] = self.s6_pass.get(a, 0) | 1 << rank[b]
-                self.s6_pass[b] = self.s6_pass.get(b, 0) | 1 << rank[a]
+        support = {item: vector.bit_count() for item, vector in self.bitvectors.items()}
+        passes: dict[int, int] = {}
+        for (a, b), co in co_counts.items():
+            if self._bond_ok(co, support[a] + support[b] - co):
+                passes[a] = passes.get(a, 0) | 1 << rank[b]
+                passes[b] = passes.get(b, 0) | 1 << rank[a]
+        self.s6_pass = passes
 
     # -- threshold checks (exact integer arithmetic) --
 
@@ -442,17 +448,11 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     """Mine the complete set of correlated high-utility sequential rules.
 
     The result is independent of the strategy-6/7 toggles; the stats are not.
-    The cyclic garbage collector is paused while mining (the search
-    allocates millions of acyclic tuples) and restored to the caller's state
-    on return or error.
+    The cyclic garbage collector is paused while mining and restored to the
+    caller's state on return or error (see :func:`cousr.seqdb.gc_paused`).
     """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         return _mine(db, config)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def _mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
@@ -473,7 +473,7 @@ def _mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     bitvectors = measures.build_item_bitvectors(filtered)
     search = _Search(filtered, config, sequence_count, bitvectors, stats)
     if config.bond_matrix_prune:
-        search.set_bond_passes(rulecore.build_bond_matrix(filtered, bitvectors=bitvectors))
+        search.set_bond_passes(rulecore.build_bond_matrix(filtered))
     pair_seu = rulecore.scan_rule_pairs(filtered)
     kept = []
     for (a, b) in sorted(pair_seu):

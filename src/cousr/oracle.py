@@ -5,8 +5,9 @@ definitions by per-sequence scans: occurrence is checked by trying every
 split point of a sequence (antecedent inside the prefix union of itemsets,
 consequent inside the suffix union), supports by set containment, utilities
 by summing quantity times unit price. No bit vectors, no utility-lists, no
-pruning; only the data model is shared with the fast miner, so agreement
-between the two is meaningful evidence of correctness.
+pruning; only the data model and the threshold coercion
+(:func:`cousr.miner.as_fraction`) are shared with the fast miner, so
+agreement between the two is meaningful evidence of correctness.
 
 Enumeration is refused beyond :class:`OracleLimits` because the candidate
 count grows as 3^m for m occurring items.
@@ -19,6 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
+from .miner import as_fraction
 from .seqdb import SequenceDatabase
 
 
@@ -187,10 +189,10 @@ def oracle_chusrs(
     limits: OracleLimits | None = None,
 ) -> tuple[OracleRule, ...]:
     """Every occurring rule that clears all four thresholds, canonically ordered."""
-    min_util = Fraction(min_util)
-    min_conf = Fraction(min_conf)
-    min_bond = Fraction(min_bond)
-    min_lift = Fraction(min_lift)
+    min_util = as_fraction(min_util)
+    min_conf = as_fraction(min_conf)
+    min_bond = as_fraction(min_bond)
+    min_lift = as_fraction(min_lift)
     kept = [
         rule
         for rule in enumerate_all_rules(db, limits)

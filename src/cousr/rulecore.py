@@ -59,8 +59,11 @@ All utility amounts in this module are integers on the utility table's grid
 
 Two sparse pruning tables summarize item pairs:
 
-* bond matrix: unordered pair -> bond of the two-item itemset; absent pair
-  means the items never co-occur.
+* bond matrix: unordered pair -> co-occurrence count ``co`` (the number of
+  sequences holding both items); absent pair means the items never
+  co-occur. The bond of the two-item itemset is derived from it and the
+  items' supports as ``co / (sup_a + sup_b - co)``, so the miner tests
+  ``bond >= min_bond`` by integer cross-multiplication.
 * rule-seu table ("ESUCS", :func:`scan_rule_pairs`): ordered pair (a, b) ->
   sequence-estimated utility of the rule a => b; absent means the rule never
   occurs. The table is asymmetric because occurrence is order-sensitive.
@@ -68,12 +71,14 @@ Two sparse pruning tables summarize item pairs:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Literal, NamedTuple
+from itertools import chain, combinations
+from typing import Literal, NamedTuple
 
-from .measures import Rule, build_item_bitvectors
+from .measures import Rule
 from .seqdb import Sequence, SequenceDatabase
 
 Direction = Literal["left", "right"]
@@ -424,35 +429,18 @@ def expand_utility_list(
     return UtilityList(rule=new_rule, rows=tuple(expansion.rows(item)))
 
 
-def build_bond_matrix(
-    db: SequenceDatabase,
-    items: Iterable[int] | None = None,
-    bitvectors: dict[int, int] | None = None,
-) -> dict[tuple[int, int], Fraction]:
-    """Bond per co-occurring unordered item pair, keyed (smaller, larger)."""
-    if bitvectors is None:
-        bitvectors = build_item_bitvectors(db)
-    wanted = set(items) if items is not None else None
-    pair_masks: dict[tuple[int, int], int] = {}
-    for seq in db.sequences:
-        bit = 1 << (seq.sid - 1)
-        present = sorted(
-            item for item in seq.items if wanted is None or item in wanted
-        )
-        for i, a in enumerate(present):
-            for b in present[i + 1:]:
-                key = (a, b)
-                pair_masks[key] = pair_masks.get(key, 0) | bit
-    matrix = {}
-    for (a, b), mask in pair_masks.items():
-        union = bitvectors[a] | bitvectors[b]
-        matrix[(a, b)] = Fraction(mask.bit_count(), union.bit_count())
-    return matrix
+def build_bond_matrix(db: SequenceDatabase) -> dict[tuple[int, int], int]:
+    """Co-occurrence count per co-occurring unordered item pair, keyed (smaller, larger).
+
+    The bond of the pair is ``co / (sup_a + sup_b - co)``, where the supports
+    are the popcounts of the items' bit vectors.
+    """
+    return Counter(chain.from_iterable(
+        combinations(sorted(seq.items), 2) for seq in db.sequences
+    ))
 
 
-def scan_rule_pairs(
-    db: SequenceDatabase, items: Iterable[int] | None = None
-) -> dict[tuple[int, int], int]:
+def scan_rule_pairs(db: SequenceDatabase) -> dict[tuple[int, int], int]:
     """Ordered pair (a, b) -> SEU of the rule a => b, in grid units.
 
     One database scan over all ordered pairs (a before b, distinct
@@ -460,15 +448,12 @@ def scan_rule_pairs(
     rule-seu pruning table (strategy 7).
     """
     db.require_utilities()
-    wanted = set(items) if items is not None else None
     pairs: dict[tuple[int, int], int] = {}
     for index, seq in enumerate(db.sequences):
         su = db.grid_sequence_utilities[index]
         earlier: list[int] = []
         for itemset in seq.itemsets:
-            current = [
-                item for item, _ in itemset if wanted is None or item in wanted
-            ]
+            current = [item for item, _ in itemset]
             for b in current:
                 for a in earlier:
                     key = (a, b)
@@ -486,9 +471,13 @@ def dump_utility_list(ul: UtilityList) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_bond_matrix(matrix: dict[tuple[int, int], Fraction]) -> str:
-    lines = ["a\tb\tbond"]
-    lines.extend(f"{a}\t{b}\t{matrix[(a, b)]}" for a, b in sorted(matrix))
+def dump_bond_matrix(counts: dict[tuple[int, int], int], bitvectors: dict[int, int]) -> str:
+    """Tab-separated debug dump: co-occurrence count and exact bond per pair."""
+    lines = ["a\tb\tco\tbond"]
+    for a, b in sorted(counts):
+        co = counts[(a, b)]
+        union = bitvectors[a].bit_count() + bitvectors[b].bit_count() - co
+        lines.append(f"{a}\t{b}\t{co}\t{Fraction(co, union)}")
     return "\n".join(lines) + "\n"
 
 

@@ -14,7 +14,7 @@ comments; blank lines are skipped):
 
       1:1 2:1 -1 5:1 -1 4:5 -1 7:1 -1 -2
 
-  ``item:qty`` pairs separated by single spaces, ``-1`` closes an itemset,
+  ``item:qty`` pairs separated by whitespace, ``-1`` closes an itemset,
   ``-2`` closes the sequence. Item ids and quantities are base-10 unsigned
   integers. Sequence ids are assigned 1..n in line order.
 
@@ -28,7 +28,8 @@ so that every item utility in the database is an integer count of grid units.
 
 from __future__ import annotations
 
-import re
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -184,17 +185,21 @@ class SequenceDatabase:
         return tuple(sum(m.values()) for m in self.grid_item_utilities)
 
 
-_PAIR_RE = re.compile(r"(\d+):(\d+)\Z")
+def _column(line: str, index: int) -> int:
+    """1-based column of the ``index``-th whitespace-separated token of ``line``."""
+    col = 0
+    for _ in range(index + 1):
+        while line[col].isspace():
+            col += 1
+        start = col
+        while col < len(line) and not line[col].isspace():
+            col += 1
+    return start + 1
 
 
-def _tokens(line: str):
-    for match in re.finditer(r"\S+", line):
-        yield match.group(), match.start() + 1
-
-
-def _is_comment(line: str) -> bool:
-    stripped = line.lstrip()
-    return not stripped or stripped.startswith("#")
+def _is_comment(tokens: list[str]) -> bool:
+    """A line's tokens are blank or start with ``#``."""
+    return not tokens or tokens[0].startswith("#")
 
 
 def parse_database(text: str) -> SequenceDatabase:
@@ -202,56 +207,63 @@ def parse_database(text: str) -> SequenceDatabase:
     sequences: list[Sequence] = []
     sid = 1
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if _is_comment(line):
+        tokens = line.split()
+        if _is_comment(tokens):
             continue
         itemsets: list[tuple[tuple[int, int], ...]] = []
         current: list[tuple[int, int]] = []
         seen: set[int] = set()
-        terminated = False
-        last_col = 1
-        for token, col in _tokens(line):
-            last_col = col
-            if terminated:
-                raise ParseError(
-                    ParseError.MALFORMED_TOKEN,
-                    f"unexpected token {token!r} after sequence terminator",
-                    lineno, col,
-                )
+        for index, token in enumerate(tokens):
             if token == "-1":
                 if not current:
-                    raise ParseError(ParseError.EMPTY_ITEMSET, "itemset closed with no items", lineno, col)
-                itemsets.append(tuple(sorted(current)))
+                    raise ParseError(
+                        ParseError.EMPTY_ITEMSET, "itemset closed with no items",
+                        lineno, _column(line, index),
+                    )
+                current.sort()
+                itemsets.append(tuple(current))
                 current = []
             elif token == "-2":
                 if current:
                     raise ParseError(
-                        ParseError.MISSING_TERMINATOR,
-                        "itemset not closed with -1 before -2", lineno, col,
+                        ParseError.MISSING_TERMINATOR, "itemset not closed with -1 before -2",
+                        lineno, _column(line, index),
                     )
-                terminated = True
+                if index + 1 < len(tokens):
+                    raise ParseError(
+                        ParseError.MALFORMED_TOKEN,
+                        f"unexpected token {tokens[index + 1]!r} after sequence terminator",
+                        lineno, _column(line, index + 1),
+                    )
+                break
             else:
-                match = _PAIR_RE.match(token)
-                if match is None:
+                # isdecimal() accepts exactly the digits int() parses
+                item_text, colon, qty_text = token.partition(":")
+                if not (colon and item_text.isdecimal() and qty_text.isdecimal()):
                     raise ParseError(
                         ParseError.MALFORMED_TOKEN, f"expected item:qty, -1 or -2, got {token!r}",
-                        lineno, col,
+                        lineno, _column(line, index),
                     )
-                item, qty = int(match.group(1)), int(match.group(2))
+                item = int(item_text)
+                qty = int(qty_text)
                 if item < 1 or qty < 1:
                     raise ParseError(
                         ParseError.MALFORMED_TOKEN,
-                        f"item ids and quantities must be >= 1, got {token!r}", lineno, col,
+                        f"item ids and quantities must be >= 1, got {token!r}",
+                        lineno, _column(line, index),
                     )
                 if item in seen:
                     raise ParseError(
                         ParseError.DUPLICATE_ITEM,
-                        f"item {item} occurs more than once in the sequence", lineno, col,
+                        f"item {item} occurs more than once in the sequence",
+                        lineno, _column(line, index),
                     )
                 seen.add(item)
                 current.append((item, qty))
-        if not terminated:
+        else:
             raise ParseError(
-                ParseError.MISSING_TERMINATOR, "sequence not closed with -2", lineno, last_col,
+                ParseError.MISSING_TERMINATOR, "sequence not closed with -2",
+                lineno, _column(line, len(tokens) - 1),
             )
         sequences.append(Sequence(sid=sid, itemsets=tuple(itemsets)))
         sid += 1
@@ -262,19 +274,19 @@ def parse_utility_table(text: str) -> UtilityTable:
     """Parse ``item utility`` lines into a utility table."""
     entries: dict[int, Fraction] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if _is_comment(line):
+        tokens = line.split()
+        if _is_comment(tokens):
             continue
-        tokens = list(_tokens(line))
         if len(tokens) != 2:
             raise ParseError(
                 ParseError.MALFORMED_TOKEN,
-                f"expected 'item utility', got {line.strip()!r}", lineno, tokens[0][1] if tokens else 1,
+                f"expected 'item utility', got {line.strip()!r}", lineno, _column(line, 0),
             )
-        (item_tok, item_col), (value_tok, value_col) = tokens
-        if not item_tok.isdigit() or int(item_tok) < 1:
+        item_tok, value_tok = tokens
+        if not item_tok.isdecimal() or int(item_tok) < 1:
             raise ParseError(
                 ParseError.NON_NUMERIC, f"item id must be a positive integer, got {item_tok!r}",
-                lineno, item_col,
+                lineno, _column(line, 0),
             )
         item = int(item_tok)
         try:
@@ -282,18 +294,18 @@ def parse_utility_table(text: str) -> UtilityTable:
         except (InvalidOperation, ValueError):
             raise ParseError(
                 ParseError.NON_NUMERIC, f"utility must be a number, got {value_tok!r}",
-                lineno, value_col,
+                lineno, _column(line, 1),
             ) from None
         if value < 0:
             raise ParseError(
                 ParseError.NON_NUMERIC, f"utility must be non-negative, got {value_tok!r}",
-                lineno, value_col,
+                lineno, _column(line, 1),
             )
         if item in entries and entries[item] != value:
             raise ParseError(
                 ParseError.CONFLICTING_DUPLICATE,
                 f"item {item} already has utility {entries[item]}, conflicting {value_tok!r}",
-                lineno, item_col,
+                lineno, _column(line, 0),
             )
         entries[item] = value
     return UtilityTable(entries=entries)
@@ -310,11 +322,31 @@ def with_utilities(db: SequenceDatabase, table: UtilityTable) -> SequenceDatabas
     return replace(db, utilities=table)
 
 
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector, restoring the caller's state on exit.
+
+    Parsing and mining allocate millions of acyclic tuples; with the
+    collector on, they trigger repeated full collections that free nothing.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def load_database(db_path: str | Path, utils_path: str | Path) -> SequenceDatabase:
-    """Read and cross-validate a database file and its utility file."""
-    db = parse_database(Path(db_path).read_text(encoding="utf-8"))
-    table = parse_utility_table(Path(utils_path).read_text(encoding="utf-8"))
-    return with_utilities(db, table)
+    """Read and cross-validate a database file and its utility file.
+
+    The cyclic garbage collector is paused while parsing (see :func:`gc_paused`).
+    """
+    with gc_paused():
+        db = parse_database(Path(db_path).read_text(encoding="utf-8"))
+        table = parse_utility_table(Path(utils_path).read_text(encoding="utf-8"))
+        return with_utilities(db, table)
 
 
 def item_utility(item: int, seq: Sequence, table: UtilityTable) -> Fraction:
@@ -361,15 +393,15 @@ def parse_alias_table(text: str) -> dict[int, str]:
     """Optional ``id label`` lines mapping item ids to display labels."""
     alias: dict[int, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if _is_comment(line):
+        tokens = line.split()
+        if _is_comment(tokens):
             continue
-        tokens = list(_tokens(line))
-        if len(tokens) != 2 or not tokens[0][0].isdigit():
+        if len(tokens) != 2 or not tokens[0].isdecimal():
             raise ParseError(
                 ParseError.MALFORMED_TOKEN, f"expected 'id label', got {line.strip()!r}",
-                lineno, tokens[0][1] if tokens else 1,
+                lineno, _column(line, 0),
             )
-        alias[int(tokens[0][0])] = tokens[1][0]
+        alias[int(tokens[0])] = tokens[1]
     return alias
 
 

@@ -5,16 +5,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cousr import MinerConfig, Rule, mine, parse_database, parse_utility_table, with_utilities
-from cousr.measures import sids_of
+from cousr.measures import bond, build_item_bitvectors, itemset_support, sids_of
 from cousr.miner import (
     VARIANTS,
     ConfigError,
+    MiningStats,
+    _Search,
     as_fraction,
     enumerate_initial_rules,
     filter_unpromising_items,
 )
+from cousr.rulecore import build_bond_matrix
 from cousr.synth import random_small_database, random_thresholds, synthesize_database
 
 from conftest import A, B, C, D, E, F, G
@@ -291,6 +296,39 @@ def test_threshold_monotonicity_on_example(example_db):
         if previous is not None:
             assert got <= previous
         previous = got
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**9))
+def test_bond_passes_match_exact_bond(seed):
+    rng = random.Random(seed)
+    db = random_small_database(rng)
+    bitvectors = build_item_bitvectors(db)
+    counts = build_bond_matrix(db)
+    items = sorted(db.item_universe)
+    pairs = [(a, b) for i, a in enumerate(items) for b in items[i + 1:]]
+    for a, b in pairs:
+        co = itemset_support((a, b), bitvectors)
+        if co:
+            assert counts[(a, b)] == co
+        else:
+            assert (a, b) not in counts
+    assert set(counts) <= set(pairs)
+    # thresholds on the boundary: the exact bonds of pairs of the database
+    co_pairs = sorted(counts)
+    drawn = rng.sample(co_pairs, min(3, len(co_pairs)))
+    boundaries = [bond(pair, bitvectors).value for pair in drawn]
+    for min_bond in [Fraction(0), Fraction(1), *boundaries]:
+        search = _Search(db, MinerConfig(min_bond=min_bond), db.sequence_count, bitvectors,
+                         MiningStats())
+        search.set_bond_passes(counts)
+        rank = search.tables.rank
+        expected = {}
+        for a, b in co_pairs:
+            if bond((a, b), bitvectors).value >= min_bond:
+                expected[a] = expected.get(a, 0) | 1 << rank[b]
+                expected[b] = expected.get(b, 0) | 1 << rank[a]
+        assert search.s6_pass == expected
 
 
 # -- stats ------------------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cousr import Rule, parse_database, parse_utility_table, with_utilities
+from cousr import MinerConfig, Rule, mine, parse_database, parse_utility_table, with_utilities
 from cousr.measures import rule_utility
 from cousr.oracle import (
     OracleLimitError,
@@ -75,6 +75,20 @@ def test_zero_thresholds_keep_every_occurring_rule(example_db):
     keys = {(r.antecedent, r.consequent) for r in rules}
     assert ((A,), (B,)) in keys
     assert ((B,), (A,)) not in keys  # b never strictly precedes a
+
+
+def test_float_thresholds_coerce_like_the_miner():
+    # conf(1 => 2) is exactly 1/10; a float 0.1 must mean 1/10 to both, not
+    # the binary fraction 0.1000000000000000055...
+    db = with_utilities(
+        parse_database("1:1 -1 2:1 -1 -2\n" + "1:1 -1 -2\n" * 9),
+        parse_utility_table("1 1\n2 1\n"),
+    )
+    mined = mine(db, MinerConfig(min_conf=0.1))
+    assert [(m.rule.antecedent, m.rule.consequent) for m in mined.rules] == [((1,), (2,))]
+    assert [(r.antecedent, r.consequent) for r in oracle_chusrs(db, 0, 0.1, 0, 0)] == [
+        ((1,), (2,))
+    ]
 
 
 def test_oracle_is_deterministic(example_db):

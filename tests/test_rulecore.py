@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cousr import Rule, parse_database, parse_utility_table, with_utilities
 from cousr.measures import build_item_bitvectors, rule_sids, rule_utility, seu_of_rule, sids_of
+from cousr.miner import filter_unpromising_items
 from cousr.rulecore import (
     Expansion,
     OrderConstraintError,
@@ -185,17 +186,23 @@ def test_total_bounded_by_rule_seu(example_db):
 # -- co-occurrence tables ---------------------------------------------------------------
 
 def test_bond_matrix_examples(example_db):
-    matrix = build_bond_matrix(example_db)
-    assert matrix[(A, B)] == 1
-    assert matrix[(C, F)] == Fraction(1, 3)
-    assert all(a < b for a, b in matrix)
+    counts = build_bond_matrix(example_db)
+    assert counts[(A, B)] == 5  # a and b always occur together: bond 5 / 5
+    assert counts[(C, F)] == 1  # bond 1 / (2 + 2 - 1)
+    assert all(a < b for a, b in counts)
     db = tiny_db("1:1 -1 -2\n2:1 -1 -2\n")
     assert build_bond_matrix(db) == {}  # 1 and 2 never co-occur
 
 
 def test_bond_matrix_restricted_to_items(example_db):
-    matrix = build_bond_matrix(example_db, items=[A, B, C])
-    assert set(matrix) == {(A, B), (A, C), (B, C)}
+    # the miner restricts the table to promising items by building it on the
+    # strategy-1 filtered database: the counts of the surviving pairs stay
+    promising, filtered = filter_unpromising_items(example_db, 120)
+    assert promising == {A, B, E}
+    full = build_bond_matrix(example_db)
+    restricted = build_bond_matrix(filtered)
+    assert restricted == {pair: co for pair, co in full.items() if set(pair) <= promising}
+    assert set(restricted) == {(A, B), (A, E), (B, E)}
 
 
 def test_esucs_examples(example_db):
@@ -324,5 +331,7 @@ def test_dumps_are_tab_separated(example_db):
     dump = dump_utility_list(ul)
     assert dump.splitlines()[1] == "sid\tiutil\tlutil\trutil\tlrutil"
     assert "1\t9\t5\t2\t0" in dump
-    assert "3\t6\t1/3" in dump_bond_matrix(build_bond_matrix(example_db))
+    dump = dump_bond_matrix(build_bond_matrix(example_db), build_item_bitvectors(example_db))
+    assert dump.splitlines()[0] == "a\tb\tco\tbond"
+    assert "3\t6\t1\t1/3" in dump
     assert "1\t2\t62" in dump_esucs(scan_rule_pairs(example_db))

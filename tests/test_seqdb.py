@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cousr import ParseError, parse_database, parse_utility_table, with_utilities
+from cousr import ParseError, load_database, parse_database, parse_utility_table, with_utilities
 from cousr.seqdb import (
     AbsentItemError,
     item_positions,
@@ -67,6 +68,16 @@ def test_parse_duplicate_item_across_itemsets_rejected():
         ("1;1 -1 -2", ParseError.MALFORMED_TOKEN, 1),
         ("1:0 -1 -2", ParseError.MALFORMED_TOKEN, 1),
         ("0:1 -1 -2", ParseError.MALFORMED_TOKEN, 1),
+        # columns count characters, whatever the whitespace
+        ("1:1\t-1\t-1 -2", ParseError.EMPTY_ITEMSET, 8),
+        ("1:1   -1  -1 -2", ParseError.EMPTY_ITEMSET, 11),
+        ("\t 1:1 -1 -1 -2", ParseError.EMPTY_ITEMSET, 10),
+        ("1:1\t\t-1", ParseError.MISSING_TERMINATOR, 6),
+        ("1:1 -1 -2    2:1", ParseError.MALFORMED_TOKEN, 14),
+        ("1:1 2:1 -1 3:1 -1  2:5 -1 -2", ParseError.DUPLICATE_ITEM, 20),
+        # '²' is a digit to str.isdigit() but not to int()
+        ("1\u00b2:1 -1 -2", ParseError.MALFORMED_TOKEN, 1),
+        ("1:1 2:\u00b2 -1 -2", ParseError.MALFORMED_TOKEN, 5),
     ],
 )
 def test_parse_errors_name_line_and_column(text, kind, column):
@@ -75,6 +86,30 @@ def test_parse_errors_name_line_and_column(text, kind, column):
     assert err.value.kind == kind
     assert err.value.line == 1
     assert err.value.column == column
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_database_restores_callers_gc_state(tmp_path, enabled):
+    good, bad, utils = tmp_path / "good.db", tmp_path / "bad.db", tmp_path / "db.ut"
+    good.write_text("1:1 -1 2:1 -1 -2\n")
+    bad.write_text("1:1 -1 2:1 -1 -2\n1:1 -1\n")
+    utils.write_text("1 1\n2 1\n")
+    was_enabled = gc.isenabled()
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        assert load_database(good, utils).sequence_count == 1
+        assert gc.isenabled() is enabled
+        with pytest.raises(ParseError):
+            load_database(bad, utils)
+        assert gc.isenabled() is enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 def test_parse_error_reports_correct_line_number():
@@ -111,7 +146,7 @@ def test_parse_utility_table_conflicting_duplicate():
     assert parse_utility_table("1 3\n1 3\n").entries == {1: 3}
 
 
-@pytest.mark.parametrize("text", ["1 abc", "x 3", "1 -2", "1 3 4", "1"])
+@pytest.mark.parametrize("text", ["1 abc", "x 3", "1 -2", "1 3 4", "1", "1\u00b2 3"])
 def test_parse_utility_table_bad_lines(text):
     with pytest.raises(ParseError):
         parse_utility_table(text + "\n")
