@@ -260,7 +260,7 @@ def parse_database(text: str) -> SequenceDatabase:
                     )
                 seen.add(item)
                 current.append((item, qty))
-        else:
+        else:  # the loop ended without meeting -2
             raise ParseError(
                 ParseError.MISSING_TERMINATOR, "sequence not closed with -2",
                 lineno, _column(line, len(tokens) - 1),
