@@ -23,6 +23,7 @@ bond of an itemset whose items are all absent is reported as 0 with
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -83,12 +84,24 @@ class BondValue(NamedTuple):
 
 
 def build_item_bitvectors(db: SequenceDatabase) -> dict[int, int]:
-    """One bit vector per occurring item; bit sid-1 set per containing sequence."""
-    vectors: dict[int, int] = {}
+    """One bit vector per occurring item; bit sid-1 set per containing sequence.
+
+    Each vector is built once from its item's sids: OR-ing one bit per
+    occurrence into the vector would copy the growing integer every time.
+    """
+    sid_bits: defaultdict[int, list[int]] = defaultdict(list)
     for seq in db.sequences:
-        bit = 1 << (seq.sid - 1)
-        for item in seq.items:
-            vectors[item] = vectors.get(item, 0) | bit
+        bit = seq.sid - 1
+        for itemset in seq.itemsets:
+            for item, _ in itemset:
+                sid_bits[item].append(bit)
+    width = (max((seq.sid for seq in db.sequences), default=0) + 7) // 8
+    vectors: dict[int, int] = {}
+    for item, item_bits in sid_bits.items():
+        buffer = bytearray(width)
+        for bit in item_bits:
+            buffer[bit >> 3] |= 1 << (bit & 7)
+        vectors[item] = int.from_bytes(buffer, "little")
     return vectors
 
 

@@ -41,7 +41,7 @@ sequences.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from math import ceil
@@ -172,21 +172,7 @@ class MiningStats:
     prune_events: list[PruneEvent] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "promising_items": self.promising_items,
-            "initial_rules_kept": self.initial_rules_kept,
-            "pruned_s1": self.pruned_s1,
-            "pruned_s2": self.pruned_s2,
-            "pruned_s3": self.pruned_s3,
-            "pruned_s4": self.pruned_s4,
-            "pruned_s5": self.pruned_s5,
-            "pruned_s6": self.pruned_s6,
-            "pruned_s7": self.pruned_s7,
-            "pruned_conf": self.pruned_conf,
-            "utility_lists_built": self.utility_lists_built,
-            "utility_list_rows": self.utility_list_rows,
-            "wall_ms": self.wall_ms,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "prune_events"}
 
 
 @dataclass(frozen=True)
@@ -244,8 +230,9 @@ def filter_unpromising_items(
     threshold = ceil(as_fraction(min_util) * table.scale)
     seu: dict[int, int] = {}
     for seq, su in zip(db.sequences, db.grid_sequence_utilities):
-        for item in seq.items:
-            seu[item] = seu.get(item, 0) + su
+        for itemset in seq.itemsets:
+            for item, _ in itemset:
+                seu[item] = seu.get(item, 0) + su
     promising = frozenset(item for item, value in seu.items() if value >= threshold)
     if len(promising) == len(seu):
         return promising, db
@@ -257,25 +244,8 @@ def filter_unpromising_items(
             if (pruned := tuple(pair for pair in itemset if pair[0] in promising))
         )
         if itemsets:
-            kept.append(Sequence(sid=seq.sid, itemsets=itemsets))
+            kept.append(Sequence._trusted(seq.sid, itemsets))
     return promising, replace(db, sequences=tuple(kept))
-
-
-def enumerate_initial_rules(db: SequenceDatabase, min_util) -> list[RuleContext]:
-    """All promising 1*1 rules of a (filtered) database, with built contexts."""
-    threshold = ceil(as_fraction(min_util) * db.require_utilities().scale)
-    bitvectors = measures.build_item_bitvectors(db)
-    contexts = []
-    pairs = rulecore.scan_rule_pairs(db)
-    for (a, b) in sorted(pairs):
-        if pairs[(a, b)] < threshold:
-            continue
-        rule = Rule((a,), (b,))
-        ul = rulecore.build_utility_list(rule, db, sids=bitvectors[a] & bitvectors[b])
-        contexts.append(
-            RuleContext(rule, ul, bitvectors[a], bitvectors[b], bitvectors[a], bitvectors[b])
-        )
-    return contexts
 
 
 class _Search:

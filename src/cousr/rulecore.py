@@ -34,11 +34,12 @@ the miner:
 * sum minus ``rutil``       >= utility of every left-only descendant
 
 **Row tables.** Each sequence with ``k`` items in ``l`` itemsets gets one
-:class:`SequenceTable`, built on first use: a flat ``(k+1) x (l+1)`` list
-``T`` of dominance sums, ``T[r][q]`` = utility of the items whose rank in the
-sequence (ascending item order, from 0) is ``>= r`` and whose position is
-``<= q``. With ``rL = rank(last_x) + 1``, ``rR = rank(last_y) + 1``,
-``mx = max_pos_x`` and ``my = min_pos_y``, the class sums are rectangles::
+:class:`SequenceTable`, built from its itemsets on first use: a flat
+``(k+1) x (l+1)`` list ``T`` of dominance sums, ``T[r][q]`` = utility of the
+items whose rank in the sequence (ascending item order, from 0) is ``>= r``
+and whose position is ``<= q``. With ``rL = rank(last_x) + 1``,
+``rR = rank(last_y) + 1``, ``mx = max_pos_x`` and ``my = min_pos_y``, the
+class sums are rectangles::
 
     L      = T[rL][my - 1]                      left-feasible
     R      = T[rR][l] - T[rR][mx]               right-feasible
@@ -142,16 +143,6 @@ class UtilityList:
         return mask
 
 
-def ul_total(ul: UtilityList) -> int:
-    """Upper bound on the utility of the rule and all of its expansions."""
-    return ul.total
-
-
-def ul_left_total(ul: UtilityList) -> int:
-    """Upper bound on the utility of the rule's left-only expansions."""
-    return ul.left_total
-
-
 def classify_expansion_items(rule: Rule, seq: Sequence) -> ExpansionClasses:
     """Partition the items that can extend the rule in this sequence.
 
@@ -187,15 +178,22 @@ def classify_expansion_items(rule: Rule, seq: Sequence) -> ExpansionClasses:
 class SequenceTable:
     """Row table of one sequence: dominance sums plus feasible-item masks.
 
-    ``where[item]`` is ``(base, pos, utility)``, where ``base`` is the offset
-    in ``sums`` of the table row ``rank(item) + 1``. ``after[q]`` /
-    ``before[q]`` mask the items positioned after / before ``q``.
+    Built straight from the sequence's itemsets and the grid unit utilities
+    (:attr:`cousr.seqdb.UtilityTable.grid_units`); it fills none of the
+    sequence's cached views. ``where[item]`` is ``(base, pos, utility)``,
+    where ``base`` is the offset in ``sums`` of the table row
+    ``rank(item) + 1``. ``after[q]`` / ``before[q]`` mask the items
+    positioned after / before ``q``.
     """
 
     __slots__ = ("sums", "last", "where", "after", "before")
 
-    def __init__(self, seq: Sequence, grid: dict[int, int], rank: dict[int, int]):
-        positions = seq.positions
+    def __init__(self, seq: Sequence, grid_units: dict[int, int], rank: dict[int, int]):
+        occurrences = sorted(
+            ((item, pos, qty)
+             for pos, itemset in enumerate(seq.itemsets, start=1) for item, qty in itemset),
+            reverse=True,
+        )
         last = len(seq.itemsets)
         width = last + 1
         # table rows from the highest item rank down; row r sums ranks >= r
@@ -203,10 +201,9 @@ class SequenceTable:
         rows = [row]
         where = {}
         bits = [0] * width
-        base = len(positions) * width
-        for item in sorted(positions, reverse=True):
-            pos = positions[item]
-            value = grid[item]
+        base = len(occurrences) * width
+        for item, pos, qty in occurrences:
+            value = qty * grid_units[item]
             where[item] = (base, pos, value)
             row = row[:pos] + [cell + value for cell in row[pos:]]
             rows.append(row)
@@ -258,7 +255,7 @@ class SequenceTables:
 
     def __init__(self, db: SequenceDatabase):
         self._sequences = db.sequences
-        self._grids = db.grid_item_utilities
+        self._grid_units = db.require_utilities().grid_units
         self._index_by_sid = db.index_by_sid
         self._by_sid: dict[int, SequenceTable] = {}
         self.items = tuple(sorted(db.item_universe))
@@ -268,7 +265,7 @@ class SequenceTables:
         table = self._by_sid.get(sid)
         if table is None:
             index = self._index_by_sid[sid]
-            table = SequenceTable(self._sequences[index], self._grids[index], self.rank)
+            table = SequenceTable(self._sequences[index], self._grid_units, self.rank)
             self._by_sid[sid] = table
         return table
 
@@ -287,7 +284,6 @@ def sequence_tables(db: SequenceDatabase) -> SequenceTables:
     """The database's row tables, kept in its instance dict like its cached properties."""
     tables = db.__dict__.get("_sequence_tables")
     if tables is None:
-        db.require_utilities()
         tables = db.__dict__["_sequence_tables"] = SequenceTables(db)
     return tables
 
@@ -333,13 +329,6 @@ def build_utility_list(rule: Rule, db: SequenceDatabase, sids: int | None = None
         if max_pos_x < min_pos_y:
             rows.append(table.row(sid, iutil, base_x, base_y, max_pos_x, min_pos_y))
     return UtilityList(rule=rule, rows=tuple(rows))
-
-
-def build_initial_utility_list(rule: Rule, db: SequenceDatabase) -> UtilityList:
-    """Utility-list of a 1*1 rule (the search's starting points)."""
-    if rule.size != (1, 1):
-        raise ValueError(f"expected a 1*1 rule, got size {rule.size}")
-    return build_utility_list(rule, db)
 
 
 def expanded_rule(rule: Rule, item: int, direction: Direction) -> Rule:
@@ -436,7 +425,8 @@ def build_bond_matrix(db: SequenceDatabase) -> dict[tuple[int, int], int]:
     are the popcounts of the items' bit vectors.
     """
     return Counter(chain.from_iterable(
-        combinations(sorted(seq.items), 2) for seq in db.sequences
+        combinations(sorted([item for itemset in seq.itemsets for item, _ in itemset]), 2)
+        for seq in db.sequences
     ))
 
 

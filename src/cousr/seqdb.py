@@ -67,6 +67,10 @@ class Sequence:
     Itemsets are stored canonically, items ascending within each itemset.
     Because items occur at most once per sequence, every item has a unique
     1-based itemset position.
+
+    The cached ``items``, ``positions`` and ``quantities`` views serve the
+    reference paths (:mod:`cousr.measures`, the oracle, the tests); the
+    miner reads ``itemsets`` directly and never fills them.
     """
 
     sid: int
@@ -89,6 +93,15 @@ class Sequence:
                 if item in seen:
                     raise ValueError(f"item {item} occurs more than once in sequence {self.sid}")
                 seen.add(item)
+
+    @classmethod
+    def _trusted(cls, sid: int, itemsets: tuple[tuple[tuple[int, int], ...], ...]) -> Sequence:
+        """Build without :meth:`__post_init__`'s checks, for itemsets that
+        already satisfy them: the parser's, and subsets of a valid sequence."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "sid", sid)
+        object.__setattr__(seq, "itemsets", itemsets)
+        return seq
 
     @cached_property
     def items(self) -> frozenset[int]:
@@ -152,14 +165,9 @@ class SequenceDatabase:
 
     @cached_property
     def item_universe(self) -> frozenset[int]:
-        universe: set[int] = set()
-        for seq in self.sequences:
-            universe |= seq.items
-        return frozenset(universe)
-
-    @cached_property
-    def by_sid(self) -> dict[int, Sequence]:
-        return {seq.sid: seq for seq in self.sequences}
+        return frozenset(
+            item for seq in self.sequences for itemset in seq.itemsets for item, _ in itemset
+        )
 
     @cached_property
     def index_by_sid(self) -> dict[int, int]:
@@ -172,7 +180,11 @@ class SequenceDatabase:
 
     @cached_property
     def grid_item_utilities(self) -> tuple[dict[int, int], ...]:
-        """Per sequence: item -> utility in grid units (quantity * unit)."""
+        """Per sequence: item -> utility in grid units (quantity * unit).
+
+        For the reference paths only; the miner reads ``itemsets`` and
+        :attr:`UtilityTable.grid_units` directly.
+        """
         units = self.require_utilities().grid_units
         return tuple(
             {item: qty * units[item] for item, qty in seq.quantities.items()}
@@ -182,7 +194,11 @@ class SequenceDatabase:
     @cached_property
     def grid_sequence_utilities(self) -> tuple[int, ...]:
         """Per sequence: whole-sequence utility in grid units."""
-        return tuple(sum(m.values()) for m in self.grid_item_utilities)
+        units = self.require_utilities().grid_units
+        return tuple(
+            sum(qty * units[item] for itemset in seq.itemsets for item, qty in itemset)
+            for seq in self.sequences
+        )
 
 
 def _column(line: str, index: int) -> int:
@@ -265,7 +281,7 @@ def parse_database(text: str) -> SequenceDatabase:
                 ParseError.MISSING_TERMINATOR, "sequence not closed with -2",
                 lineno, _column(line, len(tokens) - 1),
             )
-        sequences.append(Sequence(sid=sid, itemsets=tuple(itemsets)))
+        sequences.append(Sequence._trusted(sid, tuple(itemsets)))
         sid += 1
     return SequenceDatabase(sequences=tuple(sequences))
 
@@ -360,11 +376,6 @@ def item_utility(item: int, seq: Sequence, table: UtilityTable) -> Fraction:
 def sequence_utility(seq: Sequence, table: UtilityTable) -> Fraction:
     """Whole-sequence utility: sum of item utilities over all its items."""
     return sum((qty * table.entries[item] for item, qty in seq.quantities.items()), Fraction(0))
-
-
-def item_positions(seq: Sequence) -> dict[int, int]:
-    """Item -> 1-based itemset index (unique under at-most-once items)."""
-    return seq.positions
 
 
 def serialize_database(db: SequenceDatabase) -> str:

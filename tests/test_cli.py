@@ -263,13 +263,21 @@ def test_mine_conf_prune_flag_on_example(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import cousr
+
+    # the subprocess imports the same package as this test, installed or not
+    package_root = str(Path(cousr.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cousr", "mine", "--db", str(EXAMPLE_DB),
          "--utils", str(EXAMPLE_UT), *GOLDEN_FLAGS],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout == GOLDEN_CSV

@@ -24,6 +24,8 @@ from cousr.measures import (
     seu_of_rule,
     sids_of,
 )
+from cousr.miner import filter_unpromising_items
+from cousr.seqdb import Sequence, SequenceDatabase
 from cousr.synth import random_small_database
 
 from conftest import A, B, C, D, E, F, G
@@ -188,11 +190,25 @@ def test_bitset_matches_naive_scan(example_db):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**9))
 def test_bitset_matches_naive_scan_randomized(seed):
-    db = random_small_database(random.Random(seed))
+    rng = random.Random(seed)
+    db = random_small_database(rng)
     bvs = build_item_bitvectors(db)
     for itemset in all_itemsets(db, 3):
         assert itemset_support(itemset, bvs) == naive_support(itemset, db)
         assert itemset_dissup(itemset, bvs) == naive_dissup(itemset, db)
+    # filtered databases keep their sids: bit sid-1 holds across the gaps
+    levels = sorted({seu_of_item(item, db) for item in db.item_universe})
+    _, filtered = filter_unpromising_items(db, rng.choice(levels))
+    sparse, sid = [], 0
+    for seq in db.sequences:
+        sid += rng.randint(1, 12)
+        if rng.random() < 0.5:
+            sparse.append(Sequence(sid=sid, itemsets=seq.itemsets))
+    for view in (filtered, SequenceDatabase(tuple(sparse)), SequenceDatabase(())):
+        assert build_item_bitvectors(view) == {
+            item: sum(1 << (seq.sid - 1) for seq in view.sequences if item in seq.items)
+            for item in view.item_universe
+        }
 
 
 def test_confidence_anti_monotone_under_right_expansion(example_db):

@@ -3,12 +3,21 @@ from __future__ import annotations
 import gc
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cousr import MinerConfig, Rule, mine, parse_database, parse_utility_table, with_utilities
+from cousr import (
+    MinerConfig,
+    Rule,
+    load_database,
+    mine,
+    parse_database,
+    parse_utility_table,
+    with_utilities,
+)
 from cousr.measures import bond, build_item_bitvectors, itemset_support, sids_of
 from cousr.miner import (
     VARIANTS,
@@ -16,13 +25,12 @@ from cousr.miner import (
     MiningStats,
     _Search,
     as_fraction,
-    enumerate_initial_rules,
     filter_unpromising_items,
 )
-from cousr.rulecore import build_bond_matrix
+from cousr.rulecore import build_bond_matrix, build_utility_list, scan_rule_pairs
 from cousr.synth import random_small_database, random_thresholds, synthesize_database
 
-from conftest import A, B, C, D, E, F, G
+from conftest import A, B, C, D, E, F, G, EXAMPLE_DB, EXAMPLE_UT
 
 GOLDEN_THRESHOLDS = dict(min_util=50, min_conf="0.7", min_bond="0.3", min_lift="1.1")
 
@@ -104,10 +112,17 @@ def test_filter_above_total_utility_empties_db(example_db):
 
 # -- initial 1*1 rules ------------------------------------------------------------------
 
+def initial_rules(db, min_util):
+    """The 1*1 rules that survive the rule-SEU cut (strategy 2), as mine() keeps them."""
+    threshold = ceil(as_fraction(min_util) * db.utilities.scale)
+    return [Rule((a,), (b,)) for (a, b), seu in sorted(scan_rule_pairs(db).items())
+            if seu >= threshold]
+
+
 def test_initial_rules_seu_threshold(example_db):
-    keys = {ctx.rule for ctx in enumerate_initial_rules(example_db, 50)}
+    keys = initial_rules(example_db, 50)
     assert Rule.of([A], [B]) in keys  # SEU 62
-    keys_63 = {ctx.rule for ctx in enumerate_initial_rules(example_db, 63)}
+    keys_63 = initial_rules(example_db, 63)
     assert Rule.of([A], [B]) not in keys_63
 
 
@@ -115,15 +130,17 @@ def test_initial_rules_need_two_itemsets():
     db = with_utilities(
         parse_database("1:1 2:1 3:1 -1 -2\n"), parse_utility_table("1 1\n2 1\n3 1\n")
     )
-    assert enumerate_initial_rules(db, 0) == []
+    assert initial_rules(db, 0) == []
 
 
 def test_initial_rule_context_e_to_g(example_db):
     # e and g share an itemset in S2, so only S1, S4, S5 support e => g
-    contexts = {ctx.rule: ctx for ctx in enumerate_initial_rules(example_db, 50)}
-    ctx = contexts[Rule.of([E], [G])]
-    assert sids_of(ctx.ul.sids_mask) == {1, 4, 5}
-    assert ctx.ul.support == 3
+    rule = Rule.of([E], [G])
+    assert rule in initial_rules(example_db, 50)
+    bitvectors = build_item_bitvectors(example_db)
+    ul = build_utility_list(rule, example_db, sids=bitvectors[E] & bitvectors[G])
+    assert sids_of(ul.sids_mask) == {1, 4, 5}
+    assert ul.support == 3
 
 
 # -- mining the worked example -------------------------------------------------------------
@@ -181,6 +198,24 @@ def test_mine_restores_callers_gc_state(example_db, enabled):
             gc.enable()
         else:
             gc.disable()
+
+
+def test_load_and_mine_fill_no_per_sequence_cache():
+    # the miner reads itemsets directly; the cached views serve the reference
+    # paths only. At min_util 50 every item is promising, so the filtered
+    # database is the caller's and the whole search runs on these objects.
+    db = load_database(EXAMPLE_DB, EXAMPLE_UT)
+
+    def assert_no_cache():
+        for seq in db.sequences:
+            assert not {"items", "positions", "quantities"} & seq.__dict__.keys()
+        assert "grid_item_utilities" not in db.__dict__
+
+    assert_no_cache()
+    assert filter_unpromising_items(db, 50)[1] is db
+    result = mine(db, MinerConfig(**GOLDEN_THRESHOLDS))
+    assert len(result.rules) == 4 and result.stats.utility_lists_built > 0
+    assert_no_cache()
 
 
 def test_mine_rejects_raw_dict_config(example_db):
@@ -343,8 +378,11 @@ def test_stats_counters(example_db):
     assert stats.wall_ms > 0
     payload = stats.as_dict()
     assert payload["pruned_s1"] == 2
-    assert set(payload) >= {"pruned_s2", "pruned_s3", "pruned_s4", "pruned_s5",
-                            "pruned_s6", "pruned_s7", "utility_lists_built", "wall_ms"}
+    assert list(payload) == [
+        "promising_items", "initial_rules_kept", "pruned_s1", "pruned_s2", "pruned_s3",
+        "pruned_s4", "pruned_s5", "pruned_s6", "pruned_s7", "pruned_conf",
+        "utility_lists_built", "utility_list_rows", "wall_ms",
+    ]
 
 
 def test_search_counters_are_pinned():

@@ -15,7 +15,6 @@ from cousr.rulecore import (
     OrderConstraintError,
     RuleAbsentError,
     build_bond_matrix,
-    build_initial_utility_list,
     build_utility_list,
     classify_expansion_items,
     dump_bond_matrix,
@@ -24,8 +23,6 @@ from cousr.rulecore import (
     expand_utility_list,
     scan_rule_pairs,
     sequence_tables,
-    ul_left_total,
-    ul_total,
 )
 from cousr.seqdb import Sequence, SequenceDatabase, UtilityTable
 from cousr.synth import random_small_database
@@ -66,7 +63,7 @@ def test_classify_rejects_non_occurring_rule(example_db):
 # -- utility-list construction -----------------------------------------------------
 
 def test_initial_utility_list_rows(example_db):
-    ul = build_initial_utility_list(AE, example_db)
+    ul = build_utility_list(AE, example_db)
     # (sid, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y)
     assert [tuple(row) for row in ul.rows] == [
         (1, 9, 5, 2, 0, 1, 2),
@@ -80,16 +77,21 @@ def test_initial_utility_list_rows(example_db):
     assert sids_of(ul.sids_mask) == {1, 2, 3, 4, 5}
 
 
-def test_initial_utility_list_requires_1x1(example_db):
-    with pytest.raises(ValueError):
-        build_initial_utility_list(Rule.of([A, B], [E]), example_db)
+def test_utility_list_of_larger_rule_from_scratch(example_db):
+    # any rule size builds from scratch, with the rows its expansion derives
+    rule = Rule.of([A, B], [E])
+    ul = build_utility_list(rule, example_db)
+    assert ul.rows == expand_utility_list(build_utility_list(AE, example_db), B, "left",
+                                          example_db).rows
+    assert ul.utility == rule_utility(rule, example_db)
+    assert ul.sids_mask == rule_sids(rule, example_db)
 
 
 def test_utility_list_of_absent_rule_is_empty(example_db):
     ul = build_utility_list(Rule.of([G], [A]), example_db)
     assert ul.rows == ()
-    assert ul_total(ul) == 0
-    assert ul_left_total(ul) == 0
+    assert ul.total == 0
+    assert ul.left_total == 0
 
 
 def test_restricting_to_known_sids_gives_same_rows(example_db):
@@ -163,12 +165,12 @@ def _descendant_rules(rule, items, left_only=False):
 def test_totals_bound_every_descendant_utility(example_db):
     items = sorted(example_db.item_universe)
     ul = build_utility_list(AE, example_db)
-    assert ul_total(ul) == 131
-    assert ul_left_total(ul) == 108
+    assert ul.total == 131
+    assert ul.left_total == 108
     for descendant in _descendant_rules(AE, items):
-        assert rule_utility(descendant, example_db) <= ul_total(ul)
+        assert rule_utility(descendant, example_db) <= ul.total
     for descendant in _descendant_rules(AE, items, left_only=True):
-        assert rule_utility(descendant, example_db) <= ul_left_total(ul)
+        assert rule_utility(descendant, example_db) <= ul.left_total
 
 
 def test_total_bounded_by_rule_seu(example_db):
@@ -179,8 +181,8 @@ def test_total_bounded_by_rule_seu(example_db):
             rule = Rule.of([x], [y])
             ul = build_utility_list(rule, example_db)
             seu = seu_of_rule(ul.sids_mask, example_db)
-            assert ul_total(ul) <= seu
-            assert ul_left_total(ul) <= ul_total(ul)
+            assert ul.total <= seu
+            assert ul.left_total <= ul.total
 
 
 # -- co-occurrence tables ---------------------------------------------------------------

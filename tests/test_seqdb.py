@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cousr import ParseError, load_database, parse_database, parse_utility_table, with_utilities
 from cousr.seqdb import (
     AbsentItemError,
-    item_positions,
+    Sequence,
     item_utility,
     label_items,
     parse_alias_table,
@@ -56,6 +56,24 @@ def test_parse_duplicate_item_across_itemsets_rejected():
     with pytest.raises(ParseError) as err:
         parse_database("1:1 -1 1:2 -1 -2\n")
     assert err.value.kind == ParseError.DUPLICATE_ITEM
+
+
+@pytest.mark.parametrize(
+    "sid,itemsets",
+    [
+        (0, (((1, 1),),)),  # sid below 1
+        (1, ((),)),  # empty itemset
+        (1, (((0, 1),),)),  # item id below 1
+        (1, (((1, 0),),)),  # quantity below 1
+        (1, (((2, 1), (1, 1)),)),  # items not ascending
+        (1, (((1, 1),), ((1, 2),))),  # item in two itemsets
+    ],
+)
+def test_sequence_constructor_rejects_invalid_itemsets(sid, itemsets):
+    # the parser builds sequences without these checks, having made them
+    # itself; every other caller goes through them
+    with pytest.raises(ValueError):
+        Sequence(sid=sid, itemsets=itemsets)
 
 
 @pytest.mark.parametrize(
@@ -184,15 +202,15 @@ def test_sequence_utility_dominates_item_utility(example_db):
 
 
 def test_item_positions_examples(example_db):
-    assert item_positions(example_db.sequences[1]) == {A: 1, D: 1, C: 2, B: 3, E: 4, G: 4}
-    assert item_positions(example_db.sequences[4]) == {A: 1, B: 1, E: 2, F: 3, C: 4, D: 5, G: 6}
+    assert example_db.sequences[1].positions == {A: 1, D: 1, C: 2, B: 3, E: 4, G: 4}
+    assert example_db.sequences[4].positions == {A: 1, B: 1, E: 2, F: 3, C: 4, D: 5, G: 6}
     single = parse_database("1:1 2:2 3:1 -1 -2\n").sequences[0]
-    assert set(item_positions(single).values()) == {1}
+    assert set(single.positions.values()) == {1}
 
 
 def test_item_positions_bounded_by_itemset_count(example_db):
     for seq in example_db.sequences:
-        positions = item_positions(seq)
+        positions = seq.positions
         assert len(positions) == len(seq.items)
         assert all(1 <= p <= len(seq.itemsets) for p in positions.values())
 
