@@ -7,8 +7,8 @@ utility-lists and co-occurrence tables (:mod:`cousr.rulecore`), the miner
 seed-deterministic synthetic data (:mod:`cousr.synth`).
 """
 
-from .measures import Rule
-from .miner import MinedRule, MinerConfig, MiningResult, MiningStats, mine
+from .measures import MinedRule, Rule
+from .miner import MinerConfig, MiningResult, MiningStats, mine
 from .oracle import OracleLimits, enumerate_all_rules, oracle_chusrs
 from .seqdb import (
     ParseError,

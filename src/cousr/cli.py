@@ -47,8 +47,8 @@ def rules_csv_text(result: MiningResult) -> str:
         lines.append(
             ";".join(
                 (
-                    ",".join(map(str, mined.rule.antecedent)),
-                    ",".join(map(str, mined.rule.consequent)),
+                    ",".join(map(str, mined.antecedent)),
+                    ",".join(map(str, mined.consequent)),
                     format_fraction(mined.utility),
                     str(mined.support),
                     format_fraction(mined.confidence),
@@ -68,12 +68,24 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _peak_rss_bytes() -> int | None:
+    """High-water mark of this process's resident set.
+
+    ``VmHWM`` belongs to the address space, which ``exec`` replaces; the
+    fallback ``ru_maxrss`` survives ``exec``, so in a child of a large
+    process it reports the parent's resident set instead of the child's.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
     try:
         import resource
-
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    except Exception:
+    except ImportError:
         return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
 def report_payload(config: MinerConfig, variant: str, result: MiningResult) -> dict:
@@ -84,7 +96,6 @@ def report_payload(config: MinerConfig, variant: str, result: MiningResult) -> d
             "min_bond": format_fraction(config.min_bond),
             "min_lift": format_fraction(config.min_lift),
             "variant": variant,
-            "conf_prune": config.conf_prune,
             "max_rule_side": config.max_rule_side,
         },
         "rule_count": len(result.rules),
@@ -118,28 +129,17 @@ def _load(args) -> SequenceDatabase:
     return load_database(args.db, args.utils)
 
 
-def _config_from(args) -> tuple[str, MinerConfig]:
-    variant = args.variant
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of {', '.join(VARIANTS)}")
-    max_side = None
-    if getattr(args, "max_side", None) is not None:
-        max_side = _as_int(args.max_side, "--max-side")
-    config = MinerConfig.for_variant(
-        variant,
-        min_util=as_fraction(args.min_util),
-        min_conf=as_fraction(args.min_conf),
-        min_bond=as_fraction(args.min_bond),
-        min_lift=as_fraction(args.min_lift),
-        conf_prune=getattr(args, "conf_prune", False),
-        max_rule_side=max_side,
-    )
-    return variant, config
-
-
 def cmd_mine(args) -> int:
     db = _load(args)
-    variant, config = _config_from(args)
+    variant = args.variant
+    config = MinerConfig.for_variant(
+        variant,
+        min_util=args.min_util,
+        min_conf=args.min_conf,
+        min_bond=args.min_bond,
+        min_lift=args.min_lift,
+        max_rule_side=None if args.max_side is None else _as_int(args.max_side, "--max-side"),
+    )
     result = mine(db, config)
     text = rules_csv_text(result)
     if args.out:
@@ -160,9 +160,7 @@ def cmd_mine(args) -> int:
 def _verify_db(db: SequenceDatabase, min_util, min_conf, min_bond, min_lift) -> list[str]:
     """Compare all four miner variants against the exhaustive oracle."""
     expected = {
-        (r.antecedent, r.consequent): (
-            r.utility, r.support, r.confidence, r.lift, r.bond_antecedent, r.bond_consequent
-        )
+        (r.antecedent, r.consequent): r
         for r in oracle_chusrs(db, min_util, min_conf, min_bond, min_lift)
     }
     problems: list[str] = []
@@ -170,12 +168,7 @@ def _verify_db(db: SequenceDatabase, min_util, min_conf, min_bond, min_lift) -> 
         config = MinerConfig.for_variant(
             variant, min_util=min_util, min_conf=min_conf, min_bond=min_bond, min_lift=min_lift
         )
-        got = {
-            m.sort_key: (
-                m.utility, m.support, m.confidence, m.lift, m.bond_antecedent, m.bond_consequent
-            )
-            for m in mine(db, config).rules
-        }
+        got = {(m.antecedent, m.consequent): m for m in mine(db, config).rules}
         for key in sorted(expected.keys() - got.keys()):
             problems.append(f"[{variant}] missing from miner: {key[0]} => {key[1]}")
         for key in sorted(got.keys() - expected.keys()):
@@ -314,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--variant", default="s6s7", help="base, s6, s7 or s6s7")
     p_mine.add_argument("--out", help="rules CSV path (stdout if omitted)")
     p_mine.add_argument("--report", help="JSON run report path")
-    p_mine.add_argument("--conf-prune", action="store_true",
-                        help="enable the confidence gate on right recursion (may drop rules)")
     p_mine.add_argument("--max-side", help="cap on antecedent/consequent size")
     p_mine.set_defaults(func=cmd_mine)
 

@@ -61,11 +61,6 @@ class Rule:
     def of(cls, antecedent: Iterable[int], consequent: Iterable[int]) -> "Rule":
         return cls(tuple(sorted(antecedent)), tuple(sorted(consequent)))
 
-    @property
-    def size(self) -> tuple[int, int]:
-        """Rule size as (|antecedent|, |consequent|)."""
-        return len(self.antecedent), len(self.consequent)
-
     @cached_property
     def items(self) -> tuple[int, ...]:
         return tuple(sorted(self.antecedent + self.consequent))
@@ -74,6 +69,23 @@ class Rule:
         left = ",".join(map(str, self.antecedent))
         right = ",".join(map(str, self.consequent))
         return f"{{{left}}}=>{{{right}}}"
+
+
+class MinedRule(NamedTuple):
+    """A rule with all of its reported measures (exact rationals).
+
+    The miner emits these records and the oracle yields them, so the two
+    compare directly; records order by (antecedent, consequent) first.
+    """
+
+    antecedent: tuple[int, ...]
+    consequent: tuple[int, ...]
+    utility: Fraction
+    support: int
+    confidence: Fraction
+    lift: Fraction
+    bond_antecedent: Fraction
+    bond_consequent: Fraction
 
 
 class BondValue(NamedTuple):

@@ -23,13 +23,13 @@ ascending item order. Recursion is gated by the utility-list bounds: the
 four-column sum for right subtrees (strategy 4) and the sum without
 ``rutil`` for left subtrees (strategy 5). Strategies 6 and 7 are sound, so
 toggling them never changes the mined rule set, only the number of
-utility-lists constructed.
+utility-lists constructed. Confidence gates no recursion: a low-confidence
+rule can still have high-confidence left descendants, because left
+expansions shrink the antecedent's support (see the counterexample in the
+test suite).
 
-The optional confidence gate (``conf_prune``) skips right recursion below
-``min_conf``. It is off by default and NOT output-preserving under this
-enumeration order: a low-confidence consequent extension can still have
-high-confidence left descendants, because left expansions shrink the
-antecedent's support. See the counterexample in the test suite.
+The search owns its row tables (:class:`cousr.rulecore.SequenceTables` of
+the filtered database), so they go when :func:`mine` returns.
 
 Threshold comparisons are exact: utilities are compared on the utility
 table's integer grid and the ratio measures by integer cross-multiplication.
@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields, replace
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 from math import ceil
 from typing import NamedTuple
 
 from . import measures, rulecore
-from .measures import Rule
+from .measures import MinedRule, Rule
 from .rulecore import UtilityList
 from .seqdb import Sequence, SequenceDatabase, gc_paused
 
@@ -65,24 +65,24 @@ class ConfigError(ValueError):
 
 
 def as_fraction(value) -> Fraction:
-    """Exact threshold coercion; floats go through their decimal repr."""
+    """Exact threshold coercion; floats go through their decimal repr.
+
+    Anything without a finite exact value (``inf``, ``nan``, ``1/0``, text
+    that is no number) raises :class:`ConfigError`.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        value = repr(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ValueError:
-            pass
-        try:
-            return Fraction(Decimal(value))
-        except (InvalidOperation, ValueError):
-            raise ConfigError(f"cannot interpret threshold {value!r} as a number") from None
-    if isinstance(value, Decimal):
-        return Fraction(value)
+    number = repr(value) if isinstance(value, float) else value
+    try:
+        if isinstance(number, str):
+            try:
+                return Fraction(number)
+            except ValueError:
+                number = Decimal(number)
+        if isinstance(number, (int, Decimal)):
+            return Fraction(number)
+    except (ArithmeticError, ValueError):  # decimal's InvalidOperation is an ArithmeticError
+        pass
     raise ConfigError(f"cannot interpret threshold {value!r} as a number")
 
 
@@ -102,7 +102,6 @@ class MinerConfig:
     min_lift: Fraction = Fraction(0)
     bond_matrix_prune: bool = True
     esucs_prune: bool = True
-    conf_prune: bool = False
     max_rule_side: int | None = None
     record_prune_events: bool = False
 
@@ -139,8 +138,7 @@ class PruneEvent(NamedTuple):
     Kinds: ``s1`` (item; antecedent holds the item), ``s2`` (1*1 rule and
     all expansions), ``s3/s6/s7-right`` (candidate rule plus all its
     expansions), ``s3/s6/s7-left`` (candidate rule plus left expansions),
-    ``s4`` (right subtree of the rule), ``s5`` (left subtree), ``conf``
-    (right subtree, confidence gate).
+    ``s4`` (right subtree of the rule), ``s5`` (left subtree).
     """
 
     kind: str
@@ -165,7 +163,6 @@ class MiningStats:
     pruned_s5: int = 0
     pruned_s6: int = 0
     pruned_s7: int = 0
-    pruned_conf: int = 0
     utility_lists_built: int = 0
     utility_list_rows: int = 0
     wall_ms: float = 0.0
@@ -176,29 +173,9 @@ class MiningStats:
 
 
 @dataclass(frozen=True)
-class MinedRule:
-    """An emitted rule with all of its reported measures (exact rationals)."""
-
-    rule: Rule
-    utility: Fraction
-    support: int
-    confidence: Fraction
-    lift: Fraction
-    bond_antecedent: Fraction
-    bond_consequent: Fraction
-
-    @property
-    def sort_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (self.rule.antecedent, self.rule.consequent)
-
-
-@dataclass(frozen=True)
 class MiningResult:
     rules: tuple[MinedRule, ...]
     stats: MiningStats
-
-    def rule_set(self) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-        return {mined.sort_key for mined in self.rules}
 
 
 @dataclass
@@ -257,7 +234,7 @@ class _Search:
         self.n = sequence_count
         self.scale = db.require_utilities().scale
         self.bitvectors = bitvectors
-        self.tables = rulecore.sequence_tables(db)
+        self.tables = rulecore.SequenceTables(db)
         self.stats = stats
         self.emitted: list[MinedRule] = []
         self.min_util_grid = ceil(config.min_util * self.scale)
@@ -320,15 +297,15 @@ class _Search:
         sup_rule = ul.support
         sup_x = ctx.sids_x.bit_count()
         sup_y = ctx.sids_y.bit_count()
-        conf_ok = self._conf_ok(sup_rule, sup_x)
         if (
             ul.utility >= self.min_util_grid
-            and conf_ok
+            and self._conf_ok(sup_rule, sup_x)
             and self._lift_ok(sup_rule, sup_x, sup_y)
         ):
             self.emitted.append(
                 MinedRule(
-                    rule=ctx.rule,
+                    antecedent=ctx.rule.antecedent,
+                    consequent=ctx.rule.consequent,
                     utility=Fraction(ul.utility, self.scale),
                     support=sup_rule,
                     confidence=Fraction(sup_rule, sup_x),
@@ -343,9 +320,6 @@ class _Search:
             if ul.total < self.min_util_grid:
                 self.stats.pruned_s4 += 1
                 self._record("s4", ctx.rule)
-            elif self.config.conf_prune and not conf_ok:
-                self.stats.pruned_conf += 1
-                self._record("conf", ctx.rule)
             else:
                 want_right = True
         want_left = False
@@ -360,12 +334,13 @@ class _Search:
         if want_left:
             self.expand(ctx, "left")
 
-    def _cut(self, candidates: int, passes: int, kind: str, rule: Rule, right: bool):
+    def _cut(self, candidates: int, passes: int, strategy: str, rule: Rule, direction: str):
         """Keep the candidates in ``passes``; returns (kept, number cut)."""
         cut = candidates & ~passes
         if cut and self.config.record_prune_events:
             for item in self.tables.items_of(cut):
-                self._record(kind, self._candidate_rule(rule, item, right))
+                self._record(f"{strategy}-{direction}",
+                             rulecore.expanded_rule(rule, item, direction))
         return candidates & passes, cut.bit_count()
 
     def expand(self, ctx: RuleContext, direction: str) -> None:
@@ -377,11 +352,11 @@ class _Search:
         last_y = ctx.rule.consequent[-1]
         if candidates and self.s7_right is not None:
             passes = self.s7_right.get(last_x, 0) if right else self.s7_left.get(last_y, 0)
-            candidates, cut = self._cut(candidates, passes, f"s7-{direction}", ctx.rule, right)
+            candidates, cut = self._cut(candidates, passes, "s7", ctx.rule, direction)
             self.stats.pruned_s7 += cut
         if candidates and self.s6_pass is not None:
             passes = self.s6_pass.get(last_y if right else last_x, 0)
-            candidates, cut = self._cut(candidates, passes, f"s6-{direction}", ctx.rule, right)
+            candidates, cut = self._cut(candidates, passes, "s6", ctx.rule, direction)
             self.stats.pruned_s6 += cut
         for item in self.tables.items_of(candidates):
             vector = self.bitvectors[item]
@@ -394,10 +369,11 @@ class _Search:
             if not self._bond_ok(new_side.bit_count(), new_or.bit_count()):
                 self.stats.pruned_s3 += 1
                 if recording:
-                    self._record(f"s3-{direction}", self._candidate_rule(ctx.rule, item, right))
+                    self._record(f"s3-{direction}",
+                                 rulecore.expanded_rule(ctx.rule, item, direction))
                 continue
             new_rows = expansion.rows(item)
-            new_rule = self._candidate_rule(ctx.rule, item, right)
+            new_rule = rulecore.expanded_rule(ctx.rule, item, direction)
             ul = UtilityList(rule=new_rule, rows=tuple(new_rows))
             self.stats.utility_lists_built += 1
             self.stats.utility_list_rows += len(new_rows)
@@ -406,12 +382,6 @@ class _Search:
             else:
                 child = RuleContext(new_rule, ul, new_side, ctx.sids_y, new_or, ctx.sids_or_y)
             self.handle(child, left_only=not right)
-
-    @staticmethod
-    def _candidate_rule(rule: Rule, item: int, right: bool) -> Rule:
-        if right:
-            return Rule(rule.antecedent, rule.consequent + (item,))
-        return Rule(rule.antecedent + (item,), rule.consequent)
 
 
 def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
@@ -460,7 +430,7 @@ def _mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
 
     for a, b in kept:
         rule = Rule((a,), (b,))
-        ul = rulecore.build_utility_list(rule, filtered, sids=bitvectors[a] & bitvectors[b])
+        ul = rulecore.build_utility_list(rule, search.tables, sids=bitvectors[a] & bitvectors[b])
         stats.utility_lists_built += 1
         stats.utility_list_rows += len(ul.rows)
         search.handle(
@@ -468,8 +438,8 @@ def _mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
             left_only=False,
         )
 
-    rules = tuple(sorted(search.emitted, key=lambda m: m.sort_key))
-    if len({m.sort_key for m in rules}) != len(rules):
+    rules = tuple(sorted(search.emitted))
+    if len({(m.antecedent, m.consequent) for m in rules}) != len(rules):
         raise AssertionError("canonical enumeration produced a duplicate rule")
     stats.wall_ms = (time.perf_counter() - started) * 1000.0
     return MiningResult(rules=rules, stats=stats)

@@ -5,7 +5,8 @@ definitions by per-sequence scans: occurrence is checked by trying every
 split point of a sequence (antecedent inside the prefix union of itemsets,
 consequent inside the suffix union), supports by set containment, utilities
 by summing quantity times unit price. No bit vectors, no utility-lists, no
-pruning; only the data model and the threshold coercion
+pruning; only the data model, the measured-rule record
+(:class:`cousr.measures.MinedRule`) and the threshold coercion
 (:func:`cousr.miner.as_fraction`) are shared with the fast miner, so
 agreement between the two is meaningful evidence of correctness.
 
@@ -20,6 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
+from .measures import MinedRule
 from .miner import as_fraction
 from .seqdb import SequenceDatabase
 
@@ -32,23 +34,6 @@ class OracleLimitError(ValueError):
 class OracleLimits:
     max_items: int = 12
     max_sequences: int = 16
-
-
-class OracleRule(NamedTuple):
-    """A candidate rule with every measure, computed the slow way.
-
-    For rules that never occur, confidence and lift are reported as 0 so the
-    stream stays total.
-    """
-
-    antecedent: tuple[int, ...]
-    consequent: tuple[int, ...]
-    utility: Fraction
-    support: int
-    confidence: Fraction
-    lift: Fraction
-    bond_antecedent: Fraction
-    bond_consequent: Fraction
 
 
 class _SequenceView(NamedTuple):
@@ -107,8 +92,12 @@ def _check_limits(db: SequenceDatabase, limits: OracleLimits) -> tuple[int, ...]
 
 def enumerate_all_rules(
     db: SequenceDatabase, limits: OracleLimits | None = None
-) -> Iterator[OracleRule]:
-    """Measure every ordered pair of disjoint non-empty subsets of occurring items."""
+) -> Iterator[MinedRule]:
+    """Measure every ordered pair of disjoint non-empty subsets of occurring items.
+
+    For rules that never occur, confidence and lift are reported as 0 so the
+    stream stays total.
+    """
     limits = limits or OracleLimits()
     occurring = _check_limits(db, limits)
     views = _views(db)
@@ -168,7 +157,7 @@ def enumerate_all_rules(
                     if sup_x and sup_y
                     else Fraction(0)
                 )
-                yield OracleRule(
+                yield MinedRule(
                     antecedent=antecedent,
                     consequent=consequent,
                     utility=utility,
@@ -187,7 +176,7 @@ def oracle_chusrs(
     min_bond,
     min_lift,
     limits: OracleLimits | None = None,
-) -> tuple[OracleRule, ...]:
+) -> tuple[MinedRule, ...]:
     """Every occurring rule that clears all four thresholds, canonically ordered."""
     min_util = as_fraction(min_util)
     min_conf = as_fraction(min_conf)
@@ -203,5 +192,5 @@ def oracle_chusrs(
         and rule.bond_consequent >= min_bond
         and rule.lift >= min_lift
     ]
-    kept.sort(key=lambda r: (r.antecedent, r.consequent))
+    kept.sort()
     return tuple(kept)

@@ -34,7 +34,10 @@ the miner:
 * sum minus ``rutil``       >= utility of every left-only descendant
 
 **Row tables.** Each sequence with ``k`` items in ``l`` itemsets gets one
-:class:`SequenceTable`, built from its itemsets on first use: a flat
+:class:`SequenceTable`, built from its itemsets on first use and held by a
+:class:`SequenceTables`, which the caller creates and passes to
+:func:`build_utility_list` and :class:`Expansion` (the miner's search owns
+one and drops it on return). A table is a flat
 ``(k+1) x (l+1)`` list ``T`` of dominance sums, ``T[r][q]`` = utility of the
 items whose rank in the sequence (ascending item order, from 0) is ``>= r``
 and whose position is ``<= q``. With ``rL = rank(last_x) + 1``,
@@ -74,7 +77,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 from typing import Literal, NamedTuple
@@ -90,10 +92,6 @@ _new_tuple = tuple.__new__
 
 class RuleAbsentError(ValueError):
     """The rule does not occur in the given sequence."""
-
-
-class OrderConstraintError(ValueError):
-    """Expansion item violates the canonical order constraint for its side."""
 
 
 class ExpansionClasses(NamedTuple):
@@ -249,14 +247,14 @@ class SequenceTable:
 class SequenceTables:
     """The row tables of one database, each built on first use.
 
-    Item masks index :attr:`items` (the database's items, ascending) by
-    position, so the lowest set bit is the smallest item.
+    ``sequences`` maps sid -> sequence, in database order. Item masks index
+    :attr:`items` (the database's items, ascending) by position, so the
+    lowest set bit is the smallest item.
     """
 
     def __init__(self, db: SequenceDatabase):
-        self._sequences = db.sequences
+        self.sequences = {seq.sid: seq for seq in db.sequences}
         self._grid_units = db.require_utilities().grid_units
-        self._index_by_sid = db.index_by_sid
         self._by_sid: dict[int, SequenceTable] = {}
         self.items = tuple(sorted(db.item_universe))
         self.rank = {item: bit for bit, item in enumerate(self.items)}
@@ -264,8 +262,7 @@ class SequenceTables:
     def table(self, sid: int) -> SequenceTable:
         table = self._by_sid.get(sid)
         if table is None:
-            index = self._index_by_sid[sid]
-            table = SequenceTable(self._sequences[index], self._grid_units, self.rank)
+            table = SequenceTable(self.sequences[sid], self._grid_units, self.rank)
             self._by_sid[sid] = table
         return table
 
@@ -280,23 +277,14 @@ class SequenceTables:
         return found
 
 
-def sequence_tables(db: SequenceDatabase) -> SequenceTables:
-    """The database's row tables, kept in its instance dict like its cached properties."""
-    tables = db.__dict__.get("_sequence_tables")
-    if tables is None:
-        tables = db.__dict__["_sequence_tables"] = SequenceTables(db)
-    return tables
-
-
-def build_utility_list(rule: Rule, db: SequenceDatabase, sids: int | None = None) -> UtilityList:
-    """Build a rule's utility-list from scratch by scanning the database.
+def build_utility_list(rule: Rule, tables: SequenceTables, sids: int | None = None) -> UtilityList:
+    """Build a rule's utility-list from scratch by scanning the tables' database.
 
     ``sids`` optionally restricts the scan to a mask of candidate sequences
     (any superset of the supporting ones gives the same rows).
     """
-    tables = sequence_tables(db)
     if sids is None:
-        candidates = [seq.sid for seq in db.sequences]
+        candidates = tables.sequences
     else:
         # set bits of the mask, lowest first (sid j is bit j - 1)
         bits = bin(sids)[:1:-1]
@@ -332,21 +320,16 @@ def build_utility_list(rule: Rule, db: SequenceDatabase, sids: int | None = None
 
 
 def expanded_rule(rule: Rule, item: int, direction: Direction) -> Rule:
-    """The rule grown by one item, enforcing the canonical order constraint."""
-    if item in rule.items:
-        raise OrderConstraintError(f"item {item} is already part of {rule}")
-    if direction == "left":
-        if item <= rule.antecedent[-1]:
-            raise OrderConstraintError(
-                f"left expansion item {item} must exceed the antecedent of {rule}"
-            )
-        return Rule(rule.antecedent + (item,), rule.consequent)
+    """The rule grown by one item on the side ``direction`` names.
+
+    :class:`Rule` raises ``ValueError`` when the item breaks the canonical
+    order constraint (it must exceed every item of the extended side) or
+    already belongs to the rule.
+    """
     if direction == "right":
-        if item <= rule.consequent[-1]:
-            raise OrderConstraintError(
-                f"right expansion item {item} must exceed the consequent of {rule}"
-            )
         return Rule(rule.antecedent, rule.consequent + (item,))
+    if direction == "left":
+        return Rule(rule.antecedent + (item,), rule.consequent)
     raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
 
 
@@ -406,7 +389,7 @@ class Expansion:
 
 
 def expand_utility_list(
-    parent: UtilityList, item: int, direction: Direction, db: SequenceDatabase
+    parent: UtilityList, item: int, direction: Direction, tables: SequenceTables
 ) -> UtilityList:
     """Incrementally derive the expanded rule's utility-list from the parent.
 
@@ -414,7 +397,7 @@ def expand_utility_list(
     direction; each is derived in constant time from its parent row.
     """
     new_rule = expanded_rule(parent.rule, item, direction)
-    expansion = Expansion(parent, direction, sequence_tables(db))
+    expansion = Expansion(parent, direction, tables)
     return UtilityList(rule=new_rule, rows=tuple(expansion.rows(item)))
 
 
@@ -451,27 +434,3 @@ def scan_rule_pairs(db: SequenceDatabase) -> dict[tuple[int, int], int]:
             earlier.extend(current)
     return pairs
 
-
-def dump_utility_list(ul: UtilityList) -> str:
-    """Tab-separated debug dump: one row per supporting sequence."""
-    lines = [f"# {ul.rule}", "sid\tiutil\tlutil\trutil\tlrutil"]
-    lines.extend(
-        f"{r.sid}\t{r.iutil}\t{r.lutil}\t{r.rutil}\t{r.lrutil}" for r in ul.rows
-    )
-    return "\n".join(lines) + "\n"
-
-
-def dump_bond_matrix(counts: dict[tuple[int, int], int], bitvectors: dict[int, int]) -> str:
-    """Tab-separated debug dump: co-occurrence count and exact bond per pair."""
-    lines = ["a\tb\tco\tbond"]
-    for a, b in sorted(counts):
-        co = counts[(a, b)]
-        union = bitvectors[a].bit_count() + bitvectors[b].bit_count() - co
-        lines.append(f"{a}\t{b}\t{co}\t{Fraction(co, union)}")
-    return "\n".join(lines) + "\n"
-
-
-def dump_esucs(table: dict[tuple[int, int], int]) -> str:
-    lines = ["a\tb\tseu"]
-    lines.extend(f"{a}\t{b}\t{table[(a, b)]}" for a, b in sorted(table))
-    return "\n".join(lines) + "\n"

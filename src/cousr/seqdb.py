@@ -169,10 +169,6 @@ class SequenceDatabase:
             item for seq in self.sequences for itemset in seq.itemsets for item, _ in itemset
         )
 
-    @cached_property
-    def index_by_sid(self) -> dict[int, int]:
-        return {seq.sid: index for index, seq in enumerate(self.sequences)}
-
     def require_utilities(self) -> UtilityTable:
         if self.utilities is None:
             raise ValueError("database has no utility table attached")
@@ -399,24 +395,3 @@ def serialize_utility_table(table: UtilityTable) -> str:
         lines.append(f"{item} {text}")
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def parse_alias_table(text: str) -> dict[int, str]:
-    """Optional ``id label`` lines mapping item ids to display labels."""
-    alias: dict[int, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if _is_comment(tokens):
-            continue
-        if len(tokens) != 2 or not tokens[0].isdecimal():
-            raise ParseError(
-                ParseError.MALFORMED_TOKEN, f"expected 'id label', got {line.strip()!r}",
-                lineno, _column(line, 0),
-            )
-        alias[int(tokens[0])] = tokens[1]
-    return alias
-
-
-def label_items(items, alias: dict[int, str] | None = None) -> str:
-    """Human-readable itemset like ``{a,b}`` or ``{1,2}`` without an alias."""
-    alias = alias or {}
-    return "{" + ",".join(alias.get(i, str(i)) for i in sorted(items)) + "}"

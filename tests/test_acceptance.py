@@ -29,10 +29,10 @@ from cousr.miner import VARIANTS
 from cousr.oracle import oracle_chusrs
 from cousr.rulecore import (
     Expansion,
+    SequenceTables,
     build_utility_list,
     expand_utility_list,
     scan_rule_pairs,
-    sequence_tables,
 )
 from cousr.synth import random_small_database, random_thresholds, synthesize_database
 
@@ -52,15 +52,7 @@ def criterion(name):
 
 
 def rule_keys(result):
-    return [(m.rule.antecedent, m.rule.consequent) for m in result.rules]
-
-
-def full_rows(result):
-    return [
-        (m.rule.antecedent, m.rule.consequent, m.utility, m.support,
-         m.confidence, m.lift, m.bond_antecedent, m.bond_consequent)
-        for m in result.rules
-    ]
+    return [(m.antecedent, m.consequent) for m in result.rules]
 
 
 # 1 ------------------------------------------------------------------------------
@@ -70,7 +62,7 @@ def test_golden_example(example_db):
         started = time.perf_counter()
         result = mine(example_db, MinerConfig(**GOLDEN))
         elapsed = time.perf_counter() - started
-        assert [(m.rule.antecedent, m.rule.consequent, m.utility) for m in result.rules] == [
+        assert [(m.antecedent, m.consequent, m.utility) for m in result.rules] == [
             ((A, B, C, D), (G,), 55),
             ((A, B, D), (G,), 74),
             ((A, D), (G,), 54),
@@ -101,9 +93,10 @@ def test_intermediate_example_values(example_db):
         assert sids_of(bvs[C]) == {2, 5}
         assert itemset_support([A, C], bvs) == 2
         assert itemset_dissup([A, C], bvs) == 5
-        ul = build_utility_list(Rule.of([A], [E]), example_db)
+        tables = SequenceTables(example_db)
+        ul = build_utility_list(Rule.of([A], [E]), tables)
         assert tuple(ul.rows[0]) == (1, 9, 5, 2, 0, 1, 2)
-        expanded = expand_utility_list(ul, C, "left", example_db)
+        expanded = expand_utility_list(ul, C, "left", tables)
         assert tuple(expanded.rows[0]) == (2, 16, 9, 4, 0, 2, 4)
 
 
@@ -126,9 +119,9 @@ def test_oracle_equivalence_on_1000_random_databases():
 
 def test_strategy_output_invariance(example_db):
     with criterion("strategy-output invariance: base == s6 == s7 == s6s7"):
-        reference = full_rows(mine(example_db, MinerConfig.for_variant("base", **GOLDEN)))
+        reference = mine(example_db, MinerConfig.for_variant("base", **GOLDEN)).rules
         for variant in ("s6", "s7", "s6s7"):
-            assert full_rows(mine(example_db, MinerConfig.for_variant(variant, **GOLDEN))) == reference
+            assert mine(example_db, MinerConfig.for_variant(variant, **GOLDEN)).rules == reference
         for seed in range(80):
             rng = random.Random(10_000 + seed)
             db = random_small_database(rng)
@@ -138,7 +131,7 @@ def test_strategy_output_invariance(example_db):
                 config = MinerConfig.for_variant(
                     variant, min_util=mu, min_conf=mc, min_bond=mb, min_lift=ml
                 )
-                got = full_rows(mine(db, config))
+                got = mine(db, config).rules
                 if rows is None:
                     rows = got
                 assert got == rows, f"seed {seed}, variant {variant}"
@@ -274,18 +267,18 @@ def test_incremental_expansion_equivalence_at_scale():
             pairs = sorted(scan_rule_pairs(db))
             if not pairs:
                 continue
-            tables = sequence_tables(db)
+            tables = SequenceTables(db)
             for _ in range(4):
                 a, b = pairs[rng.randrange(len(pairs))]
-                ul = build_utility_list(Rule.of([a], [b]), db)
+                ul = build_utility_list(Rule.of([a], [b]), tables)
                 for _ in range(3):
                     direction = rng.choice(("left", "right"))
                     feasible = tables.items_of(Expansion(ul, direction, tables).candidates)
                     if not feasible:
                         break
                     item = rng.choice(feasible)
-                    expanded = expand_utility_list(ul, item, direction, db)
-                    rebuilt = build_utility_list(expanded.rule, db)
+                    expanded = expand_utility_list(ul, item, direction, tables)
+                    rebuilt = build_utility_list(expanded.rule, tables)
                     assert expanded.rule == rebuilt.rule
                     assert expanded.rows == rebuilt.rows
                     cases += 1

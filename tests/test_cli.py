@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cousr
 from cousr import Rule, load_database
 from cousr.cli import (
     BENCH_HEADER,
@@ -169,11 +174,15 @@ def test_missing_utility_entry_exit_code(tmp_path):
         ["--min-util", "abc"],
         ["--variant", "bogus"],
         ["--max-side", "zero"],
+        ["--min-util", "inf"],
+        ["--min-util", "Infinity"],
+        ["--min-util", "1/0"],
     ],
 )
-def test_config_error_exit_code(flags):
+def test_config_error_exit_code(flags, capsys):
     code = main(["mine", "--db", str(EXAMPLE_DB), "--utils", str(EXAMPLE_UT), *flags])
     assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("cousr: config error:")
 
 
 def test_mine_without_inputs_is_config_error():
@@ -255,29 +264,32 @@ def test_mine_max_side_flag(tmp_path):
     assert [r.split(";")[0] for r in rows] == ["1,4", "2,4"]
 
 
-def test_mine_conf_prune_flag_on_example(tmp_path):
-    # harmless on this database: same four rules either way
-    _, plain = run_mine(tmp_path, out="plain.csv")
-    _, gated = run_mine(tmp_path, "--conf-prune", out="gated.csv")
-    assert plain.read_bytes() == gated.read_bytes()
-
-
-def test_module_entry_point(tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import cousr
-
-    # the subprocess imports the same package as this test, installed or not
+def run_module(*args):
+    """``python -m cousr`` in a subprocess that imports the same package as
+    this test, installed or not."""
     package_root = str(Path(cousr.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cousr", "mine", "--db", str(EXAMPLE_DB),
-         "--utils", str(EXAMPLE_UT), *GOLDEN_FLAGS],
-        capture_output=True, text=True, env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "cousr", *args], capture_output=True, text=True, env=env
     )
+
+
+def test_module_entry_point():
+    proc = run_module("mine", "--db", str(EXAMPLE_DB), "--utils", str(EXAMPLE_UT), *GOLDEN_FLAGS)
     assert proc.returncode == EXIT_OK
     assert proc.stdout == GOLDEN_CSV
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc (VmHWM)")
+def test_report_peak_rss_is_the_childs_own(tmp_path):
+    # the resource high-water mark survives exec, so a child of a large
+    # process would report its parent's peak; the report must not
+    ballast = b"\x01" * (256 << 20)
+    report = tmp_path / "report.json"
+    proc = run_module("mine", "--db", str(EXAMPLE_DB), "--utils", str(EXAMPLE_UT),
+                      *GOLDEN_FLAGS, "--report", str(report))
+    assert len(ballast) == 256 << 20
+    del ballast
+    assert proc.returncode == EXIT_OK
+    assert json.loads(report.read_text())["peak_rss_bytes"] < 128 << 20

@@ -93,7 +93,6 @@ def test_rule_validation():
         Rule((2, 1), (3,))
     rule = Rule.of([4, 1], [7])
     assert rule.antecedent == (1, 4)
-    assert rule.size == (2, 1)
     assert str(rule) == "{1,4}=>{7}"
 
 

@@ -14,6 +14,7 @@ from cousr import (
     Rule,
     load_database,
     mine,
+    oracle_chusrs,
     parse_database,
     parse_utility_table,
     with_utilities,
@@ -27,7 +28,7 @@ from cousr.miner import (
     as_fraction,
     filter_unpromising_items,
 )
-from cousr.rulecore import build_bond_matrix, build_utility_list, scan_rule_pairs
+from cousr.rulecore import SequenceTables, build_bond_matrix, build_utility_list, scan_rule_pairs
 from cousr.synth import random_small_database, random_thresholds, synthesize_database
 
 from conftest import A, B, C, D, E, F, G, EXAMPLE_DB, EXAMPLE_UT
@@ -36,7 +37,7 @@ GOLDEN_THRESHOLDS = dict(min_util=50, min_conf="0.7", min_bond="0.3", min_lift="
 
 
 def rule_keys(result):
-    return [(m.rule.antecedent, m.rule.consequent) for m in result.rules]
+    return [(m.antecedent, m.consequent) for m in result.rules]
 
 
 # -- threshold coercion / config validation -----------------------------------------
@@ -47,8 +48,9 @@ def test_as_fraction_is_exact():
     assert as_fraction("1e18") == 10**18
     assert as_fraction("2/3") == Fraction(2, 3)
     assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
-    with pytest.raises(ConfigError):
-        as_fraction("not-a-number")
+    for bad in ("not-a-number", "inf", "Infinity", "1/0", "nan", float("inf")):
+        with pytest.raises(ConfigError):
+            as_fraction(bad)
 
 
 @pytest.mark.parametrize(
@@ -138,7 +140,7 @@ def test_initial_rule_context_e_to_g(example_db):
     rule = Rule.of([E], [G])
     assert rule in initial_rules(example_db, 50)
     bitvectors = build_item_bitvectors(example_db)
-    ul = build_utility_list(rule, example_db, sids=bitvectors[E] & bitvectors[G])
+    ul = build_utility_list(rule, SequenceTables(example_db), sids=bitvectors[E] & bitvectors[G])
     assert sids_of(ul.sids_mask) == {1, 4, 5}
     assert ul.support == 3
 
@@ -202,14 +204,15 @@ def test_mine_restores_callers_gc_state(example_db, enabled):
 
 def test_load_and_mine_fill_no_per_sequence_cache():
     # the miner reads itemsets directly; the cached views serve the reference
-    # paths only. At min_util 50 every item is promising, so the filtered
-    # database is the caller's and the whole search runs on these objects.
+    # paths only, and the search's row tables are its own. At min_util 50
+    # every item is promising, so the filtered database is the caller's and
+    # the whole search runs on these objects.
     db = load_database(EXAMPLE_DB, EXAMPLE_UT)
 
     def assert_no_cache():
         for seq in db.sequences:
             assert not {"items", "positions", "quantities"} & seq.__dict__.keys()
-        assert "grid_item_utilities" not in db.__dict__
+        assert not {"grid_item_utilities", "_sequence_tables", "index_by_sid"} & db.__dict__.keys()
 
     assert_no_cache()
     assert filter_unpromising_items(db, 50)[1] is db
@@ -262,19 +265,11 @@ def test_variant_map_covers_all_toggle_combinations():
     }
 
 
-def full_rows(result):
-    return [
-        (m.rule.antecedent, m.rule.consequent, m.utility, m.support,
-         m.confidence, m.lift, m.bond_antecedent, m.bond_consequent)
-        for m in result.rules
-    ]
-
-
 def test_strategy_toggles_do_not_change_output(example_db):
     reference = None
     for variant in VARIANTS:
         config = MinerConfig.for_variant(variant, **GOLDEN_THRESHOLDS)
-        rows = full_rows(mine(example_db, config))
+        rows = mine(example_db, config).rules
         if reference is None:
             reference = rows
         assert rows == reference
@@ -290,7 +285,7 @@ def test_strategy_toggles_invariant_on_random_databases():
             config = MinerConfig.for_variant(
                 variant, min_util=mu, min_conf=mc, min_bond=mb, min_lift=ml
             )
-            rows = full_rows(mine(db, config))
+            rows = mine(db, config).rules
             if reference is None:
                 reference = rows
             assert rows == reference, f"seed {seed} variant {variant}"
@@ -380,7 +375,7 @@ def test_stats_counters(example_db):
     assert payload["pruned_s1"] == 2
     assert list(payload) == [
         "promising_items", "initial_rules_kept", "pruned_s1", "pruned_s2", "pruned_s3",
-        "pruned_s4", "pruned_s5", "pruned_s6", "pruned_s7", "pruned_conf",
+        "pruned_s4", "pruned_s5", "pruned_s6", "pruned_s7",
         "utility_lists_built", "utility_list_rows", "wall_ms",
     ]
 
@@ -411,30 +406,14 @@ def test_search_counters_are_pinned():
     }
 
 
-# -- the confidence gate is not output-preserving ------------------------------------------------
+# -- confidence is not a recursion bound ------------------------------------------------------
 
-def conf_prune_counterexample_db():
+def test_rule_behind_low_confidence_root_is_mined():
+    # conf({1}=>{2}) = 1/5, yet {1,3}=>{2,4} (right-expand 4, then left-expand
+    # 3) has confidence 1: a gate on right recursion below min_conf would lose it
     lines = "\n".join(["1:1 -1 -2"] * 4 + ["1:1 3:1 -1 2:1 4:1 -1 -2"]) + "\n"
-    return with_utilities(
-        parse_database(lines), parse_utility_table("1 1\n2 1\n3 1\n4 1\n")
-    )
-
-
-def test_conf_prune_can_drop_qualifying_rules():
-    # conf({1}=>{2}) = 1/5 blocks right recursion, which is the only path to
-    # {1,3}=>{2,4} (right-expand 4, then left-expand 3) whose confidence is 1.
-    db = conf_prune_counterexample_db()
+    db = with_utilities(parse_database(lines), parse_utility_table("1 1\n2 1\n3 1\n4 1\n"))
     thresholds = dict(min_util=1, min_conf="0.5", min_bond="0.2", min_lift=1)
-    plain = mine(db, MinerConfig(**thresholds))
-    gated = mine(db, MinerConfig(**thresholds, conf_prune=True))
-    assert ((1, 3), (2, 4)) in rule_keys(plain)
-    assert ((1, 3), (2, 4)) not in rule_keys(gated)
-    assert gated.stats.pruned_conf > 0
-
-
-def test_conf_prune_harmless_on_example(example_db):
-    # on the worked example no qualifying rule sits behind a low-confidence
-    # right recursion, so the gate changes nothing
-    plain = mine(example_db, MinerConfig(**GOLDEN_THRESHOLDS))
-    gated = mine(example_db, MinerConfig(**GOLDEN_THRESHOLDS, conf_prune=True))
-    assert full_rows(plain) == full_rows(gated)
+    result = mine(db, MinerConfig(**thresholds))
+    assert ((1, 3), (2, 4)) in rule_keys(result)
+    assert result.rules == oracle_chusrs(db, **thresholds)

@@ -85,10 +85,8 @@ def test_float_thresholds_coerce_like_the_miner():
         parse_utility_table("1 1\n2 1\n"),
     )
     mined = mine(db, MinerConfig(min_conf=0.1))
-    assert [(m.rule.antecedent, m.rule.consequent) for m in mined.rules] == [((1,), (2,))]
-    assert [(r.antecedent, r.consequent) for r in oracle_chusrs(db, 0, 0.1, 0, 0)] == [
-        ((1,), (2,))
-    ]
+    assert [(m.antecedent, m.consequent) for m in mined.rules] == [((1,), (2,))]
+    assert oracle_chusrs(db, 0, 0.1, 0, 0) == mined.rules
 
 
 def test_oracle_is_deterministic(example_db):

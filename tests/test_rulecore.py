@@ -12,17 +12,13 @@ from cousr.measures import build_item_bitvectors, rule_sids, rule_utility, seu_o
 from cousr.miner import filter_unpromising_items
 from cousr.rulecore import (
     Expansion,
-    OrderConstraintError,
     RuleAbsentError,
+    SequenceTables,
     build_bond_matrix,
     build_utility_list,
     classify_expansion_items,
-    dump_bond_matrix,
-    dump_esucs,
-    dump_utility_list,
     expand_utility_list,
     scan_rule_pairs,
-    sequence_tables,
 )
 from cousr.seqdb import Sequence, SequenceDatabase, UtilityTable
 from cousr.synth import random_small_database
@@ -34,6 +30,11 @@ AE = Rule.of([A], [E])
 
 def tiny_db(text, utils="1 1\n2 1\n3 1\n4 1\n"):
     return with_utilities(parse_database(text), parse_utility_table(utils))
+
+
+@pytest.fixture(scope="module")
+def tables(example_db):
+    return SequenceTables(example_db)
 
 
 # -- expansion-item classification ------------------------------------------------
@@ -62,8 +63,8 @@ def test_classify_rejects_non_occurring_rule(example_db):
 
 # -- utility-list construction -----------------------------------------------------
 
-def test_initial_utility_list_rows(example_db):
-    ul = build_utility_list(AE, example_db)
+def test_initial_utility_list_rows(example_db, tables):
+    ul = build_utility_list(AE, tables)
     # (sid, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y)
     assert [tuple(row) for row in ul.rows] == [
         (1, 9, 5, 2, 0, 1, 2),
@@ -77,52 +78,52 @@ def test_initial_utility_list_rows(example_db):
     assert sids_of(ul.sids_mask) == {1, 2, 3, 4, 5}
 
 
-def test_utility_list_of_larger_rule_from_scratch(example_db):
+def test_utility_list_of_larger_rule_from_scratch(example_db, tables):
     # any rule size builds from scratch, with the rows its expansion derives
     rule = Rule.of([A, B], [E])
-    ul = build_utility_list(rule, example_db)
-    assert ul.rows == expand_utility_list(build_utility_list(AE, example_db), B, "left",
-                                          example_db).rows
+    ul = build_utility_list(rule, tables)
+    assert ul.rows == expand_utility_list(build_utility_list(AE, tables), B, "left",
+                                          tables).rows
     assert ul.utility == rule_utility(rule, example_db)
     assert ul.sids_mask == rule_sids(rule, example_db)
 
 
-def test_utility_list_of_absent_rule_is_empty(example_db):
-    ul = build_utility_list(Rule.of([G], [A]), example_db)
+def test_utility_list_of_absent_rule_is_empty(example_db, tables):
+    ul = build_utility_list(Rule.of([G], [A]), tables)
     assert ul.rows == ()
     assert ul.total == 0
     assert ul.left_total == 0
 
 
-def test_restricting_to_known_sids_gives_same_rows(example_db):
+def test_restricting_to_known_sids_gives_same_rows(example_db, tables):
     mask = rule_sids(AE, example_db)
-    assert build_utility_list(AE, example_db, sids=mask).rows == build_utility_list(AE, example_db).rows
+    assert build_utility_list(AE, tables, sids=mask).rows == build_utility_list(AE, tables).rows
 
 
 # -- expansion ----------------------------------------------------------------------
 
-def test_left_expansion_with_c_matches_worked_values(example_db):
-    parent = build_utility_list(AE, example_db)
-    expanded = expand_utility_list(parent, C, "left", example_db)
+def test_left_expansion_with_c_matches_worked_values(example_db, tables):
+    parent = build_utility_list(AE, tables)
+    expanded = expand_utility_list(parent, C, "left", tables)
     assert expanded.rule == Rule.of([A, C], [E])
     assert [tuple(row) for row in expanded.rows] == [(2, 16, 9, 4, 0, 2, 4)]
-    assert expanded.rows == build_utility_list(expanded.rule, example_db).rows
+    assert expanded.rows == build_utility_list(expanded.rule, tables).rows
 
 
-def test_right_expansion_with_g(example_db):
-    parent = build_utility_list(AE, example_db)
-    expanded = expand_utility_list(parent, G, "right", example_db)
+def test_right_expansion_with_g(example_db, tables):
+    parent = build_utility_list(AE, tables)
+    expanded = expand_utility_list(parent, G, "right", tables)
     assert sids_of(expanded.sids_mask) == {1, 2, 4, 5}
     assert expanded.utility == rule_utility(Rule.of([A], [E, G]), example_db) == 59
-    assert expanded.rows == build_utility_list(expanded.rule, example_db).rows
+    assert expanded.rows == build_utility_list(expanded.rule, tables).rows
 
 
 def test_expansion_with_item_absent_from_all_rows():
     # item 4 exists in the db but never after the antecedent of 1 => 2
-    db = tiny_db("4:1 1:1 -1 2:1 -1 -2\n1:1 -1 2:1 3:1 -1 -2\n")
-    parent = build_utility_list(Rule.of([1], [2]), db)
+    tables = SequenceTables(tiny_db("4:1 1:1 -1 2:1 -1 -2\n1:1 -1 2:1 3:1 -1 -2\n"))
+    parent = build_utility_list(Rule.of([1], [2]), tables)
     assert parent.support == 2
-    expanded = expand_utility_list(parent, 4, "right", db)
+    expanded = expand_utility_list(parent, 4, "right", tables)
     assert expanded.rows == ()
 
 
@@ -130,16 +131,16 @@ def test_expansion_with_item_absent_from_all_rows():
     "item,direction",
     [(A, "left"), (A, "right"), (E, "right"), (B, "right"), (C, "right")],
 )
-def test_expansion_order_constraint_violations(example_db, item, direction):
-    parent = build_utility_list(AE, example_db)
-    with pytest.raises(OrderConstraintError):
-        expand_utility_list(parent, item, direction, example_db)
-
-
-def test_expansion_rejects_bad_direction(example_db):
-    parent = build_utility_list(AE, example_db)
+def test_expansion_order_constraint_violations(example_db, tables, item, direction):
+    parent = build_utility_list(AE, tables)
     with pytest.raises(ValueError):
-        expand_utility_list(parent, G, "up", example_db)
+        expand_utility_list(parent, item, direction, tables)
+
+
+def test_expansion_rejects_bad_direction(example_db, tables):
+    parent = build_utility_list(AE, tables)
+    with pytest.raises(ValueError):
+        expand_utility_list(parent, G, "up", tables)
 
 
 # -- upper bounds --------------------------------------------------------------------
@@ -162,9 +163,9 @@ def _descendant_rules(rule, items, left_only=False):
     return out
 
 
-def test_totals_bound_every_descendant_utility(example_db):
+def test_totals_bound_every_descendant_utility(example_db, tables):
     items = sorted(example_db.item_universe)
-    ul = build_utility_list(AE, example_db)
+    ul = build_utility_list(AE, tables)
     assert ul.total == 131
     assert ul.left_total == 108
     for descendant in _descendant_rules(AE, items):
@@ -173,13 +174,13 @@ def test_totals_bound_every_descendant_utility(example_db):
         assert rule_utility(descendant, example_db) <= ul.left_total
 
 
-def test_total_bounded_by_rule_seu(example_db):
+def test_total_bounded_by_rule_seu(example_db, tables):
     for x in sorted(example_db.item_universe):
         for y in sorted(example_db.item_universe):
             if x == y:
                 continue
             rule = Rule.of([x], [y])
-            ul = build_utility_list(rule, example_db)
+            ul = build_utility_list(rule, tables)
             seu = seu_of_rule(ul.sids_mask, example_db)
             assert ul.total <= seu
             assert ul.left_total <= ul.total
@@ -215,14 +216,14 @@ def test_esucs_examples(example_db):
     assert table[(E, G)] == 85  # e precedes g in S1, S4, S5 only
 
 
-def test_scan_rule_pairs_agrees_with_direct_measures(example_db):
+def test_scan_rule_pairs_agrees_with_direct_measures(example_db, tables):
     pairs = scan_rule_pairs(example_db)
     bitvectors = build_item_bitvectors(example_db)
     for (a, b), seu in pairs.items():
         rule = Rule.of([a], [b])
         sids = rule_sids(rule, example_db)
         assert seu == seu_of_rule(sids, example_db)
-        root = build_utility_list(rule, example_db, sids=bitvectors[a] & bitvectors[b])
+        root = build_utility_list(rule, tables, sids=bitvectors[a] & bitvectors[b])
         assert root.sids_mask == sids
     assert (B, A) not in pairs
 
@@ -238,16 +239,16 @@ def test_incremental_expansion_equals_rebuild(seed):
     if not pairs:
         return
     a, b = sorted(pairs)[rng.randrange(len(pairs))]
-    ul = build_utility_list(Rule.of([a], [b]), db)
+    tables = SequenceTables(db)
+    ul = build_utility_list(Rule.of([a], [b]), tables)
     for _ in range(4):
         direction = rng.choice(("left", "right"))
-        tables = sequence_tables(db)
         feasible = tables.items_of(Expansion(ul, direction, tables).candidates)
         if not feasible:
             break
         item = rng.choice(feasible)
-        expanded = expand_utility_list(ul, item, direction, db)
-        rebuilt = build_utility_list(expanded.rule, db)
+        expanded = expand_utility_list(ul, item, direction, tables)
+        rebuilt = build_utility_list(expanded.rule, tables)
         assert expanded.rows == rebuilt.rows
         if not expanded.rows:
             break
@@ -269,13 +270,12 @@ def _long_database():
 LONG_DB = _long_database()
 
 
-def _assert_rows_match_classification(ul, db):
+def _assert_rows_match_classification(ul, db, tables):
     """Rows and candidates agree with the item-by-item reference classification."""
-    tables = sequence_tables(db)
+    grids = {seq.sid: grid for seq, grid in zip(db.sequences, db.grid_item_utilities)}
     left, right = set(), set()
     for row in ul.rows:
-        index = db.index_by_sid[row.sid]
-        seq, grid = db.sequences[index], db.grid_item_utilities[index]
+        seq, grid = tables.sequences[row.sid], grids[row.sid]
         classes = classify_expansion_items(ul.rule, seq)
         assert (row.lutil, row.rutil, row.lrutil) == tuple(
             sum(grid[item] for item in part) for part in classes
@@ -297,26 +297,27 @@ def test_rows_equal_class_sums_of_reference_classification(seed, long):
     pairs = sorted(scan_rule_pairs(db))
     if not pairs:
         return
-    tables = sequence_tables(db)
+    tables = SequenceTables(db)
     for _ in range(3):
         a, b = pairs[rng.randrange(len(pairs))]
-        ul = build_utility_list(Rule.of([a], [b]), db)
+        ul = build_utility_list(Rule.of([a], [b]), tables)
         for _ in range(6):
-            _assert_rows_match_classification(ul, db)
+            _assert_rows_match_classification(ul, db, tables)
             direction = rng.choice(("left", "right"))
             feasible = tables.items_of(Expansion(ul, direction, tables).candidates)
             if not feasible:
                 break
-            ul = expand_utility_list(ul, rng.choice(feasible), direction, db)
+            ul = expand_utility_list(ul, rng.choice(feasible), direction, tables)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
 def test_utility_list_totals_match_direct_measures(seed):
     db = random_small_database(random.Random(seed))
+    tables = SequenceTables(db)
     for a, b in scan_rule_pairs(db):
         rule = Rule.of([a], [b])
-        ul = build_utility_list(rule, db)
+        ul = build_utility_list(rule, tables)
         scale = db.utilities.scale
         assert Fraction(ul.utility, scale) == rule_utility(rule, db)
         sids = rule_sids(rule, db)
@@ -325,15 +326,3 @@ def test_utility_list_totals_match_direct_measures(seed):
         for row in ul.rows:
             assert min(row.iutil, row.lutil, row.rutil, row.lrutil) >= 0
 
-
-# -- debug dumps -------------------------------------------------------------------------
-
-def test_dumps_are_tab_separated(example_db):
-    ul = build_utility_list(AE, example_db)
-    dump = dump_utility_list(ul)
-    assert dump.splitlines()[1] == "sid\tiutil\tlutil\trutil\tlrutil"
-    assert "1\t9\t5\t2\t0" in dump
-    dump = dump_bond_matrix(build_bond_matrix(example_db), build_item_bitvectors(example_db))
-    assert dump.splitlines()[0] == "a\tb\tco\tbond"
-    assert "3\t6\t1\t1/3" in dump
-    assert "1\t2\t62" in dump_esucs(scan_rule_pairs(example_db))

@@ -13,8 +13,6 @@ from cousr.seqdb import (
     AbsentItemError,
     Sequence,
     item_utility,
-    label_items,
-    parse_alias_table,
     sequence_utility,
     serialize_database,
     serialize_utility_table,
@@ -235,12 +233,3 @@ def test_serialize_utility_table_round_trip():
 def test_serialize_parse_identity_on_random_databases(seed):
     db = random_small_database(random.Random(seed))
     assert parse_database(serialize_database(db)).sequences == db.sequences
-
-
-def test_parse_alias_table():
-    alias = parse_alias_table("1 a\n2 b\n# note\n")
-    assert alias == {1: "a", 2: "b"}
-    assert label_items([2, 1], alias) == "{a,b}"
-    assert label_items([3, 1]) == "{1,3}"
-    with pytest.raises(ParseError):
-        parse_alias_table("a 1\n")
