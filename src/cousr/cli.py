@@ -62,9 +62,14 @@ def rules_csv_text(result: MiningResult) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary sibling, which is removed if the write fails."""
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _peak_rss_bytes() -> int | None:
@@ -193,6 +198,8 @@ def _verify_random_seed(seed: int) -> list[str]:
 def cmd_verify(args) -> int:
     if args.random is not None:
         count = _as_int(args.random, "--random")
+        if count < 0:
+            raise ConfigError(f"--random must be >= 0, got {count}")
         base = _as_int(args.seed, "--seed")
         seeds = [base + k for k in range(count)]
         workers = _worker_count()

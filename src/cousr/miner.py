@@ -201,7 +201,9 @@ def filter_unpromising_items(
     """Drop items whose SEU is below the threshold (strategy 1).
 
     Emptied itemsets and sequences are dropped too; surviving sequences keep
-    their original sids. Returns (promising items, filtered database).
+    their original sids. Itemsets are shared immutable tuples: one that
+    loses no item is the input's own, and equal pruned ones are one tuple.
+    Returns (promising items, filtered database).
     """
     table = db.require_utilities()
     threshold = ceil(as_fraction(min_util) * table.scale)
@@ -214,9 +216,10 @@ def filter_unpromising_items(
     if len(promising) == len(seu):
         return promising, db
     kept: list[Sequence] = []
+    shared: dict[tuple, tuple] = {}
     for seq in db.sequences:
         itemsets = tuple(
-            pruned
+            itemset if len(pruned) == len(itemset) else shared.setdefault(pruned, pruned)
             for itemset in seq.itemsets
             if (pruned := tuple(pair for pair in itemset if pair[0] in promising))
         )

@@ -40,9 +40,12 @@ the miner:
 one and drops it on return). A table is a flat
 ``(k+1) x (l+1)`` list ``T`` of dominance sums, ``T[r][q]`` = utility of the
 items whose rank in the sequence (ascending item order, from 0) is ``>= r``
-and whose position is ``<= q``. With ``rL = rank(last_x) + 1``,
-``rR = rank(last_y) + 1``, ``mx = max_pos_x`` and ``my = min_pos_y``, the
-class sums are rectangles::
+and whose position is ``<= q``; each table row ``r`` carries one more cell,
+the position of the item of rank ``r - 1``. ``where`` maps an item to the
+offset of row ``rank(item) + 1`` only: the item's position is that row's
+extra cell and its utility is ``T[r][l] - T[r+1][l]`` (``r`` its rank).
+With ``rL = rank(last_x) + 1``, ``rR = rank(last_y) + 1``, ``mx = max_pos_x``
+and ``my = min_pos_y``, the class sums are rectangles::
 
     L      = T[rL][my - 1]                      left-feasible
     R      = T[rR][l] - T[rR][mx]               right-feasible
@@ -54,9 +57,10 @@ needs only its parent's ``mx``/``my``: a right expansion by an item at
 position ``p`` sets ``my' = min(my, p)``, a left one ``mx' = max(mx, p)``,
 so :class:`Expansion` builds each child row in constant time and
 :func:`build_utility_list` builds from scratch through the same function.
-The table also keeps, per position ``q``, the items after and before ``q`` as
-bit masks over the database's dense item ranks, so a node's candidate items
-are the OR of one mask per row.
+The table also keeps, per position ``q``, the items at or before ``q`` as a
+cumulative bit mask ``upto[q]`` over the database's dense item ranks; the
+items after ``q`` are ``upto[l] ^ upto[q]`` and those before it
+``upto[q - 1]``, so a node's candidate items are the OR of one mask per row.
 
 All utility amounts in this module are integers on the utility table's grid
 (see :attr:`cousr.seqdb.UtilityTable.scale`).
@@ -178,13 +182,19 @@ class SequenceTable:
 
     Built straight from the sequence's itemsets and the grid unit utilities
     (:attr:`cousr.seqdb.UtilityTable.grid_units`); it fills none of the
-    sequence's cached views. ``where[item]`` is ``(base, pos, utility)``,
-    where ``base`` is the offset in ``sums`` of the table row
-    ``rank(item) + 1``. ``after[q]`` / ``before[q]`` mask the items
-    positioned after / before ``q``.
+    sequence's cached views. ``sums`` holds the table rows ``0..k`` one
+    after the other, each ``width = last + 2`` cells long: the ``last + 1``
+    sums ``T[r][0..last]``, then one cell holding the position of the item
+    of rank ``r - 1`` (0 in row 0). ``where[item]`` is the offset in
+    ``sums`` of the table row ``rank(item) + 1``, so with ``base =
+    where[item]`` the item's position is ``sums[base + last + 1]`` and its
+    utility ``T[r][last] - T[r + 1][last]`` is
+    ``sums[base - 2] - sums[base + last]``. ``upto[q]`` masks the items
+    positioned at or before ``q``; the items after ``q`` are
+    ``upto[last] ^ upto[q]`` and those before it ``upto[q - 1]``.
     """
 
-    __slots__ = ("sums", "last", "where", "after", "before")
+    __slots__ = ("sums", "last", "where", "upto")
 
     def __init__(self, seq: Sequence, grid_units: dict[int, int], rank: dict[int, int]):
         occurrences = sorted(
@@ -193,41 +203,36 @@ class SequenceTable:
             reverse=True,
         )
         last = len(seq.itemsets)
-        width = last + 1
+        width = last + 2
         # table rows from the highest item rank down; row r sums ranks >= r
         row = [0] * width
         rows = [row]
         where = {}
-        bits = [0] * width
+        upto = [0] * (last + 1)
         base = len(occurrences) * width
         for item, pos, qty in occurrences:
             value = qty * grid_units[item]
-            where[item] = (base, pos, value)
-            row = row[:pos] + [cell + value for cell in row[pos:]]
+            where[item] = base
+            row[-1] = pos
+            row = row[:pos] + [cell + value for cell in row[pos:-1]]
+            row.append(0)
             rows.append(row)
             base -= width
-            bits[pos] |= 1 << rank[item]
+            upto[pos] |= 1 << rank[item]
         rows.reverse()
+        for q in range(1, last + 1):
+            upto[q] |= upto[q - 1]
         self.sums = [cell for row in rows for cell in row]
         self.last = last
         self.where = where
-        self.after = [0] * width
-        self.before = [0] * width
-        running = 0
-        for q in range(last, 0, -1):
-            self.after[q] = running
-            running |= bits[q]
-        running = 0
-        for q in range(1, width):
-            self.before[q] = running
-            running |= bits[q]
+        self.upto = upto
 
     def row(
         self, sid: int, iutil: int, base_x: int, base_y: int, max_pos_x: int, min_pos_y: int
     ) -> UtilityListRow:
         """A rule's row in this sequence.
 
-        ``base_x`` / ``base_y`` are ``where[last_x][0]`` / ``where[last_y][0]``
+        ``base_x`` / ``base_y`` are ``where[last_x]`` / ``where[last_y]``
         for the rule's last antecedent / consequent item.
         """
         sums = self.sums
@@ -298,18 +303,20 @@ def build_utility_list(rule: Rule, tables: SequenceTables, sids: int | None = No
     rows: list[UtilityListRow] = []
     for sid in candidates:
         table = table_of(sid)
-        where = table.where
+        where, sums, last = table.where, table.sums, table.last
         iutil = max_pos_x = 0
-        min_pos_y = table.last
+        min_pos_y = last
         try:
             for item in antecedent:
-                base_x, pos, value = where[item]
-                iutil += value
+                base_x = where[item]
+                iutil += sums[base_x - 2] - sums[base_x + last]
+                pos = sums[base_x + last + 1]
                 if pos > max_pos_x:
                     max_pos_x = pos
             for item in consequent:
-                base_y, pos, value = where[item]
-                iutil += value
+                base_y = where[item]
+                iutil += sums[base_y - 2] - sums[base_y + last]
+                pos = sums[base_y + last + 1]
                 if pos < min_pos_y:
                     min_pos_y = pos
         except KeyError:
@@ -354,10 +361,9 @@ class Expansion:
         mask = 0
         for sid, iutil, _, _, _, max_pos_x, min_pos_y in ul.rows:
             table = table_of(sid)
-            mask |= table.after[max_pos_x] if right else table.before[min_pos_y]
-            prepared.append(
-                (sid, iutil, max_pos_x, min_pos_y, table, table.where[fixed][0])
-            )
+            upto = table.upto
+            mask |= upto[-1] ^ upto[max_pos_x] if right else upto[min_pos_y - 1]
+            prepared.append((sid, iutil, max_pos_x, min_pos_y, table, table.where[fixed]))
         if mask:
             cut = tables.rank[bound] + 1
             mask = mask >> cut << cut
@@ -369,22 +375,26 @@ class Expansion:
         rows = []
         if self.right:
             for sid, iutil, max_pos_x, min_pos_y, table, base_x in self.prepared:
-                hit = table.where.get(item)
-                if hit is not None and hit[1] > max_pos_x:
-                    base_y, pos, value = hit
-                    rows.append(table.row(
-                        sid, iutil + value, base_x, base_y, max_pos_x,
-                        pos if pos < min_pos_y else min_pos_y,
-                    ))
+                base_y = table.where.get(item)
+                if base_y is not None:
+                    sums, last = table.sums, table.last
+                    pos = sums[base_y + last + 1]
+                    if pos > max_pos_x:
+                        rows.append(table.row(
+                            sid, iutil + sums[base_y - 2] - sums[base_y + last],
+                            base_x, base_y, max_pos_x, pos if pos < min_pos_y else min_pos_y,
+                        ))
         else:
             for sid, iutil, max_pos_x, min_pos_y, table, base_y in self.prepared:
-                hit = table.where.get(item)
-                if hit is not None and hit[1] < min_pos_y:
-                    base_x, pos, value = hit
-                    rows.append(table.row(
-                        sid, iutil + value, base_x, base_y,
-                        pos if pos > max_pos_x else max_pos_x, min_pos_y,
-                    ))
+                base_x = table.where.get(item)
+                if base_x is not None:
+                    sums, last = table.sums, table.last
+                    pos = sums[base_x + last + 1]
+                    if pos < min_pos_y:
+                        rows.append(table.row(
+                            sid, iutil + sums[base_x - 2] - sums[base_x + last],
+                            base_x, base_y, pos if pos > max_pos_x else max_pos_x, min_pos_y,
+                        ))
         return rows
 
 

@@ -215,8 +215,15 @@ def _is_comment(tokens: list[str]) -> bool:
 
 
 def parse_database(text: str) -> SequenceDatabase:
-    """Parse database text into sequences (no utility table attached)."""
+    """Parse database text into sequences (no utility table attached).
+
+    Pairs and itemsets are shared immutable tuples: every occurrence of the
+    same ``item:qty`` text is one ``(item, qty)`` tuple, validated the first
+    time the text appears, and equal itemsets are one tuple.
+    """
     sequences: list[Sequence] = []
+    pairs: dict[str, tuple[int, int]] = {}
+    shared: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
     sid = 1
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
@@ -233,7 +240,8 @@ def parse_database(text: str) -> SequenceDatabase:
                         lineno, _column(line, index),
                     )
                 current.sort()
-                itemsets.append(tuple(current))
+                itemset = tuple(current)
+                itemsets.append(shared.setdefault(itemset, itemset))
                 current = []
             elif token == "-2":
                 if current:
@@ -249,21 +257,25 @@ def parse_database(text: str) -> SequenceDatabase:
                     )
                 break
             else:
-                # isdecimal() accepts exactly the digits int() parses
-                item_text, colon, qty_text = token.partition(":")
-                if not (colon and item_text.isdecimal() and qty_text.isdecimal()):
-                    raise ParseError(
-                        ParseError.MALFORMED_TOKEN, f"expected item:qty, -1 or -2, got {token!r}",
-                        lineno, _column(line, index),
-                    )
-                item = int(item_text)
-                qty = int(qty_text)
-                if item < 1 or qty < 1:
-                    raise ParseError(
-                        ParseError.MALFORMED_TOKEN,
-                        f"item ids and quantities must be >= 1, got {token!r}",
-                        lineno, _column(line, index),
-                    )
+                pair = pairs.get(token)
+                if pair is None:
+                    # isdecimal() accepts exactly the digits int() parses
+                    item_text, colon, qty_text = token.partition(":")
+                    if not (colon and item_text.isdecimal() and qty_text.isdecimal()):
+                        raise ParseError(
+                            ParseError.MALFORMED_TOKEN,
+                            f"expected item:qty, -1 or -2, got {token!r}",
+                            lineno, _column(line, index),
+                        )
+                    item, qty = int(item_text), int(qty_text)
+                    if item < 1 or qty < 1:
+                        raise ParseError(
+                            ParseError.MALFORMED_TOKEN,
+                            f"item ids and quantities must be >= 1, got {token!r}",
+                            lineno, _column(line, index),
+                        )
+                    pair = pairs[token] = (item, qty)
+                item = pair[0]
                 if item in seen:
                     raise ParseError(
                         ParseError.DUPLICATE_ITEM,
@@ -271,7 +283,7 @@ def parse_database(text: str) -> SequenceDatabase:
                         lineno, _column(line, index),
                     )
                 seen.add(item)
-                current.append((item, qty))
+                current.append(pair)
         else:  # the loop ended without meeting -2
             raise ParseError(
                 ParseError.MISSING_TERMINATOR, "sequence not closed with -2",

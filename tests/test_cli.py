@@ -199,6 +199,21 @@ def test_verify_random_batch(monkeypatch):
     assert main(["verify", "--random", "12", "--seed", "7"]) == EXIT_OK
 
 
+def test_verify_negative_random_count_is_config_error(capsys):
+    assert main(["verify", "--random", "-3"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("cousr: config error:") and "verified" not in err
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path):
+    target = tmp_path / "rules.csv"
+    target.mkdir()
+    code, _ = run_mine(tmp_path)
+    assert code == EXIT_PARSE
+    assert target.is_dir()
+    assert list(tmp_path.glob("*.tmp.*")) == []
+
+
 def test_verify_oracle_limit_exit_code(tmp_path):
     wide = tmp_path / "wide.db"
     wide.write_text(" ".join(f"{i}:1 -1" for i in range(1, 21)) + " -2\n")

@@ -106,6 +106,23 @@ def test_filter_can_drop_whole_sequences():
     assert [s.sid for s in filtered.sequences] == [2]
 
 
+def test_filter_shares_itemset_tuples():
+    # SEU 153 / 253 / 201: at 200 only item 1 goes
+    db = with_utilities(
+        parse_database("1:1 2:5 -1 3:5 -1 -2\n1:2 2:5 -1 -2\n2:5 -1 3:5 -1 -2\n"),
+        parse_utility_table("1 1\n2 10\n3 10\n"),
+    )
+    promising, filtered = filter_unpromising_items(db, 200)
+    assert promising == frozenset({2, 3})
+    first, second, third = (seq.itemsets for seq in filtered.sequences)
+    assert first == third == (((2, 5),), ((3, 5),)) and second == (((2, 5),),)
+    # equal pruned itemsets are one tuple
+    assert first[0] is second[0]
+    # an itemset that loses no item is the input's own tuple
+    assert first[1] is db.sequences[0].itemsets[1]
+    assert all(a is b for a, b in zip(third, db.sequences[2].itemsets))
+
+
 def test_filter_above_total_utility_empties_db(example_db):
     promising, filtered = filter_unpromising_items(example_db, 10**9)
     assert promising == frozenset()

@@ -270,6 +270,45 @@ def _long_database():
 LONG_DB = _long_database()
 
 
+def _assert_table_layout(db):
+    """Every table reads back each item's position and grid utility, and its
+    cumulative masks give the items after / before every position."""
+    tables = SequenceTables(db)
+    for seq, grid in zip(db.sequences, db.grid_item_utilities):
+        table = tables.table(seq.sid)
+        sums, last, upto = table.sums, table.last, table.upto
+        width = last + 2
+        assert last == len(seq.itemsets)
+        assert table.where.keys() == seq.positions.keys()
+        for item, base in table.where.items():
+            assert sums[base + last + 1] == seq.positions[item]
+            # T[rank][last] - T[rank + 1][last]
+            assert sums[base - width + last] - sums[base + last] == grid[item]
+        for q in range(1, last + 1):
+            after = before = 0
+            for item, pos in seq.positions.items():
+                if pos > q:
+                    after |= 1 << tables.rank[item]
+                elif pos < q:
+                    before |= 1 << tables.rank[item]
+            assert upto[last] ^ upto[q] == after
+            assert upto[q - 1] == before
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9))
+def test_table_layout_matches_positions_and_grid_utilities(seed):
+    _assert_table_layout(random_small_database(random.Random(seed)))
+
+
+def test_table_layout_with_sid_gaps():
+    sequences = tuple(
+        Sequence(sid=sid, itemsets=seq.itemsets)
+        for sid, seq in zip((2, 5, 9), LONG_DB.sequences)
+    )
+    _assert_table_layout(SequenceDatabase(sequences=sequences, utilities=LONG_DB.utilities))
+
+
 def _assert_rows_match_classification(ul, db, tables):
     """Rows and candidates agree with the item-by-item reference classification."""
     grids = {seq.sid: grid for seq, grid in zip(db.sequences, db.grid_item_utilities)}

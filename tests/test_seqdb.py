@@ -56,6 +56,42 @@ def test_parse_duplicate_item_across_itemsets_rejected():
     assert err.value.kind == ParseError.DUPLICATE_ITEM
 
 
+def test_parse_shares_one_pair_per_token_text_and_one_tuple_per_itemset():
+    db = parse_database("3:1 -1 4:2 -1 -2\n4:2 3:1 -1 -2\n5:1 -1 3:1 -1 -2\n")
+    (first,), (second,) = db.sequences[0].itemsets
+    assert db.sequences[1].itemsets[0][0] is first
+    assert db.sequences[1].itemsets[0][1] is second
+    assert db.sequences[2].itemsets[1] is db.sequences[0].itemsets[0]
+
+
+@pytest.mark.parametrize(
+    "text,column",
+    [
+        ("3:1 -1 3:1 -1 -2", 8),  # the same text again, in another itemset
+        ("03:1 3:1 -1 -2", 6),  # another text for the same item
+        ("3:1 -1 -2\n3:1 -1 3:1 -1 -2", 8),  # cached on an earlier line
+    ],
+)
+def test_parse_shared_pairs_keep_the_duplicate_check(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_database(text + "\n")
+    assert err.value.kind == ParseError.DUPLICATE_ITEM
+    assert err.value.line == text.count("\n") + 1
+    assert err.value.column == column
+
+
+@pytest.mark.parametrize(
+    "bad,column",
+    [("2:x", 8), ("0:1", 8), ("1:0", 8), ("1:1:1", 8)],
+)
+def test_parse_malformed_token_after_cached_ones_reports_its_place(bad, column):
+    with pytest.raises(ParseError) as err:
+        parse_database(f"1:1 2:1 -1 -2\n1:1 -1 {bad} -1 2:1 -1 -2\n")
+    assert err.value.kind == ParseError.MALFORMED_TOKEN
+    assert err.value.line == 2
+    assert err.value.column == column
+
+
 @pytest.mark.parametrize(
     "sid,itemsets",
     [
