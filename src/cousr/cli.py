@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -205,6 +204,9 @@ def cmd_verify(args) -> int:
         workers = _worker_count()
         problems: list[str] = []
         if workers > 1 and count > 1:
+            # imported here, so that mine and bench do not load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for chunk in pool.map(_verify_random_seed, seeds, chunksize=16):
                     problems.extend(chunk)
@@ -242,9 +244,9 @@ def _parse_synthetic(spec: str, default_seed: int) -> SequenceDatabase:
         n_seq, n_items = int(parts[0]), int(parts[1])
         avg_len = float(parts[2])
         seed = int(parts[3]) if len(parts) == 4 else default_seed
-    except ValueError:
-        raise ConfigError(f"bad --synthetic spec {spec!r}") from None
-    return synth.synthesize_database(n_seq, n_items, avg_len, seed)
+        return synth.synthesize_database(n_seq, n_items, avg_len, seed)
+    except ValueError as exc:
+        raise ConfigError(f"bad --synthetic spec {spec!r}: {exc}") from None
 
 
 def cmd_bench(args) -> int:

@@ -102,12 +102,12 @@ def build_item_bitvectors(db: SequenceDatabase) -> dict[int, int]:
     occurrence into the vector would copy the growing integer every time.
     """
     sid_bits: defaultdict[int, list[int]] = defaultdict(list)
-    for seq in db.sequences:
-        bit = seq.sid - 1
-        for itemset in seq.itemsets:
-            for item, _ in itemset:
-                sid_bits[item].append(bit)
-    width = (max((seq.sid for seq in db.sequences), default=0) + 7) // 8
+    items = db.items
+    for sid, (start, end) in zip(db.sids, db.occurrence_spans()):
+        bit = sid - 1
+        for item in items[start:end]:
+            sid_bits[item].append(bit)
+    width = (max(db.sids, default=0) + 7) // 8
     vectors: dict[int, int] = {}
     for item, item_bits in sid_bits.items():
         buffer = bytearray(width)

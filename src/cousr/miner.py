@@ -41,16 +41,18 @@ sequences.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal
 from fractions import Fraction
+from itertools import compress
 from math import ceil
 from typing import NamedTuple
 
 from . import measures, rulecore
 from .measures import MinedRule, Rule
 from .rulecore import UtilityList
-from .seqdb import Sequence, SequenceDatabase, gc_paused
+from .seqdb import SequenceDatabase, gc_paused
 
 VARIANTS = {
     "base": (False, False),
@@ -200,32 +202,37 @@ def filter_unpromising_items(
 ) -> tuple[frozenset[int], SequenceDatabase]:
     """Drop items whose SEU is below the threshold (strategy 1).
 
-    Emptied itemsets and sequences are dropped too; surviving sequences keep
-    their original sids. Itemsets are shared immutable tuples: one that
-    loses no item is the input's own, and equal pruned ones are one tuple.
+    The filtered database is a masked copy of the columns: the unpromising
+    occurrences go, then the itemsets and sequences they empty; surviving
+    sequences keep their original sids. When every item is promising the
+    input database itself is returned.
     Returns (promising items, filtered database).
     """
     table = db.require_utilities()
     threshold = ceil(as_fraction(min_util) * table.scale)
+    items = db.items
     seu: dict[int, int] = {}
-    for seq, su in zip(db.sequences, db.grid_sequence_utilities):
-        for itemset in seq.itemsets:
-            for item, _ in itemset:
-                seu[item] = seu.get(item, 0) + su
+    for (start, end), su in zip(db.occurrence_spans(), db.grid_sequence_utilities):
+        for item in items[start:end]:
+            seu[item] = seu.get(item, 0) + su
     promising = frozenset(item for item, value in seu.items() if value >= threshold)
     if len(promising) == len(seu):
         return promising, db
-    kept: list[Sequence] = []
-    shared: dict[tuple, tuple] = {}
-    for seq in db.sequences:
-        itemsets = tuple(
-            itemset if len(pruned) == len(itemset) else shared.setdefault(pruned, pruned)
-            for itemset in seq.itemsets
-            if (pruned := tuple(pair for pair in itemset if pair[0] in promising))
-        )
-        if itemsets:
-            kept.append(Sequence._trusted(seq.sid, itemsets))
-    return promising, replace(db, sequences=tuple(kept))
+    keep = bytes([item in promising for item in items])
+    set_bounds = zip(db.set_starts, db.set_starts[1:])
+    kept_per_set = [keep.count(1, start, stop) for start, stop in set_bounds]
+    sids, seq_starts, set_starts = array("i"), array("i", [0]), array("i", [0])
+    for k, sid in enumerate(db.sids):
+        for kept in kept_per_set[db.seq_starts[k]:db.seq_starts[k + 1]]:
+            if kept:
+                set_starts.append(set_starts[-1] + kept)
+        if len(set_starts) - 1 > seq_starts[-1]:
+            seq_starts.append(len(set_starts) - 1)
+            sids.append(sid)
+    return promising, replace(
+        db, sids=sids, seq_starts=seq_starts, set_starts=set_starts,
+        items=array("i", compress(items, keep)), qtys=array("i", compress(db.qtys, keep)),
+    )
 
 
 class _Search:

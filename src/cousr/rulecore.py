@@ -34,11 +34,11 @@ the miner:
 * sum minus ``rutil``       >= utility of every left-only descendant
 
 **Row tables.** Each sequence with ``k`` items in ``l`` itemsets gets one
-:class:`SequenceTable`, built from its itemsets on first use and held by a
-:class:`SequenceTables`, which the caller creates and passes to
-:func:`build_utility_list` and :class:`Expansion` (the miner's search owns
-one and drops it on return). A table is a flat
-``(k+1) x (l+1)`` list ``T`` of dominance sums, ``T[r][q]`` = utility of the
+:class:`SequenceTable`, built from the database's flat columns on first use
+and held by a :class:`SequenceTables`, which the caller creates and passes
+to :func:`build_utility_list` and :class:`Expansion` (the miner's search
+owns one and drops it on return). A table is a flat
+``(k+1) x (l+1)`` array ``T`` of dominance sums, ``T[r][q]`` = utility of the
 items whose rank in the sequence (ascending item order, from 0) is ``>= r``
 and whose position is ``<= q``; each table row ``r`` carries one more cell,
 the position of the item of rank ``r - 1``. ``where`` maps an item to the
@@ -79,6 +79,8 @@ Two sparse pruning tables summarize item pairs:
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -92,6 +94,9 @@ Direction = Literal["left", "right"]
 
 # builds a row without the Python-level NamedTuple constructor (hot path)
 _new_tuple = tuple.__new__
+
+# (exclusive upper bound, typecode) of the unsigned arrays a table's sums may use
+_SUM_TYPECODES = tuple((1 << 8 * array(code).itemsize, code) for code in "BHIQ")
 
 
 class RuleAbsentError(ValueError):
@@ -180,10 +185,13 @@ def classify_expansion_items(rule: Rule, seq: Sequence) -> ExpansionClasses:
 class SequenceTable:
     """Row table of one sequence: dominance sums plus feasible-item masks.
 
-    Built straight from the sequence's itemsets and the grid unit utilities
-    (:attr:`cousr.seqdb.UtilityTable.grid_units`); it fills none of the
-    sequence's cached views. ``sums`` holds the table rows ``0..k`` one
-    after the other, each ``width = last + 2`` cells long: the ``last + 1``
+    Built from the index ranges of the ``index``-th sequence of a
+    database's flat columns and the grid unit utilities
+    (:attr:`cousr.seqdb.UtilityTable.grid_units`); it builds no
+    :class:`~cousr.seqdb.Sequence`. ``sums`` is the narrowest unsigned
+    ``array`` that holds every cell (a list when the sequence's utility
+    needs more than 64 bits) and holds the table rows ``0..k`` one after
+    the other, each ``width = last + 2`` cells long: the ``last + 1``
     sums ``T[r][0..last]``, then one cell holding the position of the item
     of rank ``r - 1`` (0 in row 0). ``where[item]`` is the offset in
     ``sums`` of the table row ``rank(item) + 1``, so with ``base =
@@ -196,13 +204,19 @@ class SequenceTable:
 
     __slots__ = ("sums", "last", "where", "upto")
 
-    def __init__(self, seq: Sequence, grid_units: dict[int, int], rank: dict[int, int]):
+    def __init__(
+        self, db: SequenceDatabase, index: int, grid_units: dict[int, int], rank: dict[int, int]
+    ):
+        first, end = db.seq_starts[index], db.seq_starts[index + 1]
+        start = stop = db.set_starts[first]
+        positions: list[int] = []  # the itemset position of each occurrence
+        for pos, next_stop in enumerate(db.set_starts[first + 1:end + 1], start=1):
+            positions += [pos] * (next_stop - stop)
+            stop = next_stop
         occurrences = sorted(
-            ((item, pos, qty)
-             for pos, itemset in enumerate(seq.itemsets, start=1) for item, qty in itemset),
-            reverse=True,
+            zip(db.items[start:stop], positions, db.qtys[start:stop]), reverse=True
         )
-        last = len(seq.itemsets)
+        last = end - first
         width = last + 2
         # table rows from the highest item rank down; row r sums ranks >= r
         row = [0] * width
@@ -222,7 +236,11 @@ class SequenceTable:
         rows.reverse()
         for q in range(1, last + 1):
             upto[q] |= upto[q - 1]
-        self.sums = [cell for row in rows for cell in row]
+        sums = [cell for row in rows for cell in row]
+        # the largest cell is the sequence's utility T[0][last] or a position
+        largest = max(rows[0][last], last)
+        typecode = next((code for bound, code in _SUM_TYPECODES if largest < bound), None)
+        self.sums = sums if typecode is None else array(typecode, sums)
         self.last = last
         self.where = where
         self.upto = upto
@@ -252,13 +270,14 @@ class SequenceTable:
 class SequenceTables:
     """The row tables of one database, each built on first use.
 
-    ``sequences`` maps sid -> sequence, in database order. Item masks index
-    :attr:`items` (the database's items, ascending) by position, so the
-    lowest set bit is the smallest item.
+    A sid is found by bisecting the database's ascending ``sids``; a sid
+    that is not there raises ``KeyError``. Item masks index :attr:`items`
+    (the database's items, ascending) by position, so the lowest set bit is
+    the smallest item.
     """
 
     def __init__(self, db: SequenceDatabase):
-        self.sequences = {seq.sid: seq for seq in db.sequences}
+        self.db = db
         self._grid_units = db.require_utilities().grid_units
         self._by_sid: dict[int, SequenceTable] = {}
         self.items = tuple(sorted(db.item_universe))
@@ -267,7 +286,11 @@ class SequenceTables:
     def table(self, sid: int) -> SequenceTable:
         table = self._by_sid.get(sid)
         if table is None:
-            table = SequenceTable(self.sequences[sid], self._grid_units, self.rank)
+            sids = self.db.sids
+            index = bisect_left(sids, sid)
+            if index == len(sids) or sids[index] != sid:
+                raise KeyError(sid)
+            table = SequenceTable(self.db, index, self._grid_units, self.rank)
             self._by_sid[sid] = table
         return table
 
@@ -289,7 +312,7 @@ def build_utility_list(rule: Rule, tables: SequenceTables, sids: int | None = No
     (any superset of the supporting ones gives the same rows).
     """
     if sids is None:
-        candidates = tables.sequences
+        candidates = tables.db.sids
     else:
         # set bits of the mask, lowest first (sid j is bit j - 1)
         bits = bin(sids)[:1:-1]
@@ -417,9 +440,9 @@ def build_bond_matrix(db: SequenceDatabase) -> dict[tuple[int, int], int]:
     The bond of the pair is ``co / (sup_a + sup_b - co)``, where the supports
     are the popcounts of the items' bit vectors.
     """
+    items = db.items
     return Counter(chain.from_iterable(
-        combinations(sorted([item for itemset in seq.itemsets for item, _ in itemset]), 2)
-        for seq in db.sequences
+        combinations(sorted(items[start:end]), 2) for start, end in db.occurrence_spans()
     ))
 
 
@@ -431,16 +454,19 @@ def scan_rule_pairs(db: SequenceDatabase) -> dict[tuple[int, int], int]:
     rule-seu pruning table (strategy 7).
     """
     db.require_utilities()
+    items, set_starts, seq_starts = db.items, db.set_starts, db.seq_starts
     pairs: dict[tuple[int, int], int] = {}
-    for index, seq in enumerate(db.sequences):
-        su = db.grid_sequence_utilities[index]
+    for index, su in enumerate(db.grid_sequence_utilities):
         earlier: list[int] = []
-        for itemset in seq.itemsets:
-            current = [item for item, _ in itemset]
+        stops = set_starts[seq_starts[index]:seq_starts[index + 1] + 1]
+        start = stops[0]
+        for stop in stops[1:]:
+            current = items[start:stop]
             for b in current:
                 for a in earlier:
                     key = (a, b)
                     pairs[key] = pairs.get(key, 0) + su
             earlier.extend(current)
+            start = stop
     return pairs
 

@@ -7,6 +7,12 @@ may occur in *at most one* itemset of a sequence. A companion utility table
 assigns every item a non-negative unit utility, so the utility of item ``i``
 in sequence ``S`` is ``quantity(i, S) * unit_utility(i)``.
 
+In memory a database is one flat encoding (:class:`SequenceDatabase`): five
+``array('i')`` columns in compressed-sparse-row form, so item ids,
+quantities and sids lie in ``1..2**31 - 1`` (the Java ``int`` range of
+SPMF's format). :class:`Sequence` objects are the reference view of the
+same data, built only when :attr:`SequenceDatabase.sequences` is read.
+
 On-disk formats (UTF-8; lines whose first non-blank character is ``#`` are
 comments; blank lines are skipped):
 
@@ -16,7 +22,7 @@ comments; blank lines are skipped):
 
   ``item:qty`` pairs separated by whitespace, ``-1`` closes an itemset,
   ``-2`` closes the sequence. Item ids and quantities are base-10 unsigned
-  integers. Sequence ids are assigned 1..n in line order.
+  integers from 1 to 2**31 - 1. Sequence ids are assigned 1..n in line order.
 
 * Utility file, one ``item utility`` pair per line. The utility may be a
   decimal (e.g. ``0.35``).
@@ -29,13 +35,19 @@ so that every item utility in the database is an integer count of grid units.
 from __future__ import annotations
 
 import gc
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 from pathlib import Path
+from typing import Iterable, Iterator
+
+# largest item id, quantity, sid or offset the ``array('i')`` columns hold
+INT_MAX = 2**31 - 1
 
 
 class ParseError(ValueError):
@@ -68,9 +80,10 @@ class Sequence:
     Because items occur at most once per sequence, every item has a unique
     1-based itemset position.
 
-    The cached ``items``, ``positions`` and ``quantities`` views serve the
-    reference paths (:mod:`cousr.measures`, the oracle, the tests); the
-    miner reads ``itemsets`` directly and never fills them.
+    Sequences are the reference view of a :class:`SequenceDatabase`: the
+    miner reads the database's flat columns and never builds them. The
+    cached ``items``, ``positions`` and ``quantities`` views serve the same
+    reference paths (:mod:`cousr.measures`, the oracle, the tests).
     """
 
     sid: int
@@ -97,7 +110,7 @@ class Sequence:
     @classmethod
     def _trusted(cls, sid: int, itemsets: tuple[tuple[tuple[int, int], ...], ...]) -> Sequence:
         """Build without :meth:`__post_init__`'s checks, for itemsets that
-        already satisfy them: the parser's, and subsets of a valid sequence."""
+        already satisfy them: those of a :class:`SequenceDatabase`."""
         seq = object.__new__(cls)
         object.__setattr__(seq, "sid", sid)
         object.__setattr__(seq, "itemsets", itemsets)
@@ -151,23 +164,83 @@ class UtilityTable:
 class SequenceDatabase:
     """Immutable database of sequences plus (optionally) their utility table.
 
-    Parsing assigns dense sids 1..n; derived views (filtering) may drop
-    sequences but always preserve the original sids, so sid-indexed
-    structures built on the original database stay valid.
+    The sequences are one flat encoding in compressed-sparse-row form, five
+    ``array('i')`` columns:
+
+    * ``sids``: one per sequence, strictly ascending;
+    * ``seq_starts``: sequence ``k`` holds the itemsets
+      ``seq_starts[k]`` to ``seq_starts[k + 1] - 1`` (``n + 1`` entries);
+    * ``set_starts``: itemset ``s`` holds the occurrences
+      ``set_starts[s]`` to ``set_starts[s + 1] - 1`` (``m + 1`` entries);
+    * ``items`` and ``qtys``: one per occurrence, items ascending within
+      each itemset.
+
+    The miner reads index ranges of these columns. :attr:`sequences` is the
+    same data as :class:`Sequence` objects, for the reference paths
+    (:mod:`cousr.measures`, the oracle, the tests); it is built on first
+    access and never on the mine path. :meth:`from_sequences` encodes
+    sequences. Parsing assigns dense sids 1..n; derived databases
+    (filtering) may drop sequences but always keep the original sids, so
+    sid-indexed structures built on the original database stay valid.
     """
 
-    sequences: tuple[Sequence, ...]
+    sids: array
+    seq_starts: array
+    set_starts: array
+    items: array
+    qtys: array
     utilities: UtilityTable | None = None
+
+    @classmethod
+    def from_sequences(
+        cls, sequences: Iterable[Sequence], utilities: UtilityTable | None = None
+    ) -> SequenceDatabase:
+        """Encode sequences, whose sids must ascend; ``ValueError`` if a sid,
+        item id or quantity exceeds :data:`INT_MAX`."""
+        sids, items, qtys = array("i"), array("i"), array("i")
+        seq_starts, set_starts = array("i", [0]), array("i", [0])
+        try:
+            for seq in sequences:
+                if sids and seq.sid <= sids[-1]:
+                    raise ValueError(f"sids must ascend, got {seq.sid} after {sids[-1]}")
+                sids.append(seq.sid)
+                for itemset in seq.itemsets:
+                    for item, qty in itemset:
+                        items.append(item)
+                        qtys.append(qty)
+                    set_starts.append(len(items))
+                seq_starts.append(len(set_starts) - 1)
+        except OverflowError:
+            raise ValueError(
+                f"sids, item ids and quantities must be at most {INT_MAX}"
+            ) from None
+        return cls(sids, seq_starts, set_starts, items, qtys, utilities)
+
+    @cached_property
+    def sequences(self) -> tuple[Sequence, ...]:
+        """The sequences as :class:`Sequence` objects (the reference view)."""
+        items, qtys, set_starts = self.items, self.qtys, self.set_starts
+        itemsets = [
+            tuple(zip(items[a:b], qtys[a:b])) for a, b in zip(set_starts, set_starts[1:])
+        ]
+        seq_starts = self.seq_starts
+        return tuple(
+            Sequence._trusted(sid, tuple(itemsets[seq_starts[k]:seq_starts[k + 1]]))
+            for k, sid in enumerate(self.sids)
+        )
 
     @property
     def sequence_count(self) -> int:
-        return len(self.sequences)
+        return len(self.sids)
+
+    def occurrence_spans(self) -> Iterator[tuple[int, int]]:
+        """Per sequence, in order: the start and end of its occurrences."""
+        starts = [self.set_starts[s] for s in self.seq_starts]
+        return zip(starts, starts[1:])
 
     @cached_property
     def item_universe(self) -> frozenset[int]:
-        return frozenset(
-            item for seq in self.sequences for itemset in seq.itemsets for item, _ in itemset
-        )
+        return frozenset(self.items)
 
     def require_utilities(self) -> UtilityTable:
         if self.utilities is None:
@@ -178,7 +251,7 @@ class SequenceDatabase:
     def grid_item_utilities(self) -> tuple[dict[int, int], ...]:
         """Per sequence: item -> utility in grid units (quantity * unit).
 
-        For the reference paths only; the miner reads ``itemsets`` and
+        For the reference paths only; the miner reads the columns and
         :attr:`UtilityTable.grid_units` directly.
         """
         units = self.require_utilities().grid_units
@@ -190,10 +263,11 @@ class SequenceDatabase:
     @cached_property
     def grid_sequence_utilities(self) -> tuple[int, ...]:
         """Per sequence: whole-sequence utility in grid units."""
-        units = self.require_utilities().grid_units
+        unit_of = self.require_utilities().grid_units.__getitem__
+        items, qtys = self.items, self.qtys
         return tuple(
-            sum(qty * units[item] for itemset in seq.itemsets for item, qty in itemset)
-            for seq in self.sequences
+            sum(map(mul, qtys[start:end], map(unit_of, items[start:end])))
+            for start, end in self.occurrence_spans()
         )
 
 
@@ -215,21 +289,20 @@ def _is_comment(tokens: list[str]) -> bool:
 
 
 def parse_database(text: str) -> SequenceDatabase:
-    """Parse database text into sequences (no utility table attached).
+    """Parse database text into the flat encoding (no utility table attached).
 
-    Pairs and itemsets are shared immutable tuples: every occurrence of the
-    same ``item:qty`` text is one ``(item, qty)`` tuple, validated the first
-    time the text appears, and equal itemsets are one tuple.
+    Every occurrence is appended straight to the columns. Each distinct
+    ``item:qty`` text is validated and converted once per call; the
+    duplicate-item check still runs per occurrence.
     """
-    sequences: list[Sequence] = []
+    sids, items, qtys = array("i"), array("i"), array("i")
+    seq_starts, set_starts = array("i", [0]), array("i", [0])
     pairs: dict[str, tuple[int, int]] = {}
-    shared: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
     sid = 1
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if _is_comment(tokens):
             continue
-        itemsets: list[tuple[tuple[int, int], ...]] = []
         current: list[tuple[int, int]] = []
         seen: set[int] = set()
         for index, token in enumerate(tokens):
@@ -240,8 +313,10 @@ def parse_database(text: str) -> SequenceDatabase:
                         lineno, _column(line, index),
                     )
                 current.sort()
-                itemset = tuple(current)
-                itemsets.append(shared.setdefault(itemset, itemset))
+                for item, qty in current:
+                    items.append(item)
+                    qtys.append(qty)
+                set_starts.append(len(items))
                 current = []
             elif token == "-2":
                 if current:
@@ -259,22 +334,7 @@ def parse_database(text: str) -> SequenceDatabase:
             else:
                 pair = pairs.get(token)
                 if pair is None:
-                    # isdecimal() accepts exactly the digits int() parses
-                    item_text, colon, qty_text = token.partition(":")
-                    if not (colon and item_text.isdecimal() and qty_text.isdecimal()):
-                        raise ParseError(
-                            ParseError.MALFORMED_TOKEN,
-                            f"expected item:qty, -1 or -2, got {token!r}",
-                            lineno, _column(line, index),
-                        )
-                    item, qty = int(item_text), int(qty_text)
-                    if item < 1 or qty < 1:
-                        raise ParseError(
-                            ParseError.MALFORMED_TOKEN,
-                            f"item ids and quantities must be >= 1, got {token!r}",
-                            lineno, _column(line, index),
-                        )
-                    pair = pairs[token] = (item, qty)
+                    pair = pairs[token] = _parse_pair(token, lineno, line, index)
                 item = pair[0]
                 if item in seen:
                     raise ParseError(
@@ -289,9 +349,33 @@ def parse_database(text: str) -> SequenceDatabase:
                 ParseError.MISSING_TERMINATOR, "sequence not closed with -2",
                 lineno, _column(line, len(tokens) - 1),
             )
-        sequences.append(Sequence._trusted(sid, tuple(itemsets)))
+        sids.append(sid)
+        seq_starts.append(len(set_starts) - 1)
         sid += 1
-    return SequenceDatabase(sequences=tuple(sequences))
+    return SequenceDatabase(sids, seq_starts, set_starts, items, qtys)
+
+
+def _parse_pair(token: str, lineno: int, line: str, index: int) -> tuple[int, int]:
+    """Validate and convert one ``item:qty`` token, the ``index``-th of ``line``."""
+    # isdecimal() accepts exactly the digits int() parses
+    item_text, colon, qty_text = token.partition(":")
+    if not (colon and item_text.isdecimal() and qty_text.isdecimal()):
+        raise ParseError(
+            ParseError.MALFORMED_TOKEN,
+            f"expected item:qty, -1 or -2, got {token!r}",
+            lineno, _column(line, index),
+        )
+    try:
+        item, qty = int(item_text), int(qty_text)
+    except ValueError:  # more digits than int() converts from text
+        item = qty = INT_MAX + 1
+    if not (1 <= item <= INT_MAX and 1 <= qty <= INT_MAX):
+        raise ParseError(
+            ParseError.MALFORMED_TOKEN,
+            f"item ids and quantities must be in 1..{INT_MAX}, got {token!r}",
+            lineno, _column(line, index),
+        )
+    return item, qty
 
 
 def parse_utility_table(text: str) -> UtilityTable:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import accumulate
+from math import inf
 
 from .seqdb import Sequence, SequenceDatabase, UtilityTable
 
@@ -49,8 +50,8 @@ def synthesize_database(
     max_unit_utility: int = 10,
 ) -> SequenceDatabase:
     """A database of ``n_sequences`` sequences over ``n_items`` items."""
-    if n_sequences < 1 or n_items < 1 or avg_len < 1:
-        raise ValueError("n_sequences, n_items and avg_len must all be >= 1")
+    if n_sequences < 1 or n_items < 1 or not 1 <= avg_len < inf:
+        raise ValueError("n_sequences, n_items and avg_len must all be >= 1, avg_len finite")
     rng = random.Random(seed)
     population = list(range(1, n_items + 1))
     cum_weights = list(accumulate(1.0 / rank for rank in population))
@@ -62,7 +63,7 @@ def synthesize_database(
     table = UtilityTable(
         entries={item: Fraction(rng.randint(1, max_unit_utility)) for item in population}
     )
-    return SequenceDatabase(sequences=tuple(sequences), utilities=table)
+    return SequenceDatabase.from_sequences(sequences, table)
 
 
 def random_small_database(
@@ -89,7 +90,7 @@ def random_small_database(
         entries = {item: Fraction(rng.randint(1, 40), 10) for item in population}
     else:
         entries = {item: Fraction(rng.randint(1, 10)) for item in population}
-    return SequenceDatabase(sequences=tuple(sequences), utilities=UtilityTable(entries=entries))
+    return SequenceDatabase.from_sequences(sequences, UtilityTable(entries=entries))
 
 
 def random_thresholds(rng: random.Random, db: SequenceDatabase):

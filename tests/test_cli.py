@@ -257,6 +257,13 @@ def test_bench_bad_synthetic_spec():
     assert main(["bench", "--synthetic", "10,5"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("spec", ["10,0,4", "10,5,-1", "10,5,nan", "10,5,inf", "-1,5,4"])
+def test_bench_synthetic_spec_out_of_range_is_config_error(spec, capsys):
+    # the generator's own checks, not a traceback and the mismatch code
+    assert main(["bench", f"--synthetic={spec}", "--min-util", "0"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("cousr: config error:")
+
+
 def test_bench_variant_subset(tmp_path):
     out = tmp_path / "bench.csv"
     code = main(
@@ -279,15 +286,24 @@ def test_mine_max_side_flag(tmp_path):
     assert [r.split(";")[0] for r in rows] == ["1,4", "2,4"]
 
 
-def run_module(*args):
-    """``python -m cousr`` in a subprocess that imports the same package as
-    this test, installed or not."""
+def run_python(*args):
+    """``python ARGS`` in a subprocess that imports the same package as this
+    test, installed or not."""
     package_root = str(Path(cousr.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "cousr", *args], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_module(*args):
+    return run_python("-m", "cousr", *args)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only verify --random needs the pool; every mine run would pay for it
+    proc = run_python("-c", "import sys, cousr.cli; print('multiprocessing' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point():

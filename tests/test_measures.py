@@ -203,7 +203,7 @@ def test_bitset_matches_naive_scan_randomized(seed):
         sid += rng.randint(1, 12)
         if rng.random() < 0.5:
             sparse.append(Sequence(sid=sid, itemsets=seq.itemsets))
-    for view in (filtered, SequenceDatabase(tuple(sparse)), SequenceDatabase(())):
+    for view in (filtered, *map(SequenceDatabase.from_sequences, (sparse, ()))):
         assert build_item_bitvectors(view) == {
             item: sum(1 << (seq.sid - 1) for seq in view.sequences if item in seq.items)
             for item in view.item_universe

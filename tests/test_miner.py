@@ -29,6 +29,7 @@ from cousr.miner import (
     filter_unpromising_items,
 )
 from cousr.rulecore import SequenceTables, build_bond_matrix, build_utility_list, scan_rule_pairs
+from cousr.seqdb import SequenceDatabase
 from cousr.synth import random_small_database, random_thresholds, synthesize_database
 
 from conftest import A, B, C, D, E, F, G, EXAMPLE_DB, EXAMPLE_UT
@@ -106,21 +107,24 @@ def test_filter_can_drop_whole_sequences():
     assert [s.sid for s in filtered.sequences] == [2]
 
 
-def test_filter_shares_itemset_tuples():
-    # SEU 153 / 253 / 201: at 200 only item 1 goes
+def test_filter_is_a_masked_copy_of_the_columns():
+    # SEU 153 / 254 / 202 / 102: at 200 items 1 and 4 go, and with them
+    # all of sequence 3 and the first itemset of sequence 4
     db = with_utilities(
-        parse_database("1:1 2:5 -1 3:5 -1 -2\n1:2 2:5 -1 -2\n2:5 -1 3:5 -1 -2\n"),
-        parse_utility_table("1 1\n2 10\n3 10\n"),
+        parse_database("1:1 2:5 -1 3:5 -1 -2\n1:2 2:5 -1 -2\n4:1 -1 -2\n"
+                       "4:1 -1 2:5 -1 3:5 -1 -2\n"),
+        parse_utility_table("1 1\n2 10\n3 10\n4 1\n"),
     )
     promising, filtered = filter_unpromising_items(db, 200)
     assert promising == frozenset({2, 3})
-    first, second, third = (seq.itemsets for seq in filtered.sequences)
-    assert first == third == (((2, 5),), ((3, 5),)) and second == (((2, 5),),)
-    # equal pruned itemsets are one tuple
-    assert first[0] is second[0]
-    # an itemset that loses no item is the input's own tuple
-    assert first[1] is db.sequences[0].itemsets[1]
-    assert all(a is b for a, b in zip(third, db.sequences[2].itemsets))
+    assert list(filtered.sids) == [1, 2, 4]
+    assert list(filtered.seq_starts) == [0, 2, 3, 5]
+    assert list(filtered.set_starts) == [0, 1, 2, 3, 4, 5]
+    assert list(filtered.items) == [2, 3, 2, 2, 3]
+    assert list(filtered.qtys) == [5, 5, 5, 5, 5]
+    assert filtered.utilities is db.utilities
+    # the filter builds no sequence view of either database
+    assert "sequences" not in db.__dict__ and "sequences" not in filtered.__dict__
 
 
 def test_filter_above_total_utility_empties_db(example_db):
@@ -219,23 +223,25 @@ def test_mine_restores_callers_gc_state(example_db, enabled):
             gc.disable()
 
 
-def test_load_and_mine_fill_no_per_sequence_cache():
-    # the miner reads itemsets directly; the cached views serve the reference
-    # paths only, and the search's row tables are its own. At min_util 50
-    # every item is promising, so the filtered database is the caller's and
-    # the whole search runs on these objects.
+def test_load_and_mine_fill_no_per_sequence_cache(monkeypatch):
+    # the mine path reads the flat columns: no layer builds the Sequence
+    # view of the loaded or the filtered database, so no per-sequence cache
+    # can fill, and the search's row tables are its own. At min_util 50
+    # every item is promising, so the filtered database is the caller's; at
+    # 80 strategy 1 drops two items and the search runs on a masked copy.
+    def no_view(db):
+        raise AssertionError("the mine path built the Sequence view")
+
+    monkeypatch.setattr(SequenceDatabase, "sequences", property(no_view))
     db = load_database(EXAMPLE_DB, EXAMPLE_UT)
-
-    def assert_no_cache():
-        for seq in db.sequences:
-            assert not {"items", "positions", "quantities"} & seq.__dict__.keys()
-        assert not {"grid_item_utilities", "_sequence_tables", "index_by_sid"} & db.__dict__.keys()
-
-    assert_no_cache()
+    cached = {"grid_item_utilities", "_sequence_tables", "index_by_sid"}
+    assert not cached & db.__dict__.keys()
     assert filter_unpromising_items(db, 50)[1] is db
     result = mine(db, MinerConfig(**GOLDEN_THRESHOLDS))
     assert len(result.rules) == 4 and result.stats.utility_lists_built > 0
-    assert_no_cache()
+    filtered = mine(db, MinerConfig(**{**GOLDEN_THRESHOLDS, "min_util": 80}))
+    assert filtered.stats.pruned_s1 == 2 and filtered.stats.utility_lists_built > 0
+    assert not cached & db.__dict__.keys()
 
 
 def test_mine_rejects_raw_dict_config(example_db):

@@ -7,13 +7,14 @@ import pytest
 
 from cousr import MinerConfig, Rule, mine, parse_database, parse_utility_table, with_utilities
 from cousr.measures import rule_utility
+from cousr.miner import VARIANTS
 from cousr.oracle import (
     OracleLimitError,
     OracleLimits,
     enumerate_all_rules,
     oracle_chusrs,
 )
-from cousr.synth import random_small_database, synthesize_database
+from cousr.synth import random_small_database, random_thresholds, synthesize_database
 
 from conftest import A, B, C, D, G
 
@@ -110,3 +111,41 @@ def test_oracle_utility_matches_measures_path():
         db = random_small_database(random.Random(seed))
         for r in enumerate_all_rules(db):
             assert r.utility == rule_utility(Rule(r.antecedent, r.consequent), db)
+
+
+THRESHOLD_NAMES = ("min_util", "min_conf", "min_bond", "min_lift")
+
+
+def _random_case(seed, **size):
+    rng = random.Random(seed)
+    db = random_small_database(rng, **size)
+    return db, dict(zip(THRESHOLD_NAMES, random_thresholds(rng, db)))
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_miner_matches_oracle_with_a_rule_side_cap(cap):
+    for seed in range(40):
+        db, thresholds = _random_case(20_000 + seed)
+        expected = tuple(
+            r for r in oracle_chusrs(db, *thresholds.values())
+            if len(r.antecedent) <= cap and len(r.consequent) <= cap
+        )
+        for variant in ("base", "s6s7"):
+            config = MinerConfig.for_variant(variant, max_rule_side=cap, **thresholds)
+            assert mine(db, config).rules == expected, (seed, variant)
+
+
+def test_miner_matches_oracle_at_the_oracle_limits():
+    # random_small_database stays at 8 items and 8 sequences by default; these
+    # draws reach the oracle's limits of 12 items and 16 sequences. The oracle
+    # takes seconds per 12-item database, so the sample is three seeds whose
+    # rule sets are not empty (606, 401 and 5 rules).
+    sizes = []
+    for seed in (30, 53, 103):
+        db, thresholds = _random_case(seed, max_items=12, max_sequences=16)
+        sizes.append((len(db.item_universe), db.sequence_count))
+        expected = oracle_chusrs(db, *thresholds.values())
+        assert expected
+        for variant in VARIANTS:
+            assert mine(db, MinerConfig.for_variant(variant, **thresholds)).rules == expected
+    assert max(sizes) == (12, 15) and max(n for _, n in sizes) == 16

@@ -264,7 +264,7 @@ def _long_database():
             itemsets[item * step % 24].append((item, 1 + item % 5))
         sequences.append(Sequence(sid=sid, itemsets=tuple(map(tuple, itemsets))))
     entries = {item: Fraction(1 + item % 7, 1 + item % 2) for item in range(1, 49)}
-    return SequenceDatabase(sequences=tuple(sequences), utilities=UtilityTable(entries=entries))
+    return SequenceDatabase.from_sequences(sequences, UtilityTable(entries=entries))
 
 
 LONG_DB = _long_database()
@@ -306,15 +306,42 @@ def test_table_layout_with_sid_gaps():
         Sequence(sid=sid, itemsets=seq.itemsets)
         for sid, seq in zip((2, 5, 9), LONG_DB.sequences)
     )
-    _assert_table_layout(SequenceDatabase(sequences=sequences, utilities=LONG_DB.utilities))
+    _assert_table_layout(SequenceDatabase.from_sequences(sequences, LONG_DB.utilities))
+
+
+@pytest.mark.parametrize(
+    "unit,typecode",
+    [(1, "B"), (200, "H"), (2**20, "I"), (2**40, "Q"), (2**70, None)],
+)
+def test_table_sums_take_the_narrowest_unsigned_array(unit, typecode):
+    db = tiny_db("1:1 -1 2:1 3:1 -1 -2\n", f"1 {unit}\n2 {unit}\n3 1\n")
+    tables = SequenceTables(db)
+    sums = tables.table(1).sums
+    if typecode is None:
+        assert type(sums) is list
+    else:
+        assert sums.typecode == typecode
+    _assert_table_layout(db)
+    ul = build_utility_list(Rule.of([1], [2]), tables)
+    assert ul.utility == 2 * unit
+    _assert_rows_match_classification(ul, db, tables)
+
+
+def test_table_sums_hold_positions_beyond_the_utility():
+    # zero utilities, yet positions reach 300: one byte is not enough
+    db = tiny_db(" ".join(f"{item}:1 -1" for item in range(1, 301)) + " -2\n",
+                 "".join(f"{item} 0\n" for item in range(1, 301)))
+    assert SequenceTables(db).table(1).sums.typecode == "H"
+    _assert_table_layout(db)
 
 
 def _assert_rows_match_classification(ul, db, tables):
     """Rows and candidates agree with the item-by-item reference classification."""
+    sequences = {seq.sid: seq for seq in db.sequences}
     grids = {seq.sid: grid for seq, grid in zip(db.sequences, db.grid_item_utilities)}
     left, right = set(), set()
     for row in ul.rows:
-        seq, grid = tables.sequences[row.sid], grids[row.sid]
+        seq, grid = sequences[row.sid], grids[row.sid]
         classes = classify_expansion_items(ul.rule, seq)
         assert (row.lutil, row.rutil, row.lrutil) == tuple(
             sum(grid[item] for item in part) for part in classes

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,14 +11,16 @@ from hypothesis import strategies as st
 
 from cousr import ParseError, load_database, parse_database, parse_utility_table, with_utilities
 from cousr.seqdb import (
+    INT_MAX,
     AbsentItemError,
     Sequence,
+    SequenceDatabase,
     item_utility,
     sequence_utility,
     serialize_database,
     serialize_utility_table,
 )
-from cousr.synth import random_small_database
+from cousr.synth import random_small_database, synthesize_database
 
 from conftest import A, B, C, D, E, F, G, EXAMPLE_DB, EXAMPLE_UT
 
@@ -56,12 +59,16 @@ def test_parse_duplicate_item_across_itemsets_rejected():
     assert err.value.kind == ParseError.DUPLICATE_ITEM
 
 
-def test_parse_shares_one_pair_per_token_text_and_one_tuple_per_itemset():
-    db = parse_database("3:1 -1 4:2 -1 -2\n4:2 3:1 -1 -2\n5:1 -1 3:1 -1 -2\n")
-    (first,), (second,) = db.sequences[0].itemsets
-    assert db.sequences[1].itemsets[0][0] is first
-    assert db.sequences[1].itemsets[0][1] is second
-    assert db.sequences[2].itemsets[1] is db.sequences[0].itemsets[0]
+def test_parse_appends_occurrences_to_flat_columns():
+    db = parse_database("3:1 -1 4:2 -1 -2\n# note\n4:2 3:1 -1 -2\n-2\n5:1 -1 3:1 -1 -2\n")
+    assert list(db.sids) == [1, 2, 3, 4]
+    assert list(db.seq_starts) == [0, 2, 3, 3, 5]
+    assert list(db.set_starts) == [0, 1, 2, 4, 5, 6]
+    # items ascend within an itemset, whatever their order in the line
+    assert list(db.items) == [3, 4, 3, 4, 5, 3]
+    assert list(db.qtys) == [1, 2, 1, 2, 1, 1]
+    assert all(column.typecode == "i" for column in (
+        db.sids, db.seq_starts, db.set_starts, db.items, db.qtys))
 
 
 @pytest.mark.parametrize(
@@ -90,6 +97,80 @@ def test_parse_malformed_token_after_cached_ones_reports_its_place(bad, column):
     assert err.value.kind == ParseError.MALFORMED_TOKEN
     assert err.value.line == 2
     assert err.value.column == column
+
+
+@pytest.mark.parametrize(
+    "token",
+    [f"{INT_MAX + 1}:1", f"1:{INT_MAX + 1}", f"{10**12}:1", "9" * 5000 + ":1"],
+)
+def test_parse_rejects_ids_and_quantities_beyond_the_int_range(token):
+    # the columns are array('i'), SPMF's Java int range
+    with pytest.raises(ParseError) as err:
+        parse_database(f"1:1 -1 -2\n2:1 -1 {token} -1 -2\n")
+    assert err.value.kind == ParseError.MALFORMED_TOKEN
+    assert (err.value.line, err.value.column) == (2, 8)
+
+
+def test_parse_accepts_the_int_range_limit():
+    db = parse_database(f"{INT_MAX}:{INT_MAX} -1 -2\n")
+    assert db.sequences[0].itemsets == (((INT_MAX, INT_MAX),),)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        EXAMPLE_DB.read_text(),
+        "# an empty sequence keeps its sid\n1:1 -1 -2\n-2\n3:2 1:1 -1 2:2 -1 -2\n",
+    ],
+)
+def test_from_sequences_round_trips_parsed_columns(text):
+    db = parse_database(text)
+    assert SequenceDatabase.from_sequences(db.sequences) == db
+
+
+def test_from_sequences_keeps_sid_gaps():
+    sequences = (
+        Sequence(sid=2, itemsets=(((1, 1), (3, 2)),)),
+        Sequence(sid=5, itemsets=()),
+        Sequence(sid=9, itemsets=(((2, 1),), ((1, 4),))),
+    )
+    db = SequenceDatabase.from_sequences(sequences)
+    assert list(db.sids) == [2, 5, 9]
+    assert list(db.seq_starts) == [0, 1, 1, 3]
+    assert list(db.set_starts) == [0, 2, 3, 4]
+    assert db.sequences == sequences
+    assert SequenceDatabase.from_sequences(db.sequences) == db
+
+
+@pytest.mark.parametrize(
+    "sequences",
+    [
+        (Sequence(sid=2, itemsets=(((1, 1),),)), Sequence(sid=1, itemsets=(((1, 1),),))),
+        (Sequence(sid=2, itemsets=(((1, 1),),)), Sequence(sid=2, itemsets=(((2, 1),),))),
+        (Sequence(sid=INT_MAX + 1, itemsets=(((1, 1),),)),),
+        (Sequence(sid=1, itemsets=(((INT_MAX + 1, 1),),)),),
+        (Sequence(sid=1, itemsets=(((1, INT_MAX + 1),),)),),
+    ],
+)
+def test_from_sequences_rejects_unordered_sids_and_values_beyond_the_int_range(sequences):
+    with pytest.raises(ValueError):
+        SequenceDatabase.from_sequences(sequences)
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        ((300, 40, 6, 3), "7f7b6d874813135500e13c52121c4140b84b4d1995a78581fdb51ae536e83bba"),
+        ((200, 2000, 12, 7), "b4ef34fe5116fb262507fc350529633d1eeaab51a7e086682a8eac312bff048d"),
+    ],
+)
+def test_serialized_synthetic_databases_are_pinned(args, digest):
+    # the benchmark's inputs are serialized synthetic databases: the bytes
+    # must not move with the in-memory encoding
+    n_sequences, n_items, avg_len, seed = args
+    db = synthesize_database(n_sequences, n_items, avg_len, seed, max_itemset=4)
+    assert hashlib.sha256(serialize_database(db).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -268,4 +349,6 @@ def test_serialize_utility_table_round_trip():
 @given(st.integers(0, 10**9))
 def test_serialize_parse_identity_on_random_databases(seed):
     db = random_small_database(random.Random(seed))
-    assert parse_database(serialize_database(db)).sequences == db.sequences
+    parsed = parse_database(serialize_database(db))
+    assert parsed.sequences == db.sequences
+    assert SequenceDatabase.from_sequences(parsed.sequences, db.utilities) == db
