@@ -3,7 +3,9 @@
 Bit vectors index sequences by sid: bit ``j`` of an item's vector is set iff
 the item occurs in the sequence with sid ``j + 1``. Vectors are plain Python
 integers, so intersection/union are single ``&``/``|`` operations and
-cardinality is ``int.bit_count()``.
+cardinality is ``int.bit_count()``. Rule occurrence and rule utility are
+read straight from each sequence's itemsets and the grid unit utilities,
+with no per-sequence cache.
 
 Measures:
 
@@ -117,18 +119,6 @@ def build_item_bitvectors(db: SequenceDatabase) -> dict[int, int]:
     return vectors
 
 
-def sids_of(mask: int) -> set[int]:
-    """Decode a bit vector back into a set of sids (for display and tests)."""
-    sids = set()
-    sid = 1
-    while mask:
-        if mask & 1:
-            sids.add(sid)
-        mask >>= 1
-        sid += 1
-    return sids
-
-
 def itemset_support(items: Iterable[int], bitvectors: dict[int, int]) -> int:
     """Number of sequences containing every item (absent item gives 0)."""
     mask = -1
@@ -161,20 +151,24 @@ def bond(items: Iterable[int], bitvectors: dict[int, int]) -> BondValue:
 
 
 def rule_occurs(rule: Rule, seq: Sequence) -> bool:
-    """True iff the whole antecedent precedes the whole consequent in ``seq``."""
-    positions = seq.positions
-    max_left = 0
-    for item in rule.antecedent:
-        pos = positions.get(item)
-        if pos is None:
-            return False
-        if pos > max_left:
-            max_left = pos
-    for item in rule.consequent:
-        pos = positions.get(item)
-        if pos is None or pos <= max_left:
-            return False
-    return True
+    """True iff the whole antecedent precedes the whole consequent in ``seq``.
+
+    Walks the itemsets in order, counting the items of each side not met
+    yet: a consequent item fails the rule unless the whole antecedent was
+    met in earlier itemsets.
+    """
+    antecedent, consequent = rule.antecedent, rule.consequent
+    missing_x, missing_y = len(antecedent), len(consequent)
+    for itemset in seq.itemsets:
+        earlier_x = missing_x  # antecedent items missing before this itemset
+        for item, _ in itemset:
+            if item in antecedent:
+                missing_x -= 1
+            elif item in consequent:
+                if earlier_x:
+                    return False
+                missing_y -= 1
+    return not missing_x and not missing_y
 
 
 def rule_sids(rule: Rule, db: SequenceDatabase) -> int:
@@ -205,32 +199,11 @@ def lift(rule_mask: int, antecedent_mask: int, consequent_mask: int, sequence_co
 
 def rule_utility(rule: Rule, db: SequenceDatabase) -> Fraction:
     """Sum, over supporting sequences, of the utilities of the rule's items."""
-    scale = db.require_utilities().scale
-    total = 0
-    for index, seq in enumerate(db.sequences):
-        if rule_occurs(rule, seq):
-            grid = db.grid_item_utilities[index]
-            total += sum(grid[item] for item in rule.items)
-    return Fraction(total, scale)
-
-
-def seu_of_item(item: int, db: SequenceDatabase) -> Fraction:
-    """Sum of whole-sequence utilities over the sequences containing the item."""
-    scale = db.require_utilities().scale
+    table = db.require_utilities()
+    units, members = table.grid_units, rule.items
     total = sum(
-        su
-        for seq, su in zip(db.sequences, db.grid_sequence_utilities)
-        if item in seq.items
+        qty * units[item]
+        for seq in db.sequences if rule_occurs(rule, seq)
+        for itemset in seq.itemsets for item, qty in itemset if item in members
     )
-    return Fraction(total, scale)
-
-
-def seu_of_rule(rule_mask: int, db: SequenceDatabase) -> Fraction:
-    """Sum of whole-sequence utilities over the rule's supporting sequences."""
-    scale = db.require_utilities().scale
-    total = sum(
-        su
-        for seq, su in zip(db.sequences, db.grid_sequence_utilities)
-        if rule_mask >> (seq.sid - 1) & 1
-    )
-    return Fraction(total, scale)
+    return Fraction(total, table.scale)

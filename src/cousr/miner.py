@@ -32,7 +32,8 @@ The search owns its row tables (:class:`cousr.rulecore.SequenceTables` of
 the filtered database), so they go when :func:`mine` returns.
 
 Threshold comparisons are exact: utilities are compared on the utility
-table's integer grid and the ratio measures by integer cross-multiplication.
+table's integer grid, against ``ceil(min_util * scale)`` computed once per
+run, and the ratio measures by integer cross-multiplication.
 Lift is always computed against the sequence count of the database handed to
 :func:`mine`, not of the filtered one, since item filtering may drop
 sequences.
@@ -198,24 +199,23 @@ class RuleContext:
 
 
 def filter_unpromising_items(
-    db: SequenceDatabase, min_util
+    db: SequenceDatabase, min_util_grid: int
 ) -> tuple[frozenset[int], SequenceDatabase]:
-    """Drop items whose SEU is below the threshold (strategy 1).
+    """Drop items whose SEU is below ``min_util_grid`` (strategy 1).
 
-    The filtered database is a masked copy of the columns: the unpromising
-    occurrences go, then the itemsets and sequences they empty; surviving
-    sequences keep their original sids. When every item is promising the
-    input database itself is returned.
+    The threshold is in grid units of the utility table, as :func:`mine`
+    computes it once. The filtered database is a masked copy of the columns:
+    the unpromising occurrences go, then the itemsets and sequences they
+    empty; surviving sequences keep their original sids. When every item is
+    promising the input database itself is returned.
     Returns (promising items, filtered database).
     """
-    table = db.require_utilities()
-    threshold = ceil(as_fraction(min_util) * table.scale)
     items = db.items
     seu: dict[int, int] = {}
     for (start, end), su in zip(db.occurrence_spans(), db.grid_sequence_utilities):
         for item in items[start:end]:
             seu[item] = seu.get(item, 0) + su
-    promising = frozenset(item for item, value in seu.items() if value >= threshold)
+    promising = frozenset(item for item, value in seu.items() if value >= min_util_grid)
     if len(promising) == len(seu):
         return promising, db
     keep = bytes([item in promising for item in items])
@@ -238,16 +238,16 @@ def filter_unpromising_items(
 class _Search:
     """Mutable search state shared across one mine() run."""
 
-    def __init__(self, db: SequenceDatabase, config: MinerConfig, sequence_count: int,
-                 bitvectors, stats: MiningStats):
+    def __init__(self, db: SequenceDatabase, config: MinerConfig, min_util_grid: int,
+                 sequence_count: int, bitvectors, stats: MiningStats):
         self.config = config
+        self.min_util_grid = min_util_grid
         self.n = sequence_count
         self.scale = db.require_utilities().scale
         self.bitvectors = bitvectors
         self.tables = rulecore.SequenceTables(db)
         self.stats = stats
         self.emitted: list[MinedRule] = []
-        self.min_util_grid = ceil(config.min_util * self.scale)
         self.conf_num = config.min_conf.numerator
         self.conf_den = config.min_conf.denominator
         self.bond_num = config.min_bond.numerator
@@ -408,12 +408,12 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
 def _mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     if not isinstance(config, MinerConfig):
         raise ConfigError(f"expected a MinerConfig, got {type(config).__name__}")
-    db.require_utilities()
+    min_util_grid = ceil(config.min_util * db.require_utilities().scale)
     started = time.perf_counter()
     stats = MiningStats()
     sequence_count = db.sequence_count
 
-    promising, filtered = filter_unpromising_items(db, config.min_util)
+    promising, filtered = filter_unpromising_items(db, min_util_grid)
     stats.promising_items = len(promising)
     stats.pruned_s1 = len(db.item_universe) - len(promising)
     if config.record_prune_events:
@@ -421,13 +421,13 @@ def _mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
             stats.prune_events.append(PruneEvent("s1", (item,), ()))
 
     bitvectors = measures.build_item_bitvectors(filtered)
-    search = _Search(filtered, config, sequence_count, bitvectors, stats)
+    search = _Search(filtered, config, min_util_grid, sequence_count, bitvectors, stats)
     if config.bond_matrix_prune:
         search.set_bond_passes(rulecore.build_bond_matrix(filtered))
     pair_seu = rulecore.scan_rule_pairs(filtered)
     kept = []
     for (a, b) in sorted(pair_seu):
-        if pair_seu[(a, b)] < search.min_util_grid:
+        if pair_seu[(a, b)] < min_util_grid:
             stats.pruned_s2 += 1
             if config.record_prune_events:
                 stats.prune_events.append(PruneEvent("s2", (a,), (b,)))

@@ -4,8 +4,9 @@ Every candidate rule over the occurring items is measured straight from the
 definitions by per-sequence scans: occurrence is checked by trying every
 split point of a sequence (antecedent inside the prefix union of itemsets,
 consequent inside the suffix union), supports by set containment, utilities
-by summing quantity times unit price. No bit vectors, no utility-lists, no
-pruning; only the data model, the measured-rule record
+by summing quantity times unit price, all read from each sequence's
+itemsets. No bit vectors, no flat columns, no utility-lists or row tables,
+no pruning; only the data model, the measured-rule record
 (:class:`cousr.measures.MinedRule`) and the threshold coercion
 (:func:`cousr.miner.as_fraction`) are shared with the fast miner, so
 agreement between the two is meaningful evidence of correctness.
@@ -41,11 +42,11 @@ class _SequenceView(NamedTuple):
     items: frozenset[int]
     prefix_unions: tuple[frozenset[int], ...]  # prefix_unions[p] = items of itemsets 1..p
     suffix_unions: tuple[frozenset[int], ...]  # suffix_unions[p] = items of itemsets p+1..l
-    item_utilities: dict[int, Fraction]
+    item_utilities: dict[int, int]  # in grid units
 
 
 def _views(db: SequenceDatabase) -> list[_SequenceView]:
-    table = db.require_utilities()
+    units = db.require_utilities().grid_units
     views = []
     for seq in db.sequences:
         sets = [frozenset(item for item, _ in itemset) for itemset in seq.itemsets]
@@ -60,10 +61,10 @@ def _views(db: SequenceDatabase) -> list[_SequenceView]:
             suffixes[index] = tail
             tail |= sets[index]
         utilities = {
-            item: qty * table.entries[item] for item, qty in seq.quantities.items()
+            item: qty * units[item] for itemset in seq.itemsets for item, qty in itemset
         }
         views.append(
-            _SequenceView(seq.sid, seq.items, tuple(prefixes), tuple(suffixes), utilities)
+            _SequenceView(seq.sid, acc, tuple(prefixes), tuple(suffixes), utilities)
         )
     return views
 
@@ -102,6 +103,7 @@ def enumerate_all_rules(
     occurring = _check_limits(db, limits)
     views = _views(db)
     n = db.sequence_count
+    scale = db.utilities.scale
 
     containing: dict[frozenset[int], list[_SequenceView]] = {}
     support: dict[frozenset[int], int] = {}
@@ -146,9 +148,7 @@ def enumerate_all_rules(
                 y_set = frozenset(consequent)
                 supporters = [v for v in candidates if _occurs(x_set, y_set, v)]
                 rule_support = len(supporters)
-                utility = sum(
-                    (union_utility[v.sid] for v in supporters), Fraction(0)
-                )
+                utility = Fraction(sum(union_utility[v.sid] for v in supporters), scale)
                 sup_x = sup(x_set)
                 sup_y = sup(y_set)
                 conf = Fraction(rule_support, sup_x) if sup_x else Fraction(0)

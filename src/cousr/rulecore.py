@@ -88,7 +88,7 @@ from itertools import chain, combinations
 from typing import Literal, NamedTuple
 
 from .measures import Rule
-from .seqdb import Sequence, SequenceDatabase
+from .seqdb import SequenceDatabase
 
 Direction = Literal["left", "right"]
 
@@ -97,16 +97,6 @@ _new_tuple = tuple.__new__
 
 # (exclusive upper bound, typecode) of the unsigned arrays a table's sums may use
 _SUM_TYPECODES = tuple((1 << 8 * array(code).itemsize, code) for code in "BHIQ")
-
-
-class RuleAbsentError(ValueError):
-    """The rule does not occur in the given sequence."""
-
-
-class ExpansionClasses(NamedTuple):
-    only_left: frozenset[int]
-    only_right: frozenset[int]
-    left_right: frozenset[int]
 
 
 class UtilityListRow(NamedTuple):
@@ -141,45 +131,6 @@ class UtilityList:
     @cached_property
     def left_total(self) -> int:
         return sum(row.iutil + row.lutil + row.lrutil for row in self.rows)
-
-    @cached_property
-    def sids_mask(self) -> int:
-        mask = 0
-        for row in self.rows:
-            mask |= 1 << (row.sid - 1)
-        return mask
-
-
-def classify_expansion_items(rule: Rule, seq: Sequence) -> ExpansionClasses:
-    """Partition the items that can extend the rule in this sequence.
-
-    Item by item from the definitions above; the row tables must agree with
-    it (the tests use it as their reference).
-    """
-    positions = seq.positions
-    try:
-        max_pos_x = max(positions[i] for i in rule.antecedent)
-        min_pos_y = min(positions[i] for i in rule.consequent)
-    except KeyError:
-        raise RuleAbsentError(f"rule {rule} does not occur in sequence {seq.sid}") from None
-    if max_pos_x >= min_pos_y:
-        raise RuleAbsentError(f"rule {rule} does not occur in sequence {seq.sid}")
-    last_x = rule.antecedent[-1]
-    last_y = rule.consequent[-1]
-    members = set(rule.items)
-    only_left, only_right, left_right = set(), set(), set()
-    for item, pos in positions.items():
-        if item in members:
-            continue
-        left_ok = item > last_x and pos < min_pos_y
-        right_ok = item > last_y and pos > max_pos_x
-        if left_ok and right_ok:
-            left_right.add(item)
-        elif left_ok:
-            only_left.add(item)
-        elif right_ok:
-            only_right.add(item)
-    return ExpansionClasses(frozenset(only_left), frozenset(only_right), frozenset(left_right))
 
 
 class SequenceTable:
@@ -419,19 +370,6 @@ class Expansion:
                             base_x, base_y, pos if pos > max_pos_x else max_pos_x, min_pos_y,
                         ))
         return rows
-
-
-def expand_utility_list(
-    parent: UtilityList, item: int, direction: Direction, tables: SequenceTables
-) -> UtilityList:
-    """Incrementally derive the expanded rule's utility-list from the parent.
-
-    Rows survive only where the new item is feasible for the chosen
-    direction; each is derived in constant time from its parent row.
-    """
-    new_rule = expanded_rule(parent.rule, item, direction)
-    expansion = Expansion(parent, direction, tables)
-    return UtilityList(rule=new_rule, rows=tuple(expansion.rows(item)))
 
 
 def build_bond_matrix(db: SequenceDatabase) -> dict[tuple[int, int], int]:

@@ -10,8 +10,9 @@ in sequence ``S`` is ``quantity(i, S) * unit_utility(i)``.
 In memory a database is one flat encoding (:class:`SequenceDatabase`): five
 ``array('i')`` columns in compressed-sparse-row form, so item ids,
 quantities and sids lie in ``1..2**31 - 1`` (the Java ``int`` range of
-SPMF's format). :class:`Sequence` objects are the reference view of the
-same data, built only when :attr:`SequenceDatabase.sequences` is read.
+SPMF's format). :class:`Sequence` records (a sid plus its itemsets, with no
+cached views) are the reference view of the same data, built only when
+:attr:`SequenceDatabase.sequences` is read.
 
 On-disk formats (UTF-8; lines whose first non-blank character is ``#`` are
 comments; blank lines are skipped):
@@ -68,22 +69,18 @@ class ParseError(ValueError):
         self.column = column
 
 
-class AbsentItemError(KeyError):
-    """An item was looked up in a sequence that does not contain it."""
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequence:
-    """One sequence: ordered itemsets of (item, quantity) pairs.
+    """One sequence: a sid and its ordered itemsets of (item, quantity) pairs.
 
     Itemsets are stored canonically, items ascending within each itemset.
     Because items occur at most once per sequence, every item has a unique
     1-based itemset position.
 
     Sequences are the reference view of a :class:`SequenceDatabase`: the
-    miner reads the database's flat columns and never builds them. The
-    cached ``items``, ``positions`` and ``quantities`` views serve the same
-    reference paths (:mod:`cousr.measures`, the oracle, the tests).
+    miner reads the database's flat columns and never builds them. A
+    sequence holds nothing but its ``sid`` and ``itemsets``; the reference
+    paths (:mod:`cousr.measures`, the oracle, the tests) read the itemsets.
     """
 
     sid: int
@@ -115,23 +112,6 @@ class Sequence:
         object.__setattr__(seq, "sid", sid)
         object.__setattr__(seq, "itemsets", itemsets)
         return seq
-
-    @cached_property
-    def items(self) -> frozenset[int]:
-        return frozenset(item for itemset in self.itemsets for item, _ in itemset)
-
-    @cached_property
-    def positions(self) -> dict[int, int]:
-        """Map item -> 1-based index of its (unique) containing itemset."""
-        return {
-            item: index
-            for index, itemset in enumerate(self.itemsets, start=1)
-            for item, _ in itemset
-        }
-
-    @cached_property
-    def quantities(self) -> dict[int, int]:
-        return {item: qty for itemset in self.itemsets for item, qty in itemset}
 
 
 @dataclass(frozen=True)
@@ -246,19 +226,6 @@ class SequenceDatabase:
         if self.utilities is None:
             raise ValueError("database has no utility table attached")
         return self.utilities
-
-    @cached_property
-    def grid_item_utilities(self) -> tuple[dict[int, int], ...]:
-        """Per sequence: item -> utility in grid units (quantity * unit).
-
-        For the reference paths only; the miner reads the columns and
-        :attr:`UtilityTable.grid_units` directly.
-        """
-        units = self.require_utilities().grid_units
-        return tuple(
-            {item: qty * units[item] for item, qty in seq.quantities.items()}
-            for seq in self.sequences
-        )
 
     @cached_property
     def grid_sequence_utilities(self) -> tuple[int, ...]:
@@ -391,12 +358,15 @@ def parse_utility_table(text: str) -> UtilityTable:
                 f"expected 'item utility', got {line.strip()!r}", lineno, _column(line, 0),
             )
         item_tok, value_tok = tokens
-        if not item_tok.isdecimal() or int(item_tok) < 1:
+        try:
+            item = int(item_tok) if item_tok.isdecimal() else 0
+        except ValueError:  # more digits than int() converts from text
+            item = 0
+        if item < 1:
             raise ParseError(
                 ParseError.NON_NUMERIC, f"item id must be a positive integer, got {item_tok!r}",
                 lineno, _column(line, 0),
             )
-        item = int(item_tok)
         try:
             value = Fraction(Decimal(value_tok))
         except (InvalidOperation, ValueError):
@@ -455,19 +425,6 @@ def load_database(db_path: str | Path, utils_path: str | Path) -> SequenceDataba
         db = parse_database(Path(db_path).read_text(encoding="utf-8"))
         table = parse_utility_table(Path(utils_path).read_text(encoding="utf-8"))
         return with_utilities(db, table)
-
-
-def item_utility(item: int, seq: Sequence, table: UtilityTable) -> Fraction:
-    """Utility of one item in one sequence: quantity times unit utility."""
-    qty = seq.quantities.get(item)
-    if qty is None:
-        raise AbsentItemError(f"item {item} does not occur in sequence {seq.sid}")
-    return qty * table.entries[item]
-
-
-def sequence_utility(seq: Sequence, table: UtilityTable) -> Fraction:
-    """Whole-sequence utility: sum of item utilities over all its items."""
-    return sum((qty * table.entries[item] for item, qty in seq.quantities.items()), Fraction(0))
 
 
 def serialize_database(db: SequenceDatabase) -> str:

@@ -1,0 +1,132 @@
+"""Reference derivations that only the tests call.
+
+Each works item by item from the definitions in :mod:`cousr.rulecore` and
+:mod:`cousr.measures`, reading a sequence's itemsets or a utility-list's
+rows, so the tests can hold the package's fast paths against them.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import chain, combinations
+from typing import NamedTuple
+
+from cousr.measures import Rule
+from cousr.rulecore import Direction, Expansion, SequenceTables, UtilityList, expanded_rule
+from cousr.seqdb import Sequence, SequenceDatabase
+
+
+class RuleAbsentError(ValueError):
+    """The rule does not occur in the given sequence."""
+
+
+class ExpansionClasses(NamedTuple):
+    only_left: frozenset[int]
+    only_right: frozenset[int]
+    left_right: frozenset[int]
+
+
+def positions(seq: Sequence) -> dict[int, int]:
+    """Item -> 1-based index of its (unique) containing itemset."""
+    return {item: pos for pos, itemset in enumerate(seq.itemsets, start=1) for item, _ in itemset}
+
+
+def grid_utilities(seq: Sequence, db: SequenceDatabase) -> dict[int, int]:
+    """Item -> its utility in ``seq``, in grid units (quantity * unit)."""
+    units = db.require_utilities().grid_units
+    return {item: qty * units[item] for itemset in seq.itemsets for item, qty in itemset}
+
+
+def classify_expansion_items(rule: Rule, seq: Sequence) -> ExpansionClasses:
+    """Partition the items that can extend the rule in this sequence.
+
+    Item by item from the feasibility definitions of :mod:`cousr.rulecore`;
+    the row tables must agree with it.
+    """
+    position = positions(seq)
+    try:
+        max_pos_x = max(position[i] for i in rule.antecedent)
+        min_pos_y = min(position[i] for i in rule.consequent)
+    except KeyError:
+        raise RuleAbsentError(f"rule {rule} does not occur in sequence {seq.sid}") from None
+    if max_pos_x >= min_pos_y:
+        raise RuleAbsentError(f"rule {rule} does not occur in sequence {seq.sid}")
+    last_x = rule.antecedent[-1]
+    last_y = rule.consequent[-1]
+    members = set(rule.items)
+    only_left, only_right, left_right = set(), set(), set()
+    for item, pos in position.items():
+        if item in members:
+            continue
+        left_ok = item > last_x and pos < min_pos_y
+        right_ok = item > last_y and pos > max_pos_x
+        if left_ok and right_ok:
+            left_right.add(item)
+        elif left_ok:
+            only_left.add(item)
+        elif right_ok:
+            only_right.add(item)
+    return ExpansionClasses(frozenset(only_left), frozenset(only_right), frozenset(left_right))
+
+
+def expand_utility_list(
+    parent: UtilityList, item: int, direction: Direction, tables: SequenceTables
+) -> UtilityList:
+    """The expanded rule's utility-list, derived row by row from the parent's
+    as the search derives it."""
+    new_rule = expanded_rule(parent.rule, item, direction)
+    expansion = Expansion(parent, direction, tables)
+    return UtilityList(rule=new_rule, rows=tuple(expansion.rows(item)))
+
+
+def random_expansions(ul: UtilityList, tables: SequenceTables, rng, steps: int):
+    """Up to ``steps`` utility-lists, each a random feasible expansion of the
+    one before, starting from ``ul``; ends early when the drawn direction has
+    no candidate item."""
+    for _ in range(steps):
+        direction = rng.choice(("left", "right"))
+        feasible = tables.items_of(Expansion(ul, direction, tables).candidates)
+        if not feasible:
+            return
+        ul = expand_utility_list(ul, rng.choice(feasible), direction, tables)
+        yield ul
+
+
+def sids_mask(ul: UtilityList) -> int:
+    """Bit vector of the sequences the utility-list has a row for."""
+    return sum(1 << (row.sid - 1) for row in ul.rows)
+
+
+def sids_of(mask: int) -> set[int]:
+    """Decode a bit vector back into a set of sids."""
+    return {bit + 1 for bit in range(mask.bit_length()) if mask >> bit & 1}
+
+
+def seu_of_item(item: int, db: SequenceDatabase) -> Fraction:
+    """Sum of whole-sequence utilities over the sequences containing the item."""
+    sus = zip(db.sequences, db.grid_sequence_utilities)
+    return Fraction(sum(su for seq, su in sus if item in positions(seq)), db.utilities.scale)
+
+
+def seu_of_rule(rule_mask: int, db: SequenceDatabase) -> Fraction:
+    """Sum of whole-sequence utilities over the rule's supporting sequences."""
+    sus = zip(db.sequences, db.grid_sequence_utilities)
+    return Fraction(sum(su for seq, su in sus if rule_mask >> seq.sid - 1 & 1), db.utilities.scale)
+
+
+def descendant_keys(antecedent, consequent, items, right=True) -> set:
+    """The ``(antecedent, consequent)`` keys that canonical expansions reach
+    from the rule, its own included; left expansions only unless ``right``."""
+    used = set(antecedent) | set(consequent)
+    left_pool = [i for i in items if i > antecedent[-1] and i not in used]
+    right_pool = [i for i in items if i > consequent[-1] and i not in used] if right else []
+
+    def subsets(pool):
+        return chain.from_iterable(combinations(pool, size) for size in range(len(pool) + 1))
+
+    return {
+        (tuple(sorted(antecedent + ladd)), tuple(sorted(consequent + radd)))
+        for radd in subsets(right_pool)
+        for ladd in subsets(left_pool)
+        if not set(ladd) & set(radd)
+    }

@@ -9,7 +9,10 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 from cousr import MinerConfig, Rule, mine
 from cousr.cli import _verify_random_seed
@@ -22,23 +25,18 @@ from cousr.measures import (
     lift,
     rule_sids,
     rule_utility,
-    seu_of_rule,
-    sids_of,
 )
 from cousr.miner import VARIANTS
 from cousr.oracle import oracle_chusrs
-from cousr.rulecore import (
-    Expansion,
-    SequenceTables,
-    build_utility_list,
-    expand_utility_list,
-    scan_rule_pairs,
-)
+from cousr.rulecore import SequenceTables, build_utility_list, scan_rule_pairs
+from cousr.seqdb import Sequence, SequenceDatabase, UtilityTable
 from cousr.synth import random_small_database, random_thresholds, synthesize_database
 
 from conftest import A, B, C, D, E, G
+from reference import descendant_keys, expand_utility_list, random_expansions, seu_of_rule, sids_of
 
 GOLDEN = dict(min_util=50, min_conf="0.7", min_bond="0.3", min_lift="1.1")
+DESK = dict(min_util=2000, min_conf="0.3", min_bond="0.1", min_lift="0")
 
 
 @contextmanager
@@ -85,10 +83,8 @@ def test_intermediate_example_values(example_db):
         assert bond([A, B], bvs).value == 1
         ab_g = rule_sids(Rule.of([A, B], [G]), example_db)
         assert lift(ab_g, bvs[A] & bvs[B], bvs[G], example_db.sequence_count) == 1
-        scale = example_db.utilities.scale
-        assert tuple(
-            Fraction(v, scale) for v in example_db.grid_sequence_utilities
-        ) == (21, 34, 28, 22, 42)
+        assert example_db.utilities.scale == 1
+        assert example_db.grid_sequence_utilities == (21, 34, 28, 22, 42)
         assert sids_of(bvs[A]) == {1, 2, 3, 4, 5}
         assert sids_of(bvs[C]) == {2, 5}
         assert itemset_support([A, C], bvs) == 2
@@ -119,22 +115,14 @@ def test_oracle_equivalence_on_1000_random_databases():
 
 def test_strategy_output_invariance(example_db):
     with criterion("strategy-output invariance: base == s6 == s7 == s6s7"):
-        reference = mine(example_db, MinerConfig.for_variant("base", **GOLDEN)).rules
-        for variant in ("s6", "s7", "s6s7"):
-            assert mine(example_db, MinerConfig.for_variant(variant, **GOLDEN)).rules == reference
+        draws = [(example_db, GOLDEN)]
         for seed in range(80):
             rng = random.Random(10_000 + seed)
             db = random_small_database(rng)
-            mu, mc, mb, ml = random_thresholds(rng, db)
-            rows = None
-            for variant in VARIANTS:
-                config = MinerConfig.for_variant(
-                    variant, min_util=mu, min_conf=mc, min_bond=mb, min_lift=ml
-                )
-                got = mine(db, config).rules
-                if rows is None:
-                    rows = got
-                assert got == rows, f"seed {seed}, variant {variant}"
+            draws.append((db, dict(zip(GOLDEN, random_thresholds(rng, db)))))
+        for index, (db, thresholds) in enumerate(draws):
+            outputs = {mine(db, MinerConfig.for_variant(v, **thresholds)).rules for v in VARIANTS}
+            assert len(outputs) == 1, f"draw {index}"
 
 
 # 5 ------------------------------------------------------------------------------
@@ -186,38 +174,18 @@ def test_threshold_monotonicity(example_db):
 
 def _lost_rule_keys(event, items):
     """Rule keys the search can no longer reach after the prune event."""
-    ant, cons = event.antecedent, event.consequent
-    max_x, max_y = ant[-1], cons[-1]
-    used = set(ant) | set(cons)
-    left_pool = [i for i in items if i > max_x and i not in used]
-    right_pool = [i for i in items if i > max_y and i not in used]
-    kind = event.kind
+    ant, cons, kind = event.antecedent, event.consequent, event.kind
+    everything = descendant_keys(ant, cons, items)
+    left_only = descendant_keys(ant, cons, items, right=False)
     if kind == "s2" or kind.endswith("-right"):
-        include_self, allow_right, required = True, True, None
-    elif kind.endswith("-left"):
-        include_self, allow_right, required = True, False, None
-    elif kind == "s4":
-        include_self, allow_right, required = False, True, "right"
-    elif kind == "s5":
-        include_self, allow_right, required = False, False, "left"
-    else:
-        raise AssertionError(f"unexpected prune kind {kind}")
-    keys = set()
-    right_range = 2 ** len(right_pool) if allow_right else 1
-    for r_bits in range(right_range):
-        radd = tuple(right_pool[k] for k in range(len(right_pool)) if r_bits >> k & 1)
-        if required == "right" and not radd:
-            continue
-        for l_bits in range(2 ** len(left_pool)):
-            ladd = tuple(left_pool[k] for k in range(len(left_pool)) if l_bits >> k & 1)
-            if set(ladd) & set(radd):
-                continue
-            if required == "left" and not ladd:
-                continue
-            if not include_self and not radd and not ladd:
-                continue
-            keys.add((tuple(sorted(ant + ladd)), tuple(sorted(cons + radd))))
-    return keys
+        return everything
+    if kind.endswith("-left"):
+        return left_only
+    if kind == "s4":  # the right subtree: a consequent item added
+        return everything - left_only
+    if kind == "s5":  # the left subtree: antecedent items only
+        return left_only - {(ant, cons)}
+    raise AssertionError(f"unexpected prune kind {kind}")
 
 
 def _audit_prunes(db, thresholds):
@@ -271,34 +239,61 @@ def test_incremental_expansion_equivalence_at_scale():
             for _ in range(4):
                 a, b = pairs[rng.randrange(len(pairs))]
                 ul = build_utility_list(Rule.of([a], [b]), tables)
-                for _ in range(3):
-                    direction = rng.choice(("left", "right"))
-                    feasible = tables.items_of(Expansion(ul, direction, tables).candidates)
-                    if not feasible:
-                        break
-                    item = rng.choice(feasible)
-                    expanded = expand_utility_list(ul, item, direction, tables)
+                for expanded in random_expansions(ul, tables, rng, 3):
                     rebuilt = build_utility_list(expanded.rule, tables)
                     assert expanded.rule == rebuilt.rule
                     assert expanded.rows == rebuilt.rows
                     cases += 1
-                    if not expanded.rows:
-                        break
-                    ul = expanded
         assert cases >= 10_000
 
 
 # 9 ------------------------------------------------------------------------------
 
-def test_desk_scale_performance_smoke():
+@pytest.fixture(scope="module")
+def desk():
+    """The desk database, its rules at the desk thresholds and the mining time."""
+    db = synthesize_database(10_000, 500, 8, seed=3)
+    started = time.perf_counter()
+    result = mine(db, MinerConfig.for_variant("s6s7", **DESK))
+    return db, result, time.perf_counter() - started
+
+
+def test_desk_scale_performance_smoke(desk):
     with criterion("performance smoke: 10k sequences x 500 items < 30 s"):
-        db = synthesize_database(10_000, 500, 8, seed=3)
-        config = MinerConfig.for_variant(
-            "s6s7", min_util=2000, min_conf="0.3", min_bond="0.1", min_lift="0"
-        )
-        started = time.perf_counter()
-        result = mine(db, config)
-        elapsed = time.perf_counter() - started
+        _, result, elapsed = desk
         assert elapsed < 30.0
         assert len(result.rules) > 0
         assert result.stats.utility_lists_built > 0
+
+
+# 10 -----------------------------------------------------------------------------
+
+def test_desk_unit_utilities_scaled(desk):
+    with criterion("metamorphic: unit utilities and min_util x3 triple only the utility"):
+        db, result, _ = desk
+        entries = {item: 3 * unit for item, unit in db.utilities.entries.items()}
+        tripled = replace(db, utilities=UtilityTable(entries=entries))
+        got = mine(tripled, MinerConfig(**{**DESK, "min_util": 3 * DESK["min_util"]}))
+        assert got.rules == tuple(m._replace(utility=3 * m.utility) for m in result.rules)
+
+
+def test_desk_item_ids_reversed(desk):
+    with criterion("metamorphic: item ids i -> 501 - i give the mapped rule set"):
+        db, result, _ = desk
+
+        def flip(items):
+            return tuple(sorted(501 - item for item in items))
+
+        sequences = (
+            Sequence(seq.sid, tuple(
+                tuple(sorted((501 - item, qty) for item, qty in itemset))
+                for itemset in seq.itemsets
+            ))
+            for seq in db.sequences
+        )
+        entries = {501 - item: unit for item, unit in db.utilities.entries.items()}
+        flipped = SequenceDatabase.from_sequences(sequences, UtilityTable(entries=entries))
+        assert set(mine(flipped, MinerConfig(**DESK)).rules) == {
+            m._replace(antecedent=flip(m.antecedent), consequent=flip(m.consequent))
+            for m in result.rules
+        }

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 from pathlib import Path
 
 import pytest
@@ -133,12 +135,8 @@ def test_rule_csv_rows_reverify_against_measures(tmp_path):
         ant, cons, utility, support, conf, lift_text, bond_x, bond_y = line.split(";")
         rule = Rule.of(map(int, ant.split(",")), map(int, cons.split(",")))
         mask = rule_sids(rule, db)
-        mask_x = bvs[rule.antecedent[0]]
-        for item in rule.antecedent[1:]:
-            mask_x &= bvs[item]
-        mask_y = bvs[rule.consequent[0]]
-        for item in rule.consequent[1:]:
-            mask_y &= bvs[item]
+        mask_x = reduce(and_, (bvs[item] for item in rule.antecedent))
+        mask_y = reduce(and_, (bvs[item] for item in rule.consequent))
         assert format_fraction(rule_utility(rule, db)) == utility
         assert mask.bit_count() == int(support)
         assert format_fraction(confidence(mask, mask_x)) == conf
@@ -152,6 +150,14 @@ def test_parse_error_exit_code(tmp_path):
     bad.write_text("1:1 1:2 -1 -2\n")
     code = main(["mine", "--db", str(bad), "--utils", str(EXAMPLE_UT)])
     assert code == EXIT_PARSE
+
+
+def test_utility_item_id_beyond_int_conversion_exit_code(tmp_path, capsys):
+    big = tmp_path / "big.ut"
+    big.write_text(EXAMPLE_UT.read_text() + "9" * 5000 + " 1\n")
+    code = main(["mine", "--db", str(EXAMPLE_DB), "--utils", str(big)])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("cousr: parse error: line 8, column 1:")
 
 
 def test_missing_file_exit_code(tmp_path):

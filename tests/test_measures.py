@@ -20,25 +20,23 @@ from cousr.measures import (
     rule_occurs,
     rule_sids,
     rule_utility,
-    seu_of_item,
-    seu_of_rule,
-    sids_of,
 )
 from cousr.miner import filter_unpromising_items
 from cousr.seqdb import Sequence, SequenceDatabase
 from cousr.synth import random_small_database
 
 from conftest import A, B, C, D, E, F, G
+from reference import positions, seu_of_item, seu_of_rule, sids_of
 
 
 # -- naive re-implementations used as local cross-checks ----------------------
 
 def naive_support(items, db):
-    return sum(1 for seq in db.sequences if set(items) <= seq.items)
+    return sum(1 for seq in db.sequences if set(items) <= positions(seq).keys())
 
 
 def naive_dissup(items, db):
-    return sum(1 for seq in db.sequences if set(items) & seq.items)
+    return sum(1 for seq in db.sequences if set(items) & positions(seq).keys())
 
 
 # -- bit vectors ---------------------------------------------------------------
@@ -195,8 +193,10 @@ def test_bitset_matches_naive_scan_randomized(seed):
     for itemset in all_itemsets(db, 3):
         assert itemset_support(itemset, bvs) == naive_support(itemset, db)
         assert itemset_dissup(itemset, bvs) == naive_dissup(itemset, db)
-    # filtered databases keep their sids: bit sid-1 holds across the gaps
-    levels = sorted({seu_of_item(item, db) for item in db.item_universe})
+    # filtered databases keep their sids: bit sid-1 holds across the gaps;
+    # the filter's threshold is on the utility grid
+    scale = db.utilities.scale
+    levels = sorted({int(seu_of_item(item, db) * scale) for item in db.item_universe})
     _, filtered = filter_unpromising_items(db, rng.choice(levels))
     sparse, sid = [], 0
     for seq in db.sequences:
@@ -205,7 +205,7 @@ def test_bitset_matches_naive_scan_randomized(seed):
             sparse.append(Sequence(sid=sid, itemsets=seq.itemsets))
     for view in (filtered, *map(SequenceDatabase.from_sequences, (sparse, ()))):
         assert build_item_bitvectors(view) == {
-            item: sum(1 << (seq.sid - 1) for seq in view.sequences if item in seq.items)
+            item: sum(1 << (seq.sid - 1) for seq in view.sequences if item in positions(seq))
             for item in view.item_universe
         }
 

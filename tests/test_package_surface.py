@@ -1,0 +1,56 @@
+"""The package holds only what its own modules, the benchmark or its users call.
+
+Every public top-level name of ``src/cousr/*.py`` must be used beyond its own
+definition somewhere in ``src/cousr/`` or ``perfbench/`` (the benchmark wraps
+some layers by name, as strings), or be exported in ``cousr.__all__``.
+References that only the tests need live in ``tests/reference.py``.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import cousr
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "cousr").glob("*.py"))
+USERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _uses(node: ast.AST) -> Counter:
+    """Names the node uses: loaded names, attributes, imported names, strings."""
+    found: Counter = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            found[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            found[child.attr] += 1
+        elif isinstance(child, ast.alias):
+            found[child.name] += 1
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            found[child.value] += 1
+    return found
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def test_every_public_name_is_used_or_exported():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in USERS}
+    uses = sum((_uses(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{path.name}: {name}"
+        for path in PACKAGE
+        for node in trees[path].body
+        for name in _defined(node)
+        if not name.startswith("_")
+        and name not in cousr.__all__
+        and uses[name] <= _uses(node)[name]
+    ]
+    assert unused == []

@@ -8,22 +8,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cousr import Rule, parse_database, parse_utility_table, with_utilities
-from cousr.measures import build_item_bitvectors, rule_sids, rule_utility, seu_of_rule, sids_of
+from cousr.measures import build_item_bitvectors, rule_sids, rule_utility
 from cousr.miner import filter_unpromising_items
 from cousr.rulecore import (
     Expansion,
-    RuleAbsentError,
     SequenceTables,
     build_bond_matrix,
     build_utility_list,
-    classify_expansion_items,
-    expand_utility_list,
     scan_rule_pairs,
 )
 from cousr.seqdb import Sequence, SequenceDatabase, UtilityTable
 from cousr.synth import random_small_database
 
 from conftest import A, B, C, D, E, F, G
+from reference import (
+    RuleAbsentError,
+    classify_expansion_items,
+    descendant_keys,
+    expand_utility_list,
+    grid_utilities,
+    positions,
+    random_expansions,
+    seu_of_rule,
+    sids_mask,
+    sids_of,
+)
 
 AE = Rule.of([A], [E])
 
@@ -75,7 +84,7 @@ def test_initial_utility_list_rows(example_db, tables):
     ]
     assert ul.utility == rule_utility(AE, example_db) == 60
     assert ul.support == 5
-    assert sids_of(ul.sids_mask) == {1, 2, 3, 4, 5}
+    assert sids_of(sids_mask(ul)) == {1, 2, 3, 4, 5}
 
 
 def test_utility_list_of_larger_rule_from_scratch(example_db, tables):
@@ -85,7 +94,7 @@ def test_utility_list_of_larger_rule_from_scratch(example_db, tables):
     assert ul.rows == expand_utility_list(build_utility_list(AE, tables), B, "left",
                                           tables).rows
     assert ul.utility == rule_utility(rule, example_db)
-    assert ul.sids_mask == rule_sids(rule, example_db)
+    assert sids_mask(ul) == rule_sids(rule, example_db)
 
 
 def test_utility_list_of_absent_rule_is_empty(example_db, tables):
@@ -113,7 +122,7 @@ def test_left_expansion_with_c_matches_worked_values(example_db, tables):
 def test_right_expansion_with_g(example_db, tables):
     parent = build_utility_list(AE, tables)
     expanded = expand_utility_list(parent, G, "right", tables)
-    assert sids_of(expanded.sids_mask) == {1, 2, 4, 5}
+    assert sids_of(sids_mask(expanded)) == {1, 2, 4, 5}
     assert expanded.utility == rule_utility(Rule.of([A], [E, G]), example_db) == 59
     assert expanded.rows == build_utility_list(expanded.rule, tables).rows
 
@@ -145,33 +154,15 @@ def test_expansion_rejects_bad_direction(example_db, tables):
 
 # -- upper bounds --------------------------------------------------------------------
 
-def _descendant_rules(rule, items, left_only=False):
-    """Every rule reachable from ``rule`` by canonical expansions."""
-    max_x, max_y = rule.antecedent[-1], rule.consequent[-1]
-    used = set(rule.items)
-    left_pool = [i for i in items if i > max_x and i not in used]
-    right_pool = [i for i in items if i > max_y and i not in used]
-    out = []
-    r_count = 1 if left_only else 2 ** len(right_pool)
-    for r_bits in range(r_count):
-        radd = [right_pool[k] for k in range(len(right_pool)) if r_bits >> k & 1]
-        for l_bits in range(2 ** len(left_pool)):
-            ladd = [left_pool[k] for k in range(len(left_pool)) if l_bits >> k & 1]
-            if set(ladd) & set(radd):
-                continue
-            out.append(Rule.of(rule.antecedent + tuple(ladd), rule.consequent + tuple(radd)))
-    return out
-
-
 def test_totals_bound_every_descendant_utility(example_db, tables):
     items = sorted(example_db.item_universe)
     ul = build_utility_list(AE, tables)
     assert ul.total == 131
     assert ul.left_total == 108
-    for descendant in _descendant_rules(AE, items):
-        assert rule_utility(descendant, example_db) <= ul.total
-    for descendant in _descendant_rules(AE, items, left_only=True):
-        assert rule_utility(descendant, example_db) <= ul.left_total
+    for key in descendant_keys(AE.antecedent, AE.consequent, items):
+        assert rule_utility(Rule(*key), example_db) <= ul.total
+    for key in descendant_keys(AE.antecedent, AE.consequent, items, right=False):
+        assert rule_utility(Rule(*key), example_db) <= ul.left_total
 
 
 def test_total_bounded_by_rule_seu(example_db, tables):
@@ -181,7 +172,7 @@ def test_total_bounded_by_rule_seu(example_db, tables):
                 continue
             rule = Rule.of([x], [y])
             ul = build_utility_list(rule, tables)
-            seu = seu_of_rule(ul.sids_mask, example_db)
+            seu = seu_of_rule(sids_mask(ul), example_db)
             assert ul.total <= seu
             assert ul.left_total <= ul.total
 
@@ -224,7 +215,7 @@ def test_scan_rule_pairs_agrees_with_direct_measures(example_db, tables):
         sids = rule_sids(rule, example_db)
         assert seu == seu_of_rule(sids, example_db)
         root = build_utility_list(rule, tables, sids=bitvectors[a] & bitvectors[b])
-        assert root.sids_mask == sids
+        assert sids_mask(root) == sids
     assert (B, A) not in pairs
 
 
@@ -241,18 +232,8 @@ def test_incremental_expansion_equals_rebuild(seed):
     a, b = sorted(pairs)[rng.randrange(len(pairs))]
     tables = SequenceTables(db)
     ul = build_utility_list(Rule.of([a], [b]), tables)
-    for _ in range(4):
-        direction = rng.choice(("left", "right"))
-        feasible = tables.items_of(Expansion(ul, direction, tables).candidates)
-        if not feasible:
-            break
-        item = rng.choice(feasible)
-        expanded = expand_utility_list(ul, item, direction, tables)
-        rebuilt = build_utility_list(expanded.rule, tables)
-        assert expanded.rows == rebuilt.rows
-        if not expanded.rows:
-            break
-        ul = expanded
+    for expanded in random_expansions(ul, tables, rng, 4):
+        assert expanded.rows == build_utility_list(expanded.rule, tables).rows
 
 
 def _long_database():
@@ -274,19 +255,20 @@ def _assert_table_layout(db):
     """Every table reads back each item's position and grid utility, and its
     cumulative masks give the items after / before every position."""
     tables = SequenceTables(db)
-    for seq, grid in zip(db.sequences, db.grid_item_utilities):
+    for seq in db.sequences:
         table = tables.table(seq.sid)
         sums, last, upto = table.sums, table.last, table.upto
         width = last + 2
+        position, grid = positions(seq), grid_utilities(seq, db)
         assert last == len(seq.itemsets)
-        assert table.where.keys() == seq.positions.keys()
+        assert table.where.keys() == position.keys()
         for item, base in table.where.items():
-            assert sums[base + last + 1] == seq.positions[item]
+            assert sums[base + last + 1] == position[item]
             # T[rank][last] - T[rank + 1][last]
             assert sums[base - width + last] - sums[base + last] == grid[item]
         for q in range(1, last + 1):
             after = before = 0
-            for item, pos in seq.positions.items():
+            for item, pos in position.items():
                 if pos > q:
                     after |= 1 << tables.rank[item]
                 elif pos < q:
@@ -338,17 +320,17 @@ def test_table_sums_hold_positions_beyond_the_utility():
 def _assert_rows_match_classification(ul, db, tables):
     """Rows and candidates agree with the item-by-item reference classification."""
     sequences = {seq.sid: seq for seq in db.sequences}
-    grids = {seq.sid: grid for seq, grid in zip(db.sequences, db.grid_item_utilities)}
     left, right = set(), set()
     for row in ul.rows:
-        seq, grid = sequences[row.sid], grids[row.sid]
+        seq = sequences[row.sid]
+        position, grid = positions(seq), grid_utilities(seq, db)
         classes = classify_expansion_items(ul.rule, seq)
         assert (row.lutil, row.rutil, row.lrutil) == tuple(
             sum(grid[item] for item in part) for part in classes
         )
         assert row.iutil == sum(grid[item] for item in ul.rule.items)
-        assert row.max_pos_x == max(seq.positions[item] for item in ul.rule.antecedent)
-        assert row.min_pos_y == min(seq.positions[item] for item in ul.rule.consequent)
+        assert row.max_pos_x == max(position[item] for item in ul.rule.antecedent)
+        assert row.min_pos_y == min(position[item] for item in ul.rule.consequent)
         left |= classes.only_left | classes.left_right
         right |= classes.only_right | classes.left_right
     assert tables.items_of(Expansion(ul, "left", tables).candidates) == sorted(left)
@@ -366,14 +348,9 @@ def test_rows_equal_class_sums_of_reference_classification(seed, long):
     tables = SequenceTables(db)
     for _ in range(3):
         a, b = pairs[rng.randrange(len(pairs))]
-        ul = build_utility_list(Rule.of([a], [b]), tables)
-        for _ in range(6):
+        root = build_utility_list(Rule.of([a], [b]), tables)
+        for ul in (root, *random_expansions(root, tables, rng, 5)):
             _assert_rows_match_classification(ul, db, tables)
-            direction = rng.choice(("left", "right"))
-            feasible = tables.items_of(Expansion(ul, direction, tables).candidates)
-            if not feasible:
-                break
-            ul = expand_utility_list(ul, rng.choice(feasible), direction, tables)
 
 
 @settings(max_examples=40, deadline=None)
@@ -388,7 +365,7 @@ def test_utility_list_totals_match_direct_measures(seed):
         assert Fraction(ul.utility, scale) == rule_utility(rule, db)
         sids = rule_sids(rule, db)
         assert ul.support == sids.bit_count()
-        assert ul.sids_mask == sids
+        assert sids_mask(ul) == sids
         for row in ul.rows:
             assert min(row.iutil, row.lutil, row.rutil, row.lrutil) >= 0
 

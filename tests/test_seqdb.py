@@ -12,11 +12,8 @@ from hypothesis import strategies as st
 from cousr import ParseError, load_database, parse_database, parse_utility_table, with_utilities
 from cousr.seqdb import (
     INT_MAX,
-    AbsentItemError,
     Sequence,
     SequenceDatabase,
-    item_utility,
-    sequence_utility,
     serialize_database,
     serialize_utility_table,
 )
@@ -29,6 +26,7 @@ def test_parse_single_sequence_structure():
     db = parse_database("1:1 2:1 -1 5:1 -1 4:5 -1 7:1 -1 -2\n")
     assert db.sequence_count == 1
     seq = db.sequences[0]
+    assert Sequence.__slots__ == ("sid", "itemsets")  # a plain record, no cached views
     assert seq.sid == 1
     assert seq.itemsets == (((1, 1), (2, 1)), ((5, 1),), ((4, 5),), ((7, 1),))
 
@@ -42,7 +40,7 @@ def test_parse_empty_input_gives_empty_database():
 def test_parse_skips_comments_and_blank_lines():
     db = parse_database("# header\n\n1:1 -1 -2\n   # indented comment\n2:1 -1 -2\n")
     assert [seq.sid for seq in db.sequences] == [1, 2]
-    assert db.sequences[1].items == {2}
+    assert db.sequences[1].itemsets == (((2, 1),),)
 
 
 def test_parse_duplicate_item_in_sequence_rejected():
@@ -285,6 +283,13 @@ def test_parse_utility_table_bad_lines(text):
         parse_utility_table(text + "\n")
 
 
+def test_parse_utility_table_item_id_beyond_int_conversion_is_non_numeric():
+    # more digits than int() converts from text
+    with pytest.raises(ParseError) as err:
+        parse_utility_table("1 3\n  " + "9" * 5000 + " 2\n")
+    assert (err.value.kind, err.value.line, err.value.column) == (ParseError.NON_NUMERIC, 2, 3)
+
+
 def test_with_utilities_requires_full_coverage():
     db = parse_database("1:1 -1 2:1 -1 -2\n")
     with pytest.raises(ParseError) as err:
@@ -293,41 +298,16 @@ def test_with_utilities_requires_full_coverage():
     assert "2" in str(err.value)
 
 
-def test_item_utility_worked_values(example_db):
-    table = example_db.utilities
-    s2 = example_db.sequences[1]
-    assert item_utility(A, s2, table) == 6
-    assert item_utility(B, s2, table) == 5
-    with pytest.raises(AbsentItemError):
-        item_utility(F, s2, table)
-
-
 def test_sequence_utility_per_sequence(example_db):
-    table = example_db.utilities
-    values = tuple(sequence_utility(s, table) for s in example_db.sequences)
-    assert values == (21, 34, 28, 22, 42)
+    assert example_db.grid_sequence_utilities == (21, 34, 28, 22, 42)
 
 
 def test_sequence_utility_dominates_item_utility(example_db):
-    table = example_db.utilities
-    for seq in example_db.sequences:
-        su = sequence_utility(seq, table)
-        for item in seq.items:
-            assert su >= item_utility(item, seq, table)
-
-
-def test_item_positions_examples(example_db):
-    assert example_db.sequences[1].positions == {A: 1, D: 1, C: 2, B: 3, E: 4, G: 4}
-    assert example_db.sequences[4].positions == {A: 1, B: 1, E: 2, F: 3, C: 4, D: 5, G: 6}
-    single = parse_database("1:1 2:2 3:1 -1 -2\n").sequences[0]
-    assert set(single.positions.values()) == {1}
-
-
-def test_item_positions_bounded_by_itemset_count(example_db):
-    for seq in example_db.sequences:
-        positions = seq.positions
-        assert len(positions) == len(seq.items)
-        assert all(1 <= p <= len(seq.itemsets) for p in positions.values())
+    units = example_db.utilities.grid_units
+    for seq, su in zip(example_db.sequences, example_db.grid_sequence_utilities):
+        for itemset in seq.itemsets:
+            for item, qty in itemset:
+                assert su >= qty * units[item]
 
 
 def test_serialize_round_trip(example_db):

@@ -7,6 +7,8 @@ import pytest
 
 from cousr.synth import random_small_database, random_thresholds, synthesize_database
 
+from reference import positions
+
 
 def test_same_seed_same_database():
     a = synthesize_database(50, 20, 5, seed=42)
@@ -31,8 +33,8 @@ def test_synthetic_database_shape():
 
 def test_zipf_weighting_favors_low_ranks():
     db = synthesize_database(400, 30, 6, seed=3)
-    rank1 = sum(1 for s in db.sequences if 1 in s.items)
-    rank30 = sum(1 for s in db.sequences if 30 in s.items)
+    rank1 = sum(1 for s in db.sequences if 1 in positions(s))
+    rank30 = sum(1 for s in db.sequences if 30 in positions(s))
     assert rank1 > rank30
 
 
