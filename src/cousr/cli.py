@@ -223,13 +223,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if not problems else EXIT_MISMATCH
 
     db = _load(args)
-    problems = _verify_db(
-        db,
-        as_fraction(args.min_util),
-        as_fraction(args.min_conf),
-        as_fraction(args.min_bond),
-        as_fraction(args.min_lift),
-    )
+    problems = _verify_db(db, args.min_util, args.min_conf, args.min_bond, args.min_lift)
     for line in problems:
         print(line, file=sys.stderr)
     print(f"verify: {'OK' if not problems else 'MISMATCH'}", file=sys.stderr)
@@ -262,11 +256,7 @@ def cmd_bench(args) -> int:
             if v not in VARIANTS:
                 raise ConfigError(f"unknown variant {v!r}")
     min_utils = sorted(as_fraction(tok) for tok in str(args.min_util).split(","))
-    fixed = {
-        "min_conf": as_fraction(args.min_conf),
-        "min_bond": as_fraction(args.min_bond),
-        "min_lift": as_fraction(args.min_lift),
-    }
+    fixed = {"min_conf": args.min_conf, "min_bond": args.min_bond, "min_lift": args.min_lift}
     lines = [BENCH_HEADER]
     for variant in variants:
         for min_util in min_utils:

@@ -43,17 +43,16 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from itertools import compress
 from math import ceil
-from typing import NamedTuple
 
 from . import measures, rulecore
 from .measures import MinedRule, Rule
 from .rulecore import UtilityList
-from .seqdb import SequenceDatabase, gc_paused
+from .seqdb import SequenceDatabase, exact_decimal, gc_paused
 
 VARIANTS = {
     "base": (False, False),
@@ -70,22 +69,24 @@ class ConfigError(ValueError):
 def as_fraction(value) -> Fraction:
     """Exact threshold coercion; floats go through their decimal repr.
 
-    Anything without a finite exact value (``inf``, ``nan``, ``1/0``, text
+    Text is a ratio ``p/q`` or a decimal for :func:`cousr.seqdb.exact_decimal`.
+    Anything without a finite exact value (``inf``, ``nan``, ``1/0``, a
+    decimal exponent beyond +-:data:`cousr.seqdb.MAX_DECIMAL_EXPONENT`, text
     that is no number) raises :class:`ConfigError`.
     """
-    if isinstance(value, Fraction):
-        return value
-    number = repr(value) if isinstance(value, float) else value
-    try:
-        if isinstance(number, str):
-            try:
-                return Fraction(number)
-            except ValueError:
-                number = Decimal(number)
-        if isinstance(number, (int, Decimal)):
-            return Fraction(number)
-    except (ArithmeticError, ValueError):  # decimal's InvalidOperation is an ArithmeticError
-        pass
+    if isinstance(value, (Fraction, int)):
+        return Fraction(value)
+    text = repr(value) if isinstance(value, float) else value
+    if isinstance(text, str) and "/" in text:
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif isinstance(text, (str, Decimal)):
+        try:
+            return exact_decimal(text)
+        except ValueError as exc:
+            raise ConfigError(f"cannot interpret threshold {value!r} as a number: {exc}") from None
     raise ConfigError(f"cannot interpret threshold {value!r} as a number")
 
 
@@ -95,8 +96,7 @@ class MinerConfig:
 
     ``bond_matrix_prune`` enables strategy 6, ``esucs_prune`` strategy 7;
     both default on (the full algorithm). ``max_rule_side`` caps the item
-    count of each rule side. ``record_prune_events`` keeps a log of every
-    pruned subtree root for soundness audits (testing only).
+    count of each rule side.
     """
 
     min_util: Fraction = Fraction(0)
@@ -106,7 +106,6 @@ class MinerConfig:
     bond_matrix_prune: bool = True
     esucs_prune: bool = True
     max_rule_side: int | None = None
-    record_prune_events: bool = False
 
     def __post_init__(self) -> None:
         self.min_util = as_fraction(self.min_util)
@@ -135,20 +134,6 @@ class MinerConfig:
         return cls(bond_matrix_prune=s6, esucs_prune=s7, **kwargs)
 
 
-class PruneEvent(NamedTuple):
-    """A pruned subtree root: what was cut and by which strategy.
-
-    Kinds: ``s1`` (item; antecedent holds the item), ``s2`` (1*1 rule and
-    all expansions), ``s3/s6/s7-right`` (candidate rule plus all its
-    expansions), ``s3/s6/s7-left`` (candidate rule plus left expansions),
-    ``s4`` (right subtree of the rule), ``s5`` (left subtree).
-    """
-
-    kind: str
-    antecedent: tuple[int, ...]
-    consequent: tuple[int, ...]
-
-
 @dataclass
 class MiningStats:
     """Counters mirroring the pruning strategies (s1..s7) plus build totals.
@@ -169,10 +154,9 @@ class MiningStats:
     utility_lists_built: int = 0
     utility_list_rows: int = 0
     wall_ms: float = 0.0
-    prune_events: list[PruneEvent] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "prune_events"}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -296,10 +280,6 @@ class _Search:
     def _bond_ok(self, sup: int, dissup: int) -> bool:
         return sup * self.bond_den >= self.bond_num * dissup
 
-    def _record(self, kind: str, rule: Rule) -> None:
-        if self.config.record_prune_events:
-            self.stats.prune_events.append(PruneEvent(kind, rule.antecedent, rule.consequent))
-
     # -- node processing --
 
     def handle(self, ctx: RuleContext, left_only: bool) -> None:
@@ -329,14 +309,12 @@ class _Search:
         if not left_only and (cap is None or len(ctx.rule.consequent) < cap):
             if ul.total < self.min_util_grid:
                 self.stats.pruned_s4 += 1
-                self._record("s4", ctx.rule)
             else:
                 want_right = True
         want_left = False
         if cap is None or len(ctx.rule.antecedent) < cap:
             if ul.left_total < self.min_util_grid:
                 self.stats.pruned_s5 += 1
-                self._record("s5", ctx.rule)
             else:
                 want_left = True
         if want_right:
@@ -344,30 +322,20 @@ class _Search:
         if want_left:
             self.expand(ctx, "left")
 
-    def _cut(self, candidates: int, passes: int, strategy: str, rule: Rule, direction: str):
-        """Keep the candidates in ``passes``; returns (kept, number cut)."""
-        cut = candidates & ~passes
-        if cut and self.config.record_prune_events:
-            for item in self.tables.items_of(cut):
-                self._record(f"{strategy}-{direction}",
-                             rulecore.expanded_rule(rule, item, direction))
-        return candidates & passes, cut.bit_count()
-
     def expand(self, ctx: RuleContext, direction: str) -> None:
         right = direction == "right"
-        recording = self.config.record_prune_events
         expansion = rulecore.Expansion(ctx.ul, direction, self.tables)
         candidates = expansion.candidates
         last_x = ctx.rule.antecedent[-1]
         last_y = ctx.rule.consequent[-1]
         if candidates and self.s7_right is not None:
             passes = self.s7_right.get(last_x, 0) if right else self.s7_left.get(last_y, 0)
-            candidates, cut = self._cut(candidates, passes, "s7", ctx.rule, direction)
-            self.stats.pruned_s7 += cut
+            self.stats.pruned_s7 += (candidates & ~passes).bit_count()
+            candidates &= passes
         if candidates and self.s6_pass is not None:
             passes = self.s6_pass.get(last_y if right else last_x, 0)
-            candidates, cut = self._cut(candidates, passes, "s6", ctx.rule, direction)
-            self.stats.pruned_s6 += cut
+            self.stats.pruned_s6 += (candidates & ~passes).bit_count()
+            candidates &= passes
         for item in self.tables.items_of(candidates):
             vector = self.bitvectors[item]
             if right:
@@ -378,9 +346,6 @@ class _Search:
                 new_or = ctx.sids_or_x | vector
             if not self._bond_ok(new_side.bit_count(), new_or.bit_count()):
                 self.stats.pruned_s3 += 1
-                if recording:
-                    self._record(f"s3-{direction}",
-                                 rulecore.expanded_rule(ctx.rule, item, direction))
                 continue
             new_rows = expansion.rows(item)
             new_rule = rulecore.expanded_rule(ctx.rule, item, direction)
@@ -416,23 +381,14 @@ def _mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     promising, filtered = filter_unpromising_items(db, min_util_grid)
     stats.promising_items = len(promising)
     stats.pruned_s1 = len(db.item_universe) - len(promising)
-    if config.record_prune_events:
-        for item in sorted(db.item_universe - promising):
-            stats.prune_events.append(PruneEvent("s1", (item,), ()))
 
     bitvectors = measures.build_item_bitvectors(filtered)
     search = _Search(filtered, config, min_util_grid, sequence_count, bitvectors, stats)
     if config.bond_matrix_prune:
         search.set_bond_passes(rulecore.build_bond_matrix(filtered))
     pair_seu = rulecore.scan_rule_pairs(filtered)
-    kept = []
-    for (a, b) in sorted(pair_seu):
-        if pair_seu[(a, b)] < min_util_grid:
-            stats.pruned_s2 += 1
-            if config.record_prune_events:
-                stats.prune_events.append(PruneEvent("s2", (a,), (b,)))
-            continue
-        kept.append((a, b))
+    kept = [p for p in sorted(pair_seu) if pair_seu[p] >= min_util_grid]
+    stats.pruned_s2 = len(pair_seu) - len(kept)
     del pair_seu  # the search needs only the kept pairs; free the table first
     if config.esucs_prune:
         search.set_rule_seu_passes(kept)

@@ -36,6 +36,7 @@ so that every item utility in the database is an integer count of grid units.
 from __future__ import annotations
 
 import gc
+import sys
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -49,6 +50,11 @@ from typing import Iterable, Iterator
 
 # largest item id, quantity, sid or offset the ``array('i')`` columns hold
 INT_MAX = 2**31 - 1
+# largest decimal exponent, either sign, an exact conversion accepts: its
+# power of ten has as many digits as ``int()`` reads from text by default
+MAX_DECIMAL_EXPONENT = sys.int_info.default_max_str_digits
+# a longer token is quoted in messages as its first and last characters
+_QUOTED_CHARS = 12
 
 
 class ParseError(ValueError):
@@ -238,6 +244,32 @@ class SequenceDatabase:
         )
 
 
+def exact_decimal(text: str | Decimal) -> Fraction:
+    """The exact value of a finite decimal such as ``0.35`` or ``1e-3``.
+
+    ``ValueError`` for anything else (``inf``, ``nan``, text that is no
+    number) and for an exponent beyond +-:data:`MAX_DECIMAL_EXPONENT`, which
+    is refused before its power of ten is built.
+    """
+    try:
+        number = Decimal(text)
+    except InvalidOperation:
+        raise ValueError("not a decimal number") from None
+    if not number.is_finite():
+        raise ValueError("not a finite number")
+    if abs(number.as_tuple().exponent) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}")
+    return Fraction(number)
+
+
+def _quote(token: str) -> str:
+    """``token`` quoted for a message; a long one as an excerpt plus its length."""
+    if len(token) <= 2 * _QUOTED_CHARS + 3:
+        return repr(token)
+    excerpt = f"{token[:_QUOTED_CHARS]}...{token[-_QUOTED_CHARS:]}"
+    return f"{excerpt!r} ({len(token)} characters)"
+
+
 def _column(line: str, index: int) -> int:
     """1-based column of the ``index``-th whitespace-separated token of ``line``."""
     col = 0
@@ -294,7 +326,7 @@ def parse_database(text: str) -> SequenceDatabase:
                 if index + 1 < len(tokens):
                     raise ParseError(
                         ParseError.MALFORMED_TOKEN,
-                        f"unexpected token {tokens[index + 1]!r} after sequence terminator",
+                        f"unexpected token {_quote(tokens[index + 1])} after sequence terminator",
                         lineno, _column(line, index + 1),
                     )
                 break
@@ -329,7 +361,7 @@ def _parse_pair(token: str, lineno: int, line: str, index: int) -> tuple[int, in
     if not (colon and item_text.isdecimal() and qty_text.isdecimal()):
         raise ParseError(
             ParseError.MALFORMED_TOKEN,
-            f"expected item:qty, -1 or -2, got {token!r}",
+            f"expected item:qty, -1 or -2, got {_quote(token)}",
             lineno, _column(line, index),
         )
     try:
@@ -339,7 +371,7 @@ def _parse_pair(token: str, lineno: int, line: str, index: int) -> tuple[int, in
     if not (1 <= item <= INT_MAX and 1 <= qty <= INT_MAX):
         raise ParseError(
             ParseError.MALFORMED_TOKEN,
-            f"item ids and quantities must be in 1..{INT_MAX}, got {token!r}",
+            f"item ids and quantities must be in 1..{INT_MAX}, got {_quote(token)}",
             lineno, _column(line, index),
         )
     return item, qty
@@ -355,7 +387,7 @@ def parse_utility_table(text: str) -> UtilityTable:
         if len(tokens) != 2:
             raise ParseError(
                 ParseError.MALFORMED_TOKEN,
-                f"expected 'item utility', got {line.strip()!r}", lineno, _column(line, 0),
+                f"expected 'item utility', got {_quote(line.strip())}", lineno, _column(line, 0),
             )
         item_tok, value_tok = tokens
         try:
@@ -364,25 +396,26 @@ def parse_utility_table(text: str) -> UtilityTable:
             item = 0
         if item < 1:
             raise ParseError(
-                ParseError.NON_NUMERIC, f"item id must be a positive integer, got {item_tok!r}",
+                ParseError.NON_NUMERIC,
+                f"item id must be a positive integer, got {_quote(item_tok)}",
                 lineno, _column(line, 0),
             )
         try:
-            value = Fraction(Decimal(value_tok))
-        except (InvalidOperation, ValueError):
+            value = exact_decimal(value_tok)
+        except ValueError as exc:
             raise ParseError(
-                ParseError.NON_NUMERIC, f"utility must be a number, got {value_tok!r}",
+                ParseError.NON_NUMERIC, f"utility must be a number, got {_quote(value_tok)}: {exc}",
                 lineno, _column(line, 1),
             ) from None
         if value < 0:
             raise ParseError(
-                ParseError.NON_NUMERIC, f"utility must be non-negative, got {value_tok!r}",
+                ParseError.NON_NUMERIC, f"utility must be non-negative, got {_quote(value_tok)}",
                 lineno, _column(line, 1),
             )
         if item in entries and entries[item] != value:
             raise ParseError(
                 ParseError.CONFLICTING_DUPLICATE,
-                f"item {item} already has utility {entries[item]}, conflicting {value_tok!r}",
+                f"item {item} already has utility {entries[item]}, conflicting {_quote(value_tok)}",
                 lineno, _column(line, 0),
             )
         entries[item] = value

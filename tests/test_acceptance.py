@@ -11,11 +11,12 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from cousr import MinerConfig, Rule, mine
-from cousr.cli import _verify_random_seed
+from cousr.cli import _verify_random_seed, rules_csv_text
 from cousr.measures import (
     bond,
     build_item_bitvectors,
@@ -26,9 +27,9 @@ from cousr.measures import (
     rule_sids,
     rule_utility,
 )
-from cousr.miner import VARIANTS
-from cousr.oracle import oracle_chusrs
-from cousr.rulecore import SequenceTables, build_utility_list, scan_rule_pairs
+from cousr.miner import VARIANTS, filter_unpromising_items
+from cousr.oracle import enumerate_all_rules, oracle_chusrs
+from cousr.rulecore import SequenceTables, build_bond_matrix, build_utility_list, scan_rule_pairs
 from cousr.seqdb import Sequence, SequenceDatabase, UtilityTable
 from cousr.synth import random_small_database, random_thresholds, synthesize_database
 
@@ -172,56 +173,70 @@ def test_threshold_monotonicity(example_db):
 
 # 7 ------------------------------------------------------------------------------
 
-def _lost_rule_keys(event, items):
-    """Rule keys the search can no longer reach after the prune event."""
-    ant, cons, kind = event.antecedent, event.consequent, event.kind
-    everything = descendant_keys(ant, cons, items)
-    left_only = descendant_keys(ant, cons, items, right=False)
-    if kind == "s2" or kind.endswith("-right"):
-        return everything
-    if kind.endswith("-left"):
-        return left_only
-    if kind == "s4":  # the right subtree: a consequent item added
-        return everything - left_only
-    if kind == "s5":  # the left subtree: antecedent items only
-        return left_only - {(ant, cons)}
-    raise AssertionError(f"unexpected prune kind {kind}")
+def _assert_bounds_dominate(db):
+    """Every pruning bound is at least what it stands in for, for each rule
+    of positive utility ``u``, at the tightest threshold that keeps it.
 
-
-def _audit_prunes(db, thresholds):
-    desired = {
-        (r.antecedent, r.consequent)
-        for r in oracle_chusrs(db, *thresholds)
-    }
+    s1 keeps the rule's items at ``min_util = u``; s2/s7 give each pair
+    ``a`` in X, ``b`` in Y a rule SEU of at least ``u`` on that filtered
+    database; s3/s6 bond each pair and each prefix of a side of two or more
+    items at least as high as the side; s4/s5 bound the utility of every
+    canonical descendant (all of them, and the left-only ones) by the
+    utility-list's ``total`` and ``left_total``.
+    """
+    scale = db.utilities.scale
+    rules = list(enumerate_all_rules(db))
+    grid_utility = {(r.antecedent, r.consequent): int(r.utility * scale) for r in rules}
     items = sorted(db.item_universe)
-    mu, mc, mb, ml = thresholds
-    for variant in ("base", "s6s7"):
-        config = MinerConfig.for_variant(
-            variant, min_util=mu, min_conf=mc, min_bond=mb, min_lift=ml,
-            record_prune_events=True,
-        )
-        result = mine(db, config)
-        assert set(rule_keys(result)) == desired
-        for event in result.stats.prune_events:
-            if event.kind == "s1":
-                item = event.antecedent[0]
-                hit = [k for k in desired if item in k[0] or item in k[1]]
-                assert not hit, f"s1 pruned item {item} used by {hit}"
-            else:
-                lost = _lost_rule_keys(event, items) & desired
-                assert not lost, f"{event} cut off desired rules {lost}"
+    tables = SequenceTables(db)
+    bitvectors = build_item_bitvectors(db)
+    co_counts = build_bond_matrix(db)
+    at_util = {}
+
+    def pair_bond(a, b):
+        co = co_counts.get((a, b), 0)
+        return Fraction(co, bitvectors[a].bit_count() + bitvectors[b].bit_count() - co)
+
+    for r in rules:
+        key = (r.antecedent, r.consequent)
+        u = grid_utility[key]
+        if u == 0:
+            continue
+        if u not in at_util:
+            promising, filtered = filter_unpromising_items(db, u)
+            at_util[u] = promising, scan_rule_pairs(filtered)
+        promising, pair_seu = at_util[u]
+        assert set(r.antecedent + r.consequent) <= promising, f"s1 drops an item of {key}"
+        for a in r.antecedent:
+            for b in r.consequent:
+                assert pair_seu.get((a, b), 0) >= u, f"s2/s7 pair {(a, b)} under {key}"
+        sides = ((r.antecedent, r.bond_antecedent), (r.consequent, r.bond_consequent))
+        for side, side_bond in sides:
+            for a, b in combinations(side, 2):
+                assert pair_bond(a, b) >= side_bond, f"s6 pair {(a, b)} under {key}"
+            for k in range(2, len(side)):
+                assert bond(side[:k], bitvectors).value >= side_bond, f"s3 prefix under {key}"
+        ul = build_utility_list(Rule(*key), tables)
+        for right, bound in ((True, ul.total), (False, ul.left_total)):
+            for descendant in descendant_keys(*key, items, right=right):
+                assert bound >= grid_utility.get(descendant, 0), (
+                    f"{'s4 total' if right else 's5 left_total'} of {key} under {descendant}"
+                )
 
 
 def test_upper_bound_soundness(example_db):
     with criterion("upper-bound soundness: no prune loses a desired rule"):
-        _audit_prunes(
-            example_db,
-            (Fraction(50), Fraction(7, 10), Fraction(3, 10), Fraction(11, 10)),
-        )
+        draws = [(example_db, (Fraction(50), Fraction(7, 10), Fraction(3, 10), Fraction(11, 10)))]
         for seed in range(40):
             rng = random.Random(20_000 + seed)
             db = random_small_database(rng, max_items=6)
-            _audit_prunes(db, random_thresholds(rng, db))
+            draws.append((db, random_thresholds(rng, db)))
+        for index, (db, thresholds) in enumerate(draws):
+            expected = oracle_chusrs(db, *thresholds)
+            for variant in VARIANTS:
+                config = MinerConfig.for_variant(variant, **dict(zip(GOLDEN, thresholds)))
+                assert mine(db, config).rules == expected, f"draw {index}, {variant}"
+            _assert_bounds_dominate(db)
 
 
 # 8 ------------------------------------------------------------------------------
@@ -297,3 +312,24 @@ def test_desk_item_ids_reversed(desk):
             m._replace(antecedent=flip(m.antecedent), consequent=flip(m.consequent))
             for m in result.rules
         }
+
+
+def test_desk_variants_write_identical_csv(desk):
+    with criterion("desk: base, s6, s7 and s6s7 write byte-identical rule CSVs"):
+        db, result, _ = desk
+        expected = rules_csv_text(result)
+        for variant in ("base", "s6", "s7"):
+            got = mine(db, MinerConfig.for_variant(variant, **DESK))
+            assert rules_csv_text(got) == expected, variant
+
+
+def test_desk_sequences_repeated(desk):
+    with criterion("metamorphic: every sequence twice and min_util x2 double support and utility"):
+        db, result, _ = desk
+        offset = db.sids[-1]
+        copies = (Sequence(seq.sid + offset, seq.itemsets) for seq in db.sequences)
+        doubled = SequenceDatabase.from_sequences([*db.sequences, *copies], db.utilities)
+        got = mine(doubled, MinerConfig(**{**DESK, "min_util": 2 * DESK["min_util"]}))
+        assert got.rules == tuple(
+            m._replace(utility=2 * m.utility, support=2 * m.support) for m in result.rules
+        )

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from functools import reduce
 from operator import and_
@@ -157,7 +158,32 @@ def test_utility_item_id_beyond_int_conversion_exit_code(tmp_path, capsys):
     big.write_text(EXAMPLE_UT.read_text() + "9" * 5000 + " 1\n")
     code = main(["mine", "--db", str(EXAMPLE_DB), "--utils", str(big)])
     assert code == EXIT_PARSE
-    assert capsys.readouterr().err.startswith("cousr: parse error: line 8, column 1:")
+    err = capsys.readouterr().err
+    assert err.startswith("cousr: parse error: line 8, column 1:")
+    assert len(err) < 200  # the token is quoted as an excerpt
+
+
+@pytest.mark.parametrize("value", ["inf", "Infinity", "-inf", "1e999999999999999999"])
+def test_unusable_utility_value_exit_code(tmp_path, capsys, value):
+    bad = tmp_path / "bad.ut"
+    bad.write_text(EXAMPLE_UT.read_text() + f"8 {value}\n")
+    started = time.perf_counter()
+    code = main(["mine", "--db", str(EXAMPLE_DB), "--utils", str(bad)])
+    assert time.perf_counter() - started < 1.0
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("cousr: parse error: line 8, column 3:")
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("mine", "--min-util"), ("verify", "--min-conf"), ("bench", "--min-lift")],
+)
+def test_huge_threshold_exponent_is_config_error_at_once(command, flag, capsys):
+    started = time.perf_counter()
+    code = main([command, "--db", str(EXAMPLE_DB), "--utils", str(EXAMPLE_UT), flag, "1e999999999"])
+    assert time.perf_counter() - started < 1.0
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("cousr: config error:")
 
 
 def test_missing_file_exit_code(tmp_path):

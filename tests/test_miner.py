@@ -51,7 +51,7 @@ def test_as_fraction_is_exact():
     assert as_fraction("1e18") == 10**18
     assert as_fraction("2/3") == Fraction(2, 3)
     assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
-    for bad in ("not-a-number", "inf", "Infinity", "1/0", "nan", float("inf")):
+    for bad in ("not-a-number", "inf", "Infinity", "1/0", "nan", float("inf"), "1e999999999"):
         with pytest.raises(ConfigError):
             as_fraction(bad)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 from cousr import ParseError, load_database, parse_database, parse_utility_table, with_utilities
 from cousr.seqdb import (
     INT_MAX,
+    MAX_DECIMAL_EXPONENT,
     Sequence,
     SequenceDatabase,
+    exact_decimal,
     serialize_database,
     serialize_utility_table,
 )
@@ -107,6 +110,7 @@ def test_parse_rejects_ids_and_quantities_beyond_the_int_range(token):
         parse_database(f"1:1 -1 -2\n2:1 -1 {token} -1 -2\n")
     assert err.value.kind == ParseError.MALFORMED_TOKEN
     assert (err.value.line, err.value.column) == (2, 8)
+    assert len(str(err.value)) < 160  # a long token is quoted as an excerpt
 
 
 def test_parse_accepts_the_int_range_limit():
@@ -288,6 +292,32 @@ def test_parse_utility_table_item_id_beyond_int_conversion_is_non_numeric():
     with pytest.raises(ParseError) as err:
         parse_utility_table("1 3\n  " + "9" * 5000 + " 2\n")
     assert (err.value.kind, err.value.line, err.value.column) == (ParseError.NON_NUMERIC, 2, 3)
+    assert "5000 characters" in str(err.value) and len(str(err.value)) < 160
+
+
+@pytest.mark.parametrize("value", ["inf", "Infinity", "-inf", "nan", "x" * 5000])
+def test_parse_utility_table_non_finite_is_non_numeric(value):
+    with pytest.raises(ParseError) as err:
+        parse_utility_table(f"1 3\n2 {value}\n")
+    assert (err.value.kind, err.value.line, err.value.column) == (ParseError.NON_NUMERIC, 2, 3)
+    assert len(str(err.value)) < 160
+
+
+@pytest.mark.parametrize(
+    "value", ["1e999999999999999999", "1e-999999999", f"1e{MAX_DECIMAL_EXPONENT + 1}"]
+)
+def test_parse_utility_table_refuses_huge_exponents_at_once(value):
+    started = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_utility_table(f"1 {value}\n")
+    assert (err.value.kind, err.value.line, err.value.column) == (ParseError.NON_NUMERIC, 1, 3)
+    assert time.perf_counter() - started < 0.1
+
+
+def test_exact_decimal_accepts_exponents_up_to_the_bound():
+    assert exact_decimal(f"1e{MAX_DECIMAL_EXPONENT}") == 10**MAX_DECIMAL_EXPONENT
+    assert exact_decimal(f"1e-{MAX_DECIMAL_EXPONENT}") == Fraction(1, 10**MAX_DECIMAL_EXPONENT)
+    assert exact_decimal("0.35") == Fraction(7, 20)
 
 
 def test_with_utilities_requires_full_coverage():
