@@ -13,14 +13,13 @@ import json
 import os
 import random
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 from . import synth
 from .miner import VARIANTS, ConfigError, MinerConfig, MiningResult, as_fraction, mine
 from .oracle import OracleLimitError, oracle_chusrs
-from .seqdb import ParseError, SequenceDatabase, load_database
+from .seqdb import ParseError, SequenceDatabase, decimal_text, load_database
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -33,11 +32,8 @@ BENCH_HEADER = "variant;minutil;rules;pruned_s6;pruned_s7;uls_built;ms"
 
 
 def format_fraction(value: Fraction) -> str:
-    """Decimal rendering with up to 6 fractional digits, trailing zeros trimmed."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    text = f"{Decimal(value.numerator) / Decimal(value.denominator):.6f}"
-    return text.rstrip("0").rstrip(".")
+    """Decimal rendering rounded half-even to 6 fractional digits, trailing zeros trimmed."""
+    return decimal_text(value, 6)
 
 
 def rules_csv_text(result: MiningResult) -> str:
@@ -162,16 +158,16 @@ def cmd_mine(args) -> int:
 
 
 def _verify_db(db: SequenceDatabase, min_util, min_conf, min_bond, min_lift) -> list[str]:
-    """Compare all four miner variants against the exhaustive oracle."""
-    expected = {
-        (r.antecedent, r.consequent): r
-        for r in oracle_chusrs(db, min_util, min_conf, min_bond, min_lift)
-    }
+    """Compare all four miner variants against the exhaustive oracle.
+
+    The configs are built first, so out-of-range thresholds raise
+    :class:`ConfigError` before the oracle enumerates anything.
+    """
+    thresholds = dict(min_util=min_util, min_conf=min_conf, min_bond=min_bond, min_lift=min_lift)
+    configs = {variant: MinerConfig.for_variant(variant, **thresholds) for variant in VARIANTS}
+    expected = {(r.antecedent, r.consequent): r for r in oracle_chusrs(db, **thresholds)}
     problems: list[str] = []
-    for variant in VARIANTS:
-        config = MinerConfig.for_variant(
-            variant, min_util=min_util, min_conf=min_conf, min_bond=min_bond, min_lift=min_lift
-        )
+    for variant, config in configs.items():
         got = {(m.antecedent, m.consequent): m for m in mine(db, config).rules}
         for key in sorted(expected.keys() - got.keys()):
             problems.append(f"[{variant}] missing from miner: {key[0]} => {key[1]}")

@@ -16,9 +16,10 @@ and lift (``min_lift``). The search:
 Candidate expansions are filtered, in order, by the rule-seu table
 (strategy 7, toggleable), the pairwise bond matrix (strategy 6, toggleable),
 and the exact bond of the extended side (strategy 3). A node's candidates
-are one item mask (see :class:`cousr.rulecore.Expansion`); strategies 7 and 6
-intersect it with per-item pass masks taken from their tables once, before
-the search, and only the survivors of strategy 3 get utility-lists, built in
+are one item mask (:meth:`cousr.rulecore.UtilityList.candidates`);
+strategies 7 and 6 intersect it with per-item pass masks taken from their
+tables once, before the search, and only the survivors of strategy 3 get
+utility-lists (:meth:`~cousr.rulecore.UtilityList.expand`), built in
 ascending item order. Recursion is gated by the utility-list bounds: the
 four-column sum for right subtrees (strategy 4) and the sum without
 ``rutil`` for left subtrees (strategy 5). Strategies 6 and 7 are sound, so
@@ -167,14 +168,13 @@ class MiningResult:
 
 @dataclass
 class RuleContext:
-    """A search node: the rule, its utility-list, and its side bit vectors.
+    """A search node: its rule's utility-list and side bit vectors.
 
     ``sids_x``/``sids_y`` are the intersection masks (itemset support) of the
     antecedent/consequent items; ``sids_or_x``/``sids_or_y`` the union masks
     (disjunctive support).
     """
 
-    rule: Rule
     ul: UtilityList
     sids_x: int
     sids_y: int
@@ -284,6 +284,7 @@ class _Search:
 
     def handle(self, ctx: RuleContext, left_only: bool) -> None:
         ul = ctx.ul
+        rule = ul.rule
         sup_rule = ul.support
         sup_x = ctx.sids_x.bit_count()
         sup_y = ctx.sids_y.bit_count()
@@ -294,8 +295,8 @@ class _Search:
         ):
             self.emitted.append(
                 MinedRule(
-                    antecedent=ctx.rule.antecedent,
-                    consequent=ctx.rule.consequent,
+                    antecedent=rule.antecedent,
+                    consequent=rule.consequent,
                     utility=Fraction(ul.utility, self.scale),
                     support=sup_rule,
                     confidence=Fraction(sup_rule, sup_x),
@@ -306,28 +307,27 @@ class _Search:
             )
         cap = self.config.max_rule_side
         want_right = False
-        if not left_only and (cap is None or len(ctx.rule.consequent) < cap):
+        if not left_only and (cap is None or len(rule.consequent) < cap):
             if ul.total < self.min_util_grid:
                 self.stats.pruned_s4 += 1
             else:
                 want_right = True
         want_left = False
-        if cap is None or len(ctx.rule.antecedent) < cap:
+        if cap is None or len(rule.antecedent) < cap:
             if ul.left_total < self.min_util_grid:
                 self.stats.pruned_s5 += 1
             else:
                 want_left = True
         if want_right:
-            self.expand(ctx, "right")
+            self.expand(ctx, right=True)
         if want_left:
-            self.expand(ctx, "left")
+            self.expand(ctx, right=False)
 
-    def expand(self, ctx: RuleContext, direction: str) -> None:
-        right = direction == "right"
-        expansion = rulecore.Expansion(ctx.ul, direction, self.tables)
-        candidates = expansion.candidates
-        last_x = ctx.rule.antecedent[-1]
-        last_y = ctx.rule.consequent[-1]
+    def expand(self, ctx: RuleContext, right: bool) -> None:
+        parent = ctx.ul
+        candidates = parent.candidates(right, self.tables.rank)
+        last_x = parent.rule.antecedent[-1]
+        last_y = parent.rule.consequent[-1]
         if candidates and self.s7_right is not None:
             passes = self.s7_right.get(last_x, 0) if right else self.s7_left.get(last_y, 0)
             self.stats.pruned_s7 += (candidates & ~passes).bit_count()
@@ -347,15 +347,13 @@ class _Search:
             if not self._bond_ok(new_side.bit_count(), new_or.bit_count()):
                 self.stats.pruned_s3 += 1
                 continue
-            new_rows = expansion.rows(item)
-            new_rule = rulecore.expanded_rule(ctx.rule, item, direction)
-            ul = UtilityList(rule=new_rule, rows=tuple(new_rows))
+            ul = parent.expand(item, right)
             self.stats.utility_lists_built += 1
-            self.stats.utility_list_rows += len(new_rows)
+            self.stats.utility_list_rows += len(ul.rows)
             if right:
-                child = RuleContext(new_rule, ul, ctx.sids_x, new_side, ctx.sids_or_x, new_or)
+                child = RuleContext(ul, ctx.sids_x, new_side, ctx.sids_or_x, new_or)
             else:
-                child = RuleContext(new_rule, ul, new_side, ctx.sids_y, new_or, ctx.sids_or_y)
+                child = RuleContext(ul, new_side, ctx.sids_y, new_or, ctx.sids_or_y)
             self.handle(child, left_only=not right)
 
 
@@ -400,7 +398,7 @@ def _mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
         stats.utility_lists_built += 1
         stats.utility_list_rows += len(ul.rows)
         search.handle(
-            RuleContext(rule, ul, bitvectors[a], bitvectors[b], bitvectors[a], bitvectors[b]),
+            RuleContext(ul, bitvectors[a], bitvectors[b], bitvectors[a], bitvectors[b]),
             left_only=False,
         )
 

@@ -21,11 +21,11 @@ consequent items the other way round. ``only_left`` / ``only_right`` /
 
 The utility-list of a rule has one row per supporting sequence::
 
-    (sid, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y)
+    (sid, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y, table)
 
-``iutil`` is the rule's utility in that sequence and ``lutil``, ``rutil``,
-``lrutil`` are the utility sums over the three classes. Consequences used by
-the miner:
+``iutil`` is the rule's utility in that sequence, ``lutil``, ``rutil``,
+``lrutil`` are the utility sums over the three classes and ``table`` is the
+sequence's row table (below). Consequences used by the miner:
 
 * sum of ``iutil``          = rule utility; row count = rule support
 * sum of the four utilities >= utility of the rule and of every descendant
@@ -36,8 +36,8 @@ the miner:
 **Row tables.** Each sequence with ``k`` items in ``l`` itemsets gets one
 :class:`SequenceTable`, built from the database's flat columns on first use
 and held by a :class:`SequenceTables`, which the caller creates and passes
-to :func:`build_utility_list` and :class:`Expansion` (the miner's search
-owns one and drops it on return). A table is a flat
+to :func:`build_utility_list` (the miner's search owns one and drops it on
+return); every row keeps its sequence's table. A table is a flat
 ``(k+1) x (l+1)`` array ``T`` of dominance sums, ``T[r][q]`` = utility of the
 items whose rank in the sequence (ascending item order, from 0) is ``>= r``
 and whose position is ``<= q``; each table row ``r`` carries one more cell,
@@ -53,14 +53,16 @@ and ``my = min_pos_y``, the class sums are rectangles::
     lutil  = L - lrutil,   rutil = R - lrutil
 
 :meth:`SequenceTable.row` is the one place rows are derived. A child row
-needs only its parent's ``mx``/``my``: a right expansion by an item at
-position ``p`` sets ``my' = min(my, p)``, a left one ``mx' = max(mx, p)``,
-so :class:`Expansion` builds each child row in constant time and
-:func:`build_utility_list` builds from scratch through the same function.
+needs only its parent row's ``mx``/``my`` and table: a right expansion by an
+item at position ``p`` sets ``my' = min(my, p)``, a left one
+``mx' = max(mx, p)``, so :meth:`UtilityList.expand` grows a rule by one item
+with a constant-time step per parent row, and :func:`build_utility_list`
+builds from scratch through the same function.
 The table also keeps, per position ``q``, the items at or before ``q`` as a
 cumulative bit mask ``upto[q]`` over the database's dense item ranks; the
 items after ``q`` are ``upto[l] ^ upto[q]`` and those before it
-``upto[q - 1]``, so a node's candidate items are the OR of one mask per row.
+``upto[q - 1]``, so a node's candidate items
+(:meth:`UtilityList.candidates`) are the OR of one mask per row.
 
 All utility amounts in this module are integers on the utility table's grid
 (see :attr:`cousr.seqdb.UtilityTable.scale`).
@@ -85,12 +87,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 from .measures import Rule
 from .seqdb import SequenceDatabase
-
-Direction = Literal["left", "right"]
 
 # builds a row without the Python-level NamedTuple constructor (hot path)
 _new_tuple = tuple.__new__
@@ -109,6 +109,7 @@ class UtilityListRow(NamedTuple):
     lrutil: int
     max_pos_x: int
     min_pos_y: int
+    table: SequenceTable
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,54 @@ class UtilityList:
     @cached_property
     def left_total(self) -> int:
         return sum(row.iutil + row.lutil + row.lrutil for row in self.rows)
+
+    def candidates(self, right: bool, rank: dict[int, int]) -> int:
+        """Mask (over the dense item ranks ``rank``) of the items feasible in
+        at least one row for a right (consequent) or left expansion."""
+        mask = 0
+        if right:
+            for _, _, _, _, _, max_pos_x, _, table in self.rows:
+                upto = table.upto
+                mask |= upto[-1] ^ upto[max_pos_x]
+        else:
+            for _, _, _, _, _, _, min_pos_y, table in self.rows:
+                mask |= table.upto[min_pos_y - 1]
+        if mask:
+            rule = self.rule
+            cut = rank[rule.consequent[-1] if right else rule.antecedent[-1]] + 1
+            mask = mask >> cut << cut
+        return mask
+
+    def expand(self, item: int, right: bool) -> UtilityList:
+        """The utility-list of the rule grown by ``item`` on the right
+        (consequent) or left side, derived row by row from this one.
+
+        :class:`Rule` raises ``ValueError`` when the item breaks the canonical
+        order constraint (it must exceed every item of the extended side) or
+        already belongs to the rule.
+        """
+        antecedent, consequent = self.rule.antecedent, self.rule.consequent
+        if right:
+            rule, fixed = Rule(antecedent, consequent + (item,)), antecedent[-1]
+        else:
+            rule, fixed = Rule(antecedent + (item,), consequent), consequent[-1]
+        rows = []
+        for sid, iutil, _, _, _, max_pos_x, min_pos_y, table in self.rows:
+            where = table.where
+            base = where.get(item)
+            if base is None:
+                continue
+            sums, last = table.sums, table.last
+            pos = sums[base + last + 1]
+            iutil += sums[base - 2] - sums[base + last]
+            if right:
+                if pos > max_pos_x:
+                    rows.append(table.row(sid, iutil, where[fixed], base, max_pos_x,
+                                          pos if pos < min_pos_y else min_pos_y))
+            elif pos < min_pos_y:
+                rows.append(table.row(sid, iutil, base, where[fixed],
+                                      pos if pos > max_pos_x else max_pos_x, min_pos_y))
+        return UtilityList(rule=rule, rows=tuple(rows))
 
 
 class SequenceTable:
@@ -199,7 +248,7 @@ class SequenceTable:
     def row(
         self, sid: int, iutil: int, base_x: int, base_y: int, max_pos_x: int, min_pos_y: int
     ) -> UtilityListRow:
-        """A rule's row in this sequence.
+        """A rule's row in this sequence; the row keeps this table.
 
         ``base_x`` / ``base_y`` are ``where[last_x]`` / ``where[last_y]``
         for the rule's last antecedent / consequent item.
@@ -215,6 +264,7 @@ class SequenceTable:
             lrutil,
             max_pos_x,
             min_pos_y,
+            self,
         ))
 
 
@@ -298,78 +348,6 @@ def build_utility_list(rule: Rule, tables: SequenceTables, sids: int | None = No
         if max_pos_x < min_pos_y:
             rows.append(table.row(sid, iutil, base_x, base_y, max_pos_x, min_pos_y))
     return UtilityList(rule=rule, rows=tuple(rows))
-
-
-def expanded_rule(rule: Rule, item: int, direction: Direction) -> Rule:
-    """The rule grown by one item on the side ``direction`` names.
-
-    :class:`Rule` raises ``ValueError`` when the item breaks the canonical
-    order constraint (it must exceed every item of the extended side) or
-    already belongs to the rule.
-    """
-    if direction == "right":
-        return Rule(rule.antecedent, rule.consequent + (item,))
-    if direction == "left":
-        return Rule(rule.antecedent + (item,), rule.consequent)
-    raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-
-
-class Expansion:
-    """A utility-list's rows made ready to grow in one direction.
-
-    ``candidates`` masks every item feasible in at least one row (the
-    items a search node may try); :meth:`rows` derives the expanded rule's
-    rows for one such item.
-    """
-
-    __slots__ = ("right", "prepared", "candidates")
-
-    def __init__(self, ul: UtilityList, direction: Direction, tables: SequenceTables):
-        right = direction == "right"
-        rule = ul.rule
-        # the side that does not grow keeps its last item, hence its table row
-        fixed = rule.antecedent[-1] if right else rule.consequent[-1]
-        bound = rule.consequent[-1] if right else rule.antecedent[-1]
-        table_of = tables.table
-        prepared = []
-        mask = 0
-        for sid, iutil, _, _, _, max_pos_x, min_pos_y in ul.rows:
-            table = table_of(sid)
-            upto = table.upto
-            mask |= upto[-1] ^ upto[max_pos_x] if right else upto[min_pos_y - 1]
-            prepared.append((sid, iutil, max_pos_x, min_pos_y, table, table.where[fixed]))
-        if mask:
-            cut = tables.rank[bound] + 1
-            mask = mask >> cut << cut
-        self.right = right
-        self.prepared = prepared
-        self.candidates = mask
-
-    def rows(self, item: int) -> list[UtilityListRow]:
-        rows = []
-        if self.right:
-            for sid, iutil, max_pos_x, min_pos_y, table, base_x in self.prepared:
-                base_y = table.where.get(item)
-                if base_y is not None:
-                    sums, last = table.sums, table.last
-                    pos = sums[base_y + last + 1]
-                    if pos > max_pos_x:
-                        rows.append(table.row(
-                            sid, iutil + sums[base_y - 2] - sums[base_y + last],
-                            base_x, base_y, max_pos_x, pos if pos < min_pos_y else min_pos_y,
-                        ))
-        else:
-            for sid, iutil, max_pos_x, min_pos_y, table, base_y in self.prepared:
-                base_x = table.where.get(item)
-                if base_x is not None:
-                    sums, last = table.sums, table.last
-                    pos = sums[base_x + last + 1]
-                    if pos < min_pos_y:
-                        rows.append(table.row(
-                            sid, iutil + sums[base_x - 2] - sums[base_x + last],
-                            base_x, base_y, pos if pos > max_pos_x else max_pos_x, min_pos_y,
-                        ))
-        return rows
 
 
 def build_bond_matrix(db: SequenceDatabase) -> dict[tuple[int, int], int]:

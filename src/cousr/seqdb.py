@@ -55,6 +55,8 @@ INT_MAX = 2**31 - 1
 MAX_DECIMAL_EXPONENT = sys.int_info.default_max_str_digits
 # a longer token is quoted in messages as its first and last characters
 _QUOTED_CHARS = 12
+# a message lists at most this many missing item ids, then their count
+_LISTED_IDS = 10
 
 
 class ParseError(ValueError):
@@ -262,6 +264,29 @@ def exact_decimal(text: str | Decimal) -> Fraction:
     return Fraction(number)
 
 
+def decimal_text(value: Fraction, places: int | None = None) -> str:
+    """Plain decimal notation of ``value``, trailing fractional zeros trimmed.
+
+    With ``places`` the value is rounded exactly, half to even, to that many
+    fractional digits, at any magnitude. Without, it is written exactly; a
+    value with no finite decimal form (a denominator with a prime factor other
+    than 2 and 5) raises ``ValueError``.
+    """
+    if places is None:
+        denominator = value.denominator
+        twos = (denominator & -denominator).bit_length() - 1
+        rest, fives = denominator >> twos, 0
+        while rest % 5 == 0:
+            rest, fives = rest // 5, fives + 1
+        if rest != 1:
+            raise ValueError(f"{value} has no finite decimal form")
+        places = max(twos, fives)
+    scaled = round(value * 10**places)
+    whole, fraction = divmod(abs(scaled), 10**places)
+    text = f"{'-' if scaled < 0 else ''}{whole}"
+    return f"{text}.{fraction:0{places}d}".rstrip("0") if fraction else text
+
+
 def _quote(token: str) -> str:
     """``token`` quoted for a message; a long one as an excerpt plus its length."""
     if len(token) <= 2 * _QUOTED_CHARS + 3:
@@ -426,9 +451,11 @@ def with_utilities(db: SequenceDatabase, table: UtilityTable) -> SequenceDatabas
     """Attach a utility table, checking it covers every item in the database."""
     missing = sorted(db.item_universe - table.entries.keys())
     if missing:
+        listed = ", ".join(map(str, missing[:_LISTED_IDS]))
+        if len(missing) > _LISTED_IDS:
+            listed += f", ... ({len(missing)} items)"
         raise ParseError(
-            ParseError.MISSING_UTILITY,
-            f"utility table has no entry for items: {', '.join(map(str, missing))}",
+            ParseError.MISSING_UTILITY, f"utility table has no entry for items: {listed}"
         )
     return replace(db, utilities=table)
 
@@ -474,10 +501,8 @@ def serialize_database(db: SequenceDatabase) -> str:
 
 
 def serialize_utility_table(table: UtilityTable) -> str:
-    lines = []
-    for item in sorted(table.entries):
-        value = table.entries[item]
-        text = str(value.numerator) if value.denominator == 1 else str(Decimal(value.numerator) / Decimal(value.denominator))
-        lines.append(f"{item} {text}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One ``item utility`` line per item, ascending, each utility written
+    exactly (``ValueError`` for one with no finite decimal form)."""
+    entries = table.entries
+    return "".join(f"{item} {decimal_text(entries[item])}\n" for item in sorted(entries))
 

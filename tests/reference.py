@@ -12,7 +12,7 @@ from itertools import chain, combinations
 from typing import NamedTuple
 
 from cousr.measures import Rule
-from cousr.rulecore import Direction, Expansion, SequenceTables, UtilityList, expanded_rule
+from cousr.rulecore import SequenceTables, UtilityList
 from cousr.seqdb import Sequence, SequenceDatabase
 
 
@@ -20,7 +20,7 @@ class RuleAbsentError(ValueError):
     """The rule does not occur in the given sequence."""
 
 
-class ExpansionClasses(NamedTuple):
+class ItemClasses(NamedTuple):
     only_left: frozenset[int]
     only_right: frozenset[int]
     left_right: frozenset[int]
@@ -37,7 +37,7 @@ def grid_utilities(seq: Sequence, db: SequenceDatabase) -> dict[int, int]:
     return {item: qty * units[item] for itemset in seq.itemsets for item, qty in itemset}
 
 
-def classify_expansion_items(rule: Rule, seq: Sequence) -> ExpansionClasses:
+def classify_expansion_items(rule: Rule, seq: Sequence) -> ItemClasses:
     """Partition the items that can extend the rule in this sequence.
 
     Item by item from the feasibility definitions of :mod:`cousr.rulecore`;
@@ -66,29 +66,19 @@ def classify_expansion_items(rule: Rule, seq: Sequence) -> ExpansionClasses:
             only_left.add(item)
         elif right_ok:
             only_right.add(item)
-    return ExpansionClasses(frozenset(only_left), frozenset(only_right), frozenset(left_right))
-
-
-def expand_utility_list(
-    parent: UtilityList, item: int, direction: Direction, tables: SequenceTables
-) -> UtilityList:
-    """The expanded rule's utility-list, derived row by row from the parent's
-    as the search derives it."""
-    new_rule = expanded_rule(parent.rule, item, direction)
-    expansion = Expansion(parent, direction, tables)
-    return UtilityList(rule=new_rule, rows=tuple(expansion.rows(item)))
+    return ItemClasses(frozenset(only_left), frozenset(only_right), frozenset(left_right))
 
 
 def random_expansions(ul: UtilityList, tables: SequenceTables, rng, steps: int):
     """Up to ``steps`` utility-lists, each a random feasible expansion of the
-    one before, starting from ``ul``; ends early when the drawn direction has
+    one before, starting from ``ul``; ends early when the drawn side has
     no candidate item."""
     for _ in range(steps):
-        direction = rng.choice(("left", "right"))
-        feasible = tables.items_of(Expansion(ul, direction, tables).candidates)
+        right = rng.choice((False, True))
+        feasible = tables.items_of(ul.candidates(right, tables.rank))
         if not feasible:
             return
-        ul = expand_utility_list(ul, rng.choice(feasible), direction, tables)
+        ul = ul.expand(rng.choice(feasible), right)
         yield ul
 
 

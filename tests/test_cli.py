@@ -61,6 +61,13 @@ def test_format_fraction():
     assert format_fraction(Fraction(2, 5)) == "0.4"
     assert format_fraction(Fraction(1, 3)) == "0.333333"
     assert format_fraction(Fraction(0)) == "0"
+    # exact at any magnitude, half to even at the sixth fractional digit
+    assert format_fraction(Fraction(3 * 10**30 + 1, 3)) == "1000000000000000000000000000000.333333"
+    assert format_fraction(Fraction(123456789012345678901234567890123, 10)) == (
+        "12345678901234567890123456789012.3"
+    )
+    assert format_fraction(Fraction(25, 10**7)) == "0.000002"
+    assert format_fraction(Fraction(35, 10**7)) == "0.000004"
 
 
 def test_mine_writes_golden_csv(tmp_path):
@@ -253,6 +260,20 @@ def test_verify_oracle_limit_exit_code(tmp_path):
     utils.write_text("\n".join(f"{i} 1" for i in range(1, 21)) + "\n")
     code = main(["verify", "--db", str(wide), "--utils", str(utils)])
     assert code == EXIT_LIMITS
+
+
+def test_verify_checks_thresholds_before_the_oracle(tmp_path, monkeypatch, capsys):
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the thresholds were checked")
+
+    monkeypatch.setattr("cousr.cli.oracle_chusrs", oracle)
+    db = tmp_path / "twelve.db"
+    db.write_text(" ".join(f"{i}:1 -1" for i in range(1, 13)) + " -2\n")
+    utils = tmp_path / "twelve.ut"
+    utils.write_text("".join(f"{i} 1\n" for i in range(1, 13)))
+    code = main(["verify", "--db", str(db), "--utils", str(utils), "--min-conf", "1.5"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("cousr: config error:")
 
 
 def test_bench_sweep_on_example(tmp_path):

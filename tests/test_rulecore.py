@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 from cousr import Rule, parse_database, parse_utility_table, with_utilities
 from cousr.measures import build_item_bitvectors, rule_sids, rule_utility
 from cousr.miner import filter_unpromising_items
-from cousr.rulecore import (
-    Expansion,
-    SequenceTables,
-    build_bond_matrix,
-    build_utility_list,
-    scan_rule_pairs,
-)
+from cousr.rulecore import SequenceTables, build_bond_matrix, build_utility_list, scan_rule_pairs
 from cousr.seqdb import Sequence, SequenceDatabase, UtilityTable
 from cousr.synth import random_small_database
 
@@ -25,7 +19,6 @@ from reference import (
     RuleAbsentError,
     classify_expansion_items,
     descendant_keys,
-    expand_utility_list,
     grid_utilities,
     positions,
     random_expansions,
@@ -74,8 +67,8 @@ def test_classify_rejects_non_occurring_rule(example_db):
 
 def test_initial_utility_list_rows(example_db, tables):
     ul = build_utility_list(AE, tables)
-    # (sid, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y)
-    assert [tuple(row) for row in ul.rows] == [
+    # (sid, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y), then the table
+    assert [tuple(row)[:7] for row in ul.rows] == [
         (1, 9, 5, 2, 0, 1, 2),
         (2, 12, 18, 4, 0, 1, 4),
         (3, 15, 10, 0, 3, 1, 4),
@@ -91,8 +84,7 @@ def test_utility_list_of_larger_rule_from_scratch(example_db, tables):
     # any rule size builds from scratch, with the rows its expansion derives
     rule = Rule.of([A, B], [E])
     ul = build_utility_list(rule, tables)
-    assert ul.rows == expand_utility_list(build_utility_list(AE, tables), B, "left",
-                                          tables).rows
+    assert ul.rows == build_utility_list(AE, tables).expand(B, right=False).rows
     assert ul.utility == rule_utility(rule, example_db)
     assert sids_mask(ul) == rule_sids(rule, example_db)
 
@@ -113,15 +105,15 @@ def test_restricting_to_known_sids_gives_same_rows(example_db, tables):
 
 def test_left_expansion_with_c_matches_worked_values(example_db, tables):
     parent = build_utility_list(AE, tables)
-    expanded = expand_utility_list(parent, C, "left", tables)
+    expanded = parent.expand(C, right=False)
     assert expanded.rule == Rule.of([A, C], [E])
-    assert [tuple(row) for row in expanded.rows] == [(2, 16, 9, 4, 0, 2, 4)]
+    assert [tuple(row)[:7] for row in expanded.rows] == [(2, 16, 9, 4, 0, 2, 4)]
     assert expanded.rows == build_utility_list(expanded.rule, tables).rows
 
 
 def test_right_expansion_with_g(example_db, tables):
     parent = build_utility_list(AE, tables)
-    expanded = expand_utility_list(parent, G, "right", tables)
+    expanded = parent.expand(G, right=True)
     assert sids_of(sids_mask(expanded)) == {1, 2, 4, 5}
     assert expanded.utility == rule_utility(Rule.of([A], [E, G]), example_db) == 59
     assert expanded.rows == build_utility_list(expanded.rule, tables).rows
@@ -132,24 +124,18 @@ def test_expansion_with_item_absent_from_all_rows():
     tables = SequenceTables(tiny_db("4:1 1:1 -1 2:1 -1 -2\n1:1 -1 2:1 3:1 -1 -2\n"))
     parent = build_utility_list(Rule.of([1], [2]), tables)
     assert parent.support == 2
-    expanded = expand_utility_list(parent, 4, "right", tables)
+    expanded = parent.expand(4, right=True)
     assert expanded.rows == ()
 
 
 @pytest.mark.parametrize(
-    "item,direction",
+    "item,side",
     [(A, "left"), (A, "right"), (E, "right"), (B, "right"), (C, "right")],
 )
-def test_expansion_order_constraint_violations(example_db, tables, item, direction):
+def test_expansion_order_constraint_violations(example_db, tables, item, side):
     parent = build_utility_list(AE, tables)
     with pytest.raises(ValueError):
-        expand_utility_list(parent, item, direction, tables)
-
-
-def test_expansion_rejects_bad_direction(example_db, tables):
-    parent = build_utility_list(AE, tables)
-    with pytest.raises(ValueError):
-        expand_utility_list(parent, G, "up", tables)
+        parent.expand(item, right=side == "right")
 
 
 # -- upper bounds --------------------------------------------------------------------
@@ -322,6 +308,7 @@ def _assert_rows_match_classification(ul, db, tables):
     sequences = {seq.sid: seq for seq in db.sequences}
     left, right = set(), set()
     for row in ul.rows:
+        assert row.table is tables.table(row.sid)
         seq = sequences[row.sid]
         position, grid = positions(seq), grid_utilities(seq, db)
         classes = classify_expansion_items(ul.rule, seq)
@@ -333,8 +320,8 @@ def _assert_rows_match_classification(ul, db, tables):
         assert row.min_pos_y == min(position[item] for item in ul.rule.consequent)
         left |= classes.only_left | classes.left_right
         right |= classes.only_right | classes.left_right
-    assert tables.items_of(Expansion(ul, "left", tables).candidates) == sorted(left)
-    assert tables.items_of(Expansion(ul, "right", tables).candidates) == sorted(right)
+    assert tables.items_of(ul.candidates(False, tables.rank)) == sorted(left)
+    assert tables.items_of(ul.candidates(True, tables.rank)) == sorted(right)
 
 
 @settings(max_examples=80, deadline=None)

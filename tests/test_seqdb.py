@@ -16,6 +16,7 @@ from cousr.seqdb import (
     MAX_DECIMAL_EXPONENT,
     Sequence,
     SequenceDatabase,
+    UtilityTable,
     exact_decimal,
     serialize_database,
     serialize_utility_table,
@@ -328,6 +329,17 @@ def test_with_utilities_requires_full_coverage():
     assert "2" in str(err.value)
 
 
+def test_missing_utility_message_stays_bounded():
+    db = parse_database(" ".join(f"{item}:1 -1" for item in range(1, 20_001)) + " -2\n")
+    with pytest.raises(ParseError) as err:
+        with_utilities(db, parse_utility_table("1 3\n"))
+    assert err.value.kind == ParseError.MISSING_UTILITY
+    message = str(err.value)
+    assert len(message) < 200
+    assert message.startswith("utility table has no entry for items: 2, 3, 4,")
+    assert "(19999 items)" in message
+
+
 def test_sequence_utility_per_sequence(example_db):
     assert example_db.grid_sequence_utilities == (21, 34, 28, 22, 42)
 
@@ -353,6 +365,13 @@ def test_serialize_round_trip(example_db):
 def test_serialize_utility_table_round_trip():
     table = parse_utility_table("1 3\n2 0.35\n")
     assert parse_utility_table(serialize_utility_table(table)).entries == table.entries
+    # every terminating decimal is written exactly, without an exponent
+    fine = UtilityTable(entries={1: Fraction(1, 2**100), 2: Fraction(10**40 + 1, 10**12)})
+    text = serialize_utility_table(fine)
+    assert "E" not in text.upper()
+    assert parse_utility_table(text).entries == fine.entries
+    with pytest.raises(ValueError, match="no finite decimal form"):
+        serialize_utility_table(UtilityTable(entries={1: Fraction(1, 3)}))
 
 
 @settings(max_examples=60, deadline=None)
