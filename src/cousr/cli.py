@@ -36,6 +36,15 @@ def format_fraction(value: Fraction) -> str:
     return decimal_text(value, 6)
 
 
+def format_threshold(value: Fraction) -> str:
+    """A threshold written exactly, so :func:`as_fraction` reads back the same
+    value: a terminating decimal in plain notation, any other value as ``p/q``."""
+    try:
+        return decimal_text(value)
+    except ValueError:
+        return str(value)
+
+
 def rules_csv_text(result: MiningResult) -> str:
     lines = [RULES_HEADER]
     for mined in result.rules:
@@ -91,10 +100,10 @@ def _peak_rss_bytes() -> int | None:
 def report_payload(config: MinerConfig, variant: str, result: MiningResult) -> dict:
     return {
         "config": {
-            "min_util": format_fraction(config.min_util),
-            "min_conf": format_fraction(config.min_conf),
-            "min_bond": format_fraction(config.min_bond),
-            "min_lift": format_fraction(config.min_lift),
+            "min_util": format_threshold(config.min_util),
+            "min_conf": format_threshold(config.min_conf),
+            "min_bond": format_threshold(config.min_bond),
+            "min_lift": format_threshold(config.min_lift),
             "variant": variant,
             "max_rule_side": config.max_rule_side,
         },
@@ -263,7 +272,7 @@ def cmd_bench(args) -> int:
                 ";".join(
                     (
                         variant,
-                        format_fraction(min_util),
+                        format_threshold(min_util),
                         str(len(result.rules)),
                         str(stats.pruned_s6),
                         str(stats.pruned_s7),

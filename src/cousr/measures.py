@@ -1,7 +1,8 @@
 """Itemset and rule measures, computed on per-item bit vectors.
 
-Bit vectors index sequences by sid: bit ``j`` of an item's vector is set iff
-the item occurs in the sequence with sid ``j + 1``. Vectors are plain Python
+Bit vectors index sequences by position: bit ``k`` of an item's vector is set
+iff the item occurs in the ``k``-th sequence (from 0), the one with sid
+``k + 1``. Vectors are plain Python
 integers, so intersection/union are single ``&``/``|`` operations and
 cardinality is ``int.bit_count()``. Rule occurrence and rule utility are
 read straight from each sequence's itemsets and the grid unit utilities,
@@ -98,18 +99,17 @@ class BondValue(NamedTuple):
 
 
 def build_item_bitvectors(db: SequenceDatabase) -> dict[int, int]:
-    """One bit vector per occurring item; bit sid-1 set per containing sequence.
+    """One bit vector per occurring item; bit ``k`` set per containing ``k``-th sequence.
 
-    Each vector is built once from its item's sids: OR-ing one bit per
+    Each vector is built once from its item's bits: OR-ing one bit per
     occurrence into the vector would copy the growing integer every time.
     """
     sid_bits: defaultdict[int, list[int]] = defaultdict(list)
     items = db.items
-    for sid, (start, end) in zip(db.sids, db.occurrence_spans()):
-        bit = sid - 1
+    for bit, (start, end) in enumerate(db.occurrence_spans()):
         for item in items[start:end]:
             sid_bits[item].append(bit)
-    width = (max(db.sids, default=0) + 7) // 8
+    width = (db.sequence_count + 7) // 8
     vectors: dict[int, int] = {}
     for item, item_bits in sid_bits.items():
         buffer = bytearray(width)

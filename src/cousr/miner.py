@@ -190,8 +190,8 @@ def filter_unpromising_items(
     The threshold is in grid units of the utility table, as :func:`mine`
     computes it once. The filtered database is a masked copy of the columns:
     the unpromising occurrences go, then the itemsets and sequences they
-    empty; surviving sequences keep their original sids. When every item is
-    promising the input database itself is returned.
+    empty; the surviving sequences are numbered 1..n again, in order. When
+    every item is promising the input database itself is returned.
     Returns (promising items, filtered database).
     """
     items = db.items
@@ -205,16 +205,15 @@ def filter_unpromising_items(
     keep = bytes([item in promising for item in items])
     set_bounds = zip(db.set_starts, db.set_starts[1:])
     kept_per_set = [keep.count(1, start, stop) for start, stop in set_bounds]
-    sids, seq_starts, set_starts = array("i"), array("i", [0]), array("i", [0])
-    for k, sid in enumerate(db.sids):
-        for kept in kept_per_set[db.seq_starts[k]:db.seq_starts[k + 1]]:
+    seq_starts, set_starts = array("i", [0]), array("i", [0])
+    for first, end in zip(db.seq_starts, db.seq_starts[1:]):
+        for kept in kept_per_set[first:end]:
             if kept:
                 set_starts.append(set_starts[-1] + kept)
         if len(set_starts) - 1 > seq_starts[-1]:
             seq_starts.append(len(set_starts) - 1)
-            sids.append(sid)
     return promising, replace(
-        db, sids=sids, seq_starts=seq_starts, set_starts=set_starts,
+        db, seq_starts=seq_starts, set_starts=set_starts,
         items=array("i", compress(items, keep)), qtys=array("i", compress(db.qtys, keep)),
     )
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
@@ -105,35 +106,18 @@ def enumerate_all_rules(
     n = db.sequence_count
     scale = db.utilities.scale
 
-    containing: dict[frozenset[int], list[_SequenceView]] = {}
-    support: dict[frozenset[int], int] = {}
-    dissup: dict[frozenset[int], int] = {}
+    @cache
+    def containing(itemset: frozenset[int]) -> list[_SequenceView]:
+        return [v for v in views if itemset <= v.items]
 
-    def seqs_containing(itemset: frozenset[int]) -> list[_SequenceView]:
-        cached = containing.get(itemset)
-        if cached is None:
-            cached = [v for v in views if itemset <= v.items]
-            containing[itemset] = cached
-        return cached
-
-    def sup(itemset: frozenset[int]) -> int:
-        cached = support.get(itemset)
-        if cached is None:
-            cached = len(seqs_containing(itemset))
-            support[itemset] = cached
-        return cached
-
-    def dis(itemset: frozenset[int]) -> int:
-        cached = dissup.get(itemset)
-        if cached is None:
-            cached = sum(1 for v in views if itemset & v.items)
-            dissup[itemset] = cached
-        return cached
+    @cache
+    def dissup(itemset: frozenset[int]) -> int:
+        return sum(1 for v in views if itemset & v.items)
 
     for size in range(2, len(occurring) + 1):
         for union in combinations(occurring, size):
             union_set = frozenset(union)
-            candidates = seqs_containing(union_set)
+            candidates = containing(union_set)
             union_utility = {
                 v.sid: sum(v.item_utilities[item] for item in union) for v in candidates
             }
@@ -149,8 +133,8 @@ def enumerate_all_rules(
                 supporters = [v for v in candidates if _occurs(x_set, y_set, v)]
                 rule_support = len(supporters)
                 utility = Fraction(sum(union_utility[v.sid] for v in supporters), scale)
-                sup_x = sup(x_set)
-                sup_y = sup(y_set)
+                sup_x = len(containing(x_set))
+                sup_y = len(containing(y_set))
                 conf = Fraction(rule_support, sup_x) if sup_x else Fraction(0)
                 lift_value = (
                     Fraction(n * rule_support, sup_x * sup_y)
@@ -164,8 +148,8 @@ def enumerate_all_rules(
                     support=rule_support,
                     confidence=conf,
                     lift=lift_value,
-                    bond_antecedent=Fraction(sup_x, dis(x_set)),
-                    bond_consequent=Fraction(sup_y, dis(y_set)),
+                    bond_antecedent=Fraction(sup_x, dissup(x_set)),
+                    bond_consequent=Fraction(sup_y, dissup(y_set)),
                 )
 
 

@@ -23,6 +23,8 @@ The utility-list of a rule has one row per supporting sequence::
 
     (sid, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y, table)
 
+``sid`` is the sequence's position in the database plus one (the ``k``-th
+sequence, from 0, is sid ``k + 1`` and bit ``k`` of every sequence mask),
 ``iutil`` is the rule's utility in that sequence, ``lutil``, ``rutil``,
 ``lrutil`` are the utility sums over the three classes and ``table`` is the
 sequence's row table (below). Consequences used by the miner:
@@ -35,15 +37,16 @@ sequence's row table (below). Consequences used by the miner:
 
 **Row tables.** Each sequence with ``k`` items in ``l`` itemsets gets one
 :class:`SequenceTable`, built from the database's flat columns on first use
-and held by a :class:`SequenceTables`, which the caller creates and passes
-to :func:`build_utility_list` (the miner's search owns one and drops it on
-return); every row keeps its sequence's table. A table is a flat
-``(k+1) x (l+1)`` array ``T`` of dominance sums, ``T[r][q]`` = utility of the
-items whose rank in the sequence (ascending item order, from 0) is ``>= r``
-and whose position is ``<= q``; each table row ``r`` carries one more cell,
-the position of the item of rank ``r - 1``. ``where`` maps an item to the
-offset of row ``rank(item) + 1`` only: the item's position is that row's
-extra cell and its utility is ``T[r][l] - T[r+1][l]`` (``r`` its rank).
+and held in the sequence's slot of a :class:`SequenceTables`, which the
+caller creates and passes to :func:`build_utility_list` (the miner's search
+owns one and drops it on return); every row keeps its sequence's table.
+A table is a flat ``(k+1) x (l+1)`` array ``T`` of dominance sums,
+``T[r][q]`` = utility of the items whose rank in the sequence (ascending
+item order, from 0) is ``>= r`` and whose position is ``<= q``; each table
+row ``r`` carries one more cell, the position of the item of rank
+``r - 1``. ``where`` maps an item to the offset of row ``rank(item) + 1``
+only: the item's position is that row's extra cell and its utility is
+``T[r][l] - T[r+1][l]`` (``r`` its rank).
 With ``rL = rank(last_x) + 1``, ``rR = rank(last_y) + 1``, ``mx = max_pos_x``
 and ``my = min_pos_y``, the class sums are rectangles::
 
@@ -57,7 +60,8 @@ needs only its parent row's ``mx``/``my`` and table: a right expansion by an
 item at position ``p`` sets ``my' = min(my, p)``, a left one
 ``mx' = max(mx, p)``, so :meth:`UtilityList.expand` grows a rule by one item
 with a constant-time step per parent row, and :func:`build_utility_list`
-builds from scratch through the same function.
+builds the 1*1 roots, the only lists made from scratch, through the same
+function.
 The table also keeps, per position ``q``, the items at or before ``q`` as a
 cumulative bit mask ``upto[q]`` over the database's dense item ranks; the
 items after ``q`` are ``upto[l] ^ upto[q]`` and those before it
@@ -82,7 +86,6 @@ Two sparse pruning tables summarize item pairs:
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -268,85 +271,64 @@ class SequenceTable:
         ))
 
 
-class SequenceTables:
-    """The row tables of one database, each built on first use.
+def _set_bits(mask: int) -> list[int]:
+    """The positions of a mask's set bits, lowest first."""
+    bits = bin(mask)[:1:-1]
+    found = []
+    bit = bits.find("1")
+    while bit >= 0:
+        found.append(bit)
+        bit = bits.find("1", bit + 1)
+    return found
 
-    A sid is found by bisecting the database's ascending ``sids``; a sid
-    that is not there raises ``KeyError``. Item masks index :attr:`items`
-    (the database's items, ascending) by position, so the lowest set bit is
-    the smallest item.
+
+class SequenceTables:
+    """The row tables of one database, one slot per sequence, each table
+    built on first use; sid ``k + 1`` is slot ``k``.
+
+    Item masks index :attr:`items` (the database's items, ascending) by
+    position, so the lowest set bit is the smallest item.
     """
 
     def __init__(self, db: SequenceDatabase):
         self.db = db
         self._grid_units = db.require_utilities().grid_units
-        self._by_sid: dict[int, SequenceTable] = {}
+        self._slots: list[SequenceTable | None] = [None] * db.sequence_count
         self.items = tuple(sorted(db.item_universe))
         self.rank = {item: bit for bit, item in enumerate(self.items)}
 
     def table(self, sid: int) -> SequenceTable:
-        table = self._by_sid.get(sid)
+        table = self._slots[sid - 1]
         if table is None:
-            sids = self.db.sids
-            index = bisect_left(sids, sid)
-            if index == len(sids) or sids[index] != sid:
-                raise KeyError(sid)
-            table = SequenceTable(self.db, index, self._grid_units, self.rank)
-            self._by_sid[sid] = table
+            table = SequenceTable(self.db, sid - 1, self._grid_units, self.rank)
+            self._slots[sid - 1] = table
         return table
 
     def items_of(self, mask: int) -> list[int]:
         """The items of a mask, ascending."""
         items = self.items
-        found = []
-        while mask:
-            low = mask & -mask
-            found.append(items[low.bit_length() - 1])
-            mask ^= low
-        return found
+        return [items[bit] for bit in _set_bits(mask)]
 
 
-def build_utility_list(rule: Rule, tables: SequenceTables, sids: int | None = None) -> UtilityList:
-    """Build a rule's utility-list from scratch by scanning the tables' database.
+def build_utility_list(rule: Rule, tables: SequenceTables, sids: int) -> UtilityList:
+    """The utility-list of a 1*1 rule ``a => b`` (a search root).
 
-    ``sids`` optionally restricts the scan to a mask of candidate sequences
-    (any superset of the supporting ones gives the same rows).
+    ``sids`` masks the sequences to scan (bit ``k`` for sid ``k + 1``);
+    each must hold both items, and any superset of the supporting
+    sequences gives the same rows. The miner passes the AND of the two
+    items' bit vectors.
     """
-    if sids is None:
-        candidates = tables.db.sids
-    else:
-        # set bits of the mask, lowest first (sid j is bit j - 1)
-        bits = bin(sids)[:1:-1]
-        candidates = []
-        bit = bits.find("1")
-        while bit >= 0:
-            candidates.append(bit + 1)
-            bit = bits.find("1", bit + 1)
-    antecedent, consequent = rule.antecedent, rule.consequent
+    (a,), (b,) = rule.antecedent, rule.consequent
     table_of = tables.table
     rows: list[UtilityListRow] = []
-    for sid in candidates:
-        table = table_of(sid)
+    for bit in _set_bits(sids):
+        table = table_of(bit + 1)
         where, sums, last = table.where, table.sums, table.last
-        iutil = max_pos_x = 0
-        min_pos_y = last
-        try:
-            for item in antecedent:
-                base_x = where[item]
-                iutil += sums[base_x - 2] - sums[base_x + last]
-                pos = sums[base_x + last + 1]
-                if pos > max_pos_x:
-                    max_pos_x = pos
-            for item in consequent:
-                base_y = where[item]
-                iutil += sums[base_y - 2] - sums[base_y + last]
-                pos = sums[base_y + last + 1]
-                if pos < min_pos_y:
-                    min_pos_y = pos
-        except KeyError:
-            continue
+        base_x, base_y = where[a], where[b]
+        max_pos_x, min_pos_y = sums[base_x + last + 1], sums[base_y + last + 1]
         if max_pos_x < min_pos_y:
-            rows.append(table.row(sid, iutil, base_x, base_y, max_pos_x, min_pos_y))
+            iutil = sums[base_x - 2] - sums[base_x + last] + sums[base_y - 2] - sums[base_y + last]
+            rows.append(table.row(bit + 1, iutil, base_x, base_y, max_pos_x, min_pos_y))
     return UtilityList(rule=rule, rows=tuple(rows))
 
 

@@ -7,11 +7,13 @@ may occur in *at most one* itemset of a sequence. A companion utility table
 assigns every item a non-negative unit utility, so the utility of item ``i``
 in sequence ``S`` is ``quantity(i, S) * unit_utility(i)``.
 
-In memory a database is one flat encoding (:class:`SequenceDatabase`): five
-``array('i')`` columns in compressed-sparse-row form, so item ids,
-quantities and sids lie in ``1..2**31 - 1`` (the Java ``int`` range of
-SPMF's format). :class:`Sequence` records (a sid plus its itemsets, with no
-cached views) are the reference view of the same data, built only when
+In memory a database is one flat encoding (:class:`SequenceDatabase`): four
+``array('i')`` columns in compressed-sparse-row form, so item ids and
+quantities lie in ``1..2**31 - 1`` (the Java ``int`` range of SPMF's
+format). A sequence is addressed by its position alone: the ``k``-th
+sequence (from 0) has sid ``k + 1``, so sids run 1..n with no gaps and no
+column stores them. :class:`Sequence` records (a sid plus its itemsets, with
+no cached views) are the reference view of the same data, built only when
 :attr:`SequenceDatabase.sequences` is read.
 
 On-disk formats (UTF-8; lines whose first non-blank character is ``#`` are
@@ -48,7 +50,7 @@ from operator import mul
 from pathlib import Path
 from typing import Iterable, Iterator
 
-# largest item id, quantity, sid or offset the ``array('i')`` columns hold
+# largest item id, quantity or offset the ``array('i')`` columns hold
 INT_MAX = 2**31 - 1
 # largest decimal exponent, either sign, an exact conversion accepts: its
 # power of ten has as many digits as ``int()`` reads from text by default
@@ -69,6 +71,7 @@ class ParseError(ValueError):
     NON_NUMERIC = "non-numeric"
     CONFLICTING_DUPLICATE = "conflicting-duplicate"
     MISSING_UTILITY = "missing-utility"
+    NOT_UTF8 = "not-utf-8"
 
     def __init__(self, kind: str, message: str, line: int = 0, column: int = 0):
         super().__init__(f"line {line}, column {column}: {message}" if line else message)
@@ -152,10 +155,9 @@ class UtilityTable:
 class SequenceDatabase:
     """Immutable database of sequences plus (optionally) their utility table.
 
-    The sequences are one flat encoding in compressed-sparse-row form, five
+    The sequences are one flat encoding in compressed-sparse-row form, four
     ``array('i')`` columns:
 
-    * ``sids``: one per sequence, strictly ascending;
     * ``seq_starts``: sequence ``k`` holds the itemsets
       ``seq_starts[k]`` to ``seq_starts[k + 1] - 1`` (``n + 1`` entries);
     * ``set_starts``: itemset ``s`` holds the occurrences
@@ -167,12 +169,11 @@ class SequenceDatabase:
     same data as :class:`Sequence` objects, for the reference paths
     (:mod:`cousr.measures`, the oracle, the tests); it is built on first
     access and never on the mine path. :meth:`from_sequences` encodes
-    sequences. Parsing assigns dense sids 1..n; derived databases
-    (filtering) may drop sequences but always keep the original sids, so
-    sid-indexed structures built on the original database stay valid.
+    sequences. The ``k``-th sequence has sid ``k + 1``: there is no sid
+    column, and a derived database (filtering) that drops sequences
+    numbers the kept ones 1..n again.
     """
 
-    sids: array
     seq_starts: array
     set_starts: array
     items: array
@@ -183,15 +184,14 @@ class SequenceDatabase:
     def from_sequences(
         cls, sequences: Iterable[Sequence], utilities: UtilityTable | None = None
     ) -> SequenceDatabase:
-        """Encode sequences, whose sids must ascend; ``ValueError`` if a sid,
-        item id or quantity exceeds :data:`INT_MAX`."""
-        sids, items, qtys = array("i"), array("i"), array("i")
+        """Encode sequences, whose sids must be 1..n in order; ``ValueError``
+        otherwise or if an item id or quantity exceeds :data:`INT_MAX`."""
+        items, qtys = array("i"), array("i")
         seq_starts, set_starts = array("i", [0]), array("i", [0])
         try:
-            for seq in sequences:
-                if sids and seq.sid <= sids[-1]:
-                    raise ValueError(f"sids must ascend, got {seq.sid} after {sids[-1]}")
-                sids.append(seq.sid)
+            for sid, seq in enumerate(sequences, start=1):
+                if seq.sid != sid:
+                    raise ValueError(f"sequence {sid} has sid {seq.sid}; sids must be 1..n in order")
                 for itemset in seq.itemsets:
                     for item, qty in itemset:
                         items.append(item)
@@ -199,10 +199,8 @@ class SequenceDatabase:
                     set_starts.append(len(items))
                 seq_starts.append(len(set_starts) - 1)
         except OverflowError:
-            raise ValueError(
-                f"sids, item ids and quantities must be at most {INT_MAX}"
-            ) from None
-        return cls(sids, seq_starts, set_starts, items, qtys, utilities)
+            raise ValueError(f"item ids and quantities must be at most {INT_MAX}") from None
+        return cls(seq_starts, set_starts, items, qtys, utilities)
 
     @cached_property
     def sequences(self) -> tuple[Sequence, ...]:
@@ -213,13 +211,13 @@ class SequenceDatabase:
         ]
         seq_starts = self.seq_starts
         return tuple(
-            Sequence._trusted(sid, tuple(itemsets[seq_starts[k]:seq_starts[k + 1]]))
-            for k, sid in enumerate(self.sids)
+            Sequence._trusted(k + 1, tuple(itemsets[seq_starts[k]:seq_starts[k + 1]]))
+            for k in range(self.sequence_count)
         )
 
     @property
     def sequence_count(self) -> int:
-        return len(self.sids)
+        return len(self.seq_starts) - 1
 
     def occurrence_spans(self) -> Iterator[tuple[int, int]]:
         """Per sequence, in order: the start and end of its occurrences."""
@@ -319,10 +317,9 @@ def parse_database(text: str) -> SequenceDatabase:
     ``item:qty`` text is validated and converted once per call; the
     duplicate-item check still runs per occurrence.
     """
-    sids, items, qtys = array("i"), array("i"), array("i")
+    items, qtys = array("i"), array("i")
     seq_starts, set_starts = array("i", [0]), array("i", [0])
     pairs: dict[str, tuple[int, int]] = {}
-    sid = 1
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if _is_comment(tokens):
@@ -373,10 +370,8 @@ def parse_database(text: str) -> SequenceDatabase:
                 ParseError.MISSING_TERMINATOR, "sequence not closed with -2",
                 lineno, _column(line, len(tokens) - 1),
             )
-        sids.append(sid)
         seq_starts.append(len(set_starts) - 1)
-        sid += 1
-    return SequenceDatabase(sids, seq_starts, set_starts, items, qtys)
+    return SequenceDatabase(seq_starts, set_starts, items, qtys)
 
 
 def _parse_pair(token: str, lineno: int, line: str, index: int) -> tuple[int, int]:
@@ -476,14 +471,28 @@ def gc_paused():
             gc.enable()
 
 
+def _read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; :class:`ParseError` names the file and the
+    line and byte column of the first byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            ParseError.NOT_UTF8, f"{path}: byte 0x{data[exc.start]:02x} is not UTF-8 text",
+            data.count(b"\n", 0, exc.start) + 1, exc.start - line_start + 1,
+        ) from None
+
+
 def load_database(db_path: str | Path, utils_path: str | Path) -> SequenceDatabase:
     """Read and cross-validate a database file and its utility file.
 
     The cyclic garbage collector is paused while parsing (see :func:`gc_paused`).
     """
     with gc_paused():
-        db = parse_database(Path(db_path).read_text(encoding="utf-8"))
-        table = parse_utility_table(Path(utils_path).read_text(encoding="utf-8"))
+        db = parse_database(_read_utf8(db_path))
+        table = parse_utility_table(_read_utf8(utils_path))
         return with_utilities(db, table)
 
 

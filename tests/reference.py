@@ -20,7 +20,7 @@ class RuleAbsentError(ValueError):
     """The rule does not occur in the given sequence."""
 
 
-class ItemClasses(NamedTuple):
+class _ItemClasses(NamedTuple):
     only_left: frozenset[int]
     only_right: frozenset[int]
     left_right: frozenset[int]
@@ -37,7 +37,7 @@ def grid_utilities(seq: Sequence, db: SequenceDatabase) -> dict[int, int]:
     return {item: qty * units[item] for itemset in seq.itemsets for item, qty in itemset}
 
 
-def classify_expansion_items(rule: Rule, seq: Sequence) -> ItemClasses:
+def classify_expansion_items(rule: Rule, seq: Sequence) -> _ItemClasses:
     """Partition the items that can extend the rule in this sequence.
 
     Item by item from the feasibility definitions of :mod:`cousr.rulecore`;
@@ -66,7 +66,27 @@ def classify_expansion_items(rule: Rule, seq: Sequence) -> ItemClasses:
             only_left.add(item)
         elif right_ok:
             only_right.add(item)
-    return ItemClasses(frozenset(only_left), frozenset(only_right), frozenset(left_right))
+    return _ItemClasses(frozenset(only_left), frozenset(only_right), frozenset(left_right))
+
+
+def rebuild_utility_list(rule: Rule, tables: SequenceTables) -> UtilityList:
+    """A rule of any size's utility-list from scratch: positions and
+    utilities read from every sequence's itemsets, each row derived by
+    :meth:`cousr.rulecore.SequenceTable.row` from its sequence's table."""
+    db, rows = tables.db, []
+    for seq in db.sequences:
+        position = positions(seq)
+        if not position.keys() >= set(rule.items):
+            continue
+        max_pos_x = max(position[item] for item in rule.antecedent)
+        min_pos_y = min(position[item] for item in rule.consequent)
+        if max_pos_x < min_pos_y:
+            grid = grid_utilities(seq, db)
+            table = tables.table(seq.sid)
+            base_x, base_y = table.where[rule.antecedent[-1]], table.where[rule.consequent[-1]]
+            iutil = sum(grid[item] for item in rule.items)
+            rows.append(table.row(seq.sid, iutil, base_x, base_y, max_pos_x, min_pos_y))
+    return UtilityList(rule=rule, rows=tuple(rows))
 
 
 def random_expansions(ul: UtilityList, tables: SequenceTables, rng, steps: int):

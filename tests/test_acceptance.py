@@ -29,12 +29,18 @@ from cousr.measures import (
 )
 from cousr.miner import VARIANTS, filter_unpromising_items
 from cousr.oracle import enumerate_all_rules, oracle_chusrs
-from cousr.rulecore import SequenceTables, build_bond_matrix, build_utility_list, scan_rule_pairs
+from cousr.rulecore import SequenceTables, build_bond_matrix, scan_rule_pairs
 from cousr.seqdb import Sequence, SequenceDatabase, UtilityTable
 from cousr.synth import random_small_database, random_thresholds, synthesize_database
 
 from conftest import A, B, C, D, E, G
-from reference import descendant_keys, random_expansions, seu_of_rule, sids_of
+from reference import (
+    descendant_keys,
+    random_expansions,
+    rebuild_utility_list,
+    seu_of_rule,
+    sids_of,
+)
 
 GOLDEN = dict(min_util=50, min_conf="0.7", min_bond="0.3", min_lift="1.1")
 DESK = dict(min_util=2000, min_conf="0.3", min_bond="0.1", min_lift="0")
@@ -91,7 +97,7 @@ def test_intermediate_example_values(example_db):
         assert itemset_support([A, C], bvs) == 2
         assert itemset_dissup([A, C], bvs) == 5
         tables = SequenceTables(example_db)
-        ul = build_utility_list(Rule.of([A], [E]), tables)
+        ul = rebuild_utility_list(Rule.of([A], [E]), tables)
         assert tuple(ul.rows[0])[:7] == (1, 9, 5, 2, 0, 1, 2)
         expanded = ul.expand(C, right=False)
         assert tuple(expanded.rows[0])[:7] == (2, 16, 9, 4, 0, 2, 4)
@@ -216,7 +222,7 @@ def _assert_bounds_dominate(db):
                 assert pair_bond(a, b) >= side_bond, f"s6 pair {(a, b)} under {key}"
             for k in range(2, len(side)):
                 assert bond(side[:k], bitvectors).value >= side_bond, f"s3 prefix under {key}"
-        ul = build_utility_list(Rule(*key), tables)
+        ul = rebuild_utility_list(Rule(*key), tables)
         for right, bound in ((True, ul.total), (False, ul.left_total)):
             for descendant in descendant_keys(*key, items, right=right):
                 assert bound >= grid_utility.get(descendant, 0), (
@@ -253,9 +259,9 @@ def test_incremental_expansion_equivalence_at_scale():
             tables = SequenceTables(db)
             for _ in range(4):
                 a, b = pairs[rng.randrange(len(pairs))]
-                ul = build_utility_list(Rule.of([a], [b]), tables)
+                ul = rebuild_utility_list(Rule.of([a], [b]), tables)
                 for expanded in random_expansions(ul, tables, rng, 3):
-                    rebuilt = build_utility_list(expanded.rule, tables)
+                    rebuilt = rebuild_utility_list(expanded.rule, tables)
                     assert expanded.rule == rebuilt.rule
                     assert expanded.rows == rebuilt.rows
                     cases += 1
@@ -326,7 +332,7 @@ def test_desk_variants_write_identical_csv(desk):
 def test_desk_sequences_repeated(desk):
     with criterion("metamorphic: every sequence twice and min_util x2 double support and utility"):
         db, result, _ = desk
-        offset = db.sids[-1]
+        offset = db.sequence_count
         copies = (Sequence(seq.sid + offset, seq.itemsets) for seq in db.sequences)
         doubled = SequenceDatabase.from_sequences([*db.sequences, *copies], db.utilities)
         got = mine(doubled, MinerConfig(**{**DESK, "min_util": 2 * DESK["min_util"]}))

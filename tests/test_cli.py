@@ -32,6 +32,7 @@ from cousr.measures import (
     rule_sids,
     rule_utility,
 )
+from cousr.miner import as_fraction
 
 from conftest import EXAMPLE_DB, EXAMPLE_UT
 
@@ -121,6 +122,24 @@ def test_mine_report_payload(tmp_path):
     assert all(stats[f"pruned_s{k}"] >= 0 for k in range(1, 8))
 
 
+def test_thresholds_are_echoed_exactly(tmp_path):
+    # a terminating threshold is written in plain decimal, any other as p/q,
+    # so each reads back as the value mined with
+    report = tmp_path / "report.json"
+    code, _ = run_mine(tmp_path, "--min-util", "0.0000001", "--min-conf", "2/3",
+                       "--report", str(report))
+    assert code == EXIT_OK
+    config = json.loads(report.read_text())["config"]
+    assert (config["min_util"], config["min_conf"]) == ("0.0000001", "2/3")
+    assert as_fraction(config["min_conf"]) == Fraction(2, 3)
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--db", str(EXAMPLE_DB), "--utils", str(EXAMPLE_UT), "--variant", "s6s7",
+                 "--min-util", "0.0000001,0.0000002,1/3", "--out", str(out)])
+    assert code == EXIT_OK
+    minutils = [line.split(";")[1] for line in out.read_text().splitlines()[1:]]
+    assert minutils == ["0.0000001", "0.0000002", "1/3"]
+
+
 def test_report_deterministic_outside_timing(tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     run_mine(tmp_path, "--report", str(r1), out="a.csv")
@@ -158,6 +177,21 @@ def test_parse_error_exit_code(tmp_path):
     bad.write_text("1:1 1:2 -1 -2\n")
     code = main(["mine", "--db", str(bad), "--utils", str(EXAMPLE_UT)])
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("which", ["db", "ut"])
+def test_non_utf8_input_is_parse_error(tmp_path, capsys, which):
+    sources = {"db": EXAMPLE_DB, "ut": EXAMPLE_UT}
+    bad = tmp_path / f"bad.{which}"
+    # byte 0xff, which no UTF-8 text holds, is the fifth byte of line 3
+    bad.write_bytes(b"# first\n# second\n# ab\xff\n" + sources[which].read_bytes())
+    paths = {**sources, which: bad}
+    for command in ("mine", "verify"):
+        code = main([command, "--db", str(paths["db"]), "--utils", str(paths["ut"]), *GOLDEN_FLAGS])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("cousr: parse error: line 3, column 5:")
+        assert str(bad) in err and "0xff" in err
 
 
 def test_utility_item_id_beyond_int_conversion_exit_code(tmp_path, capsys):

@@ -22,7 +22,7 @@ from cousr.measures import (
     rule_utility,
 )
 from cousr.miner import filter_unpromising_items
-from cousr.seqdb import Sequence, SequenceDatabase
+from cousr.seqdb import SequenceDatabase
 from cousr.synth import random_small_database
 
 from conftest import A, B, C, D, E, F, G
@@ -193,17 +193,12 @@ def test_bitset_matches_naive_scan_randomized(seed):
     for itemset in all_itemsets(db, 3):
         assert itemset_support(itemset, bvs) == naive_support(itemset, db)
         assert itemset_dissup(itemset, bvs) == naive_dissup(itemset, db)
-    # filtered databases keep their sids: bit sid-1 holds across the gaps;
-    # the filter's threshold is on the utility grid
+    # a filtered database numbers its sequences 1..n again, and bit sid - 1
+    # still marks each one; the filter's threshold is on the utility grid
     scale = db.utilities.scale
     levels = sorted({int(seu_of_item(item, db) * scale) for item in db.item_universe})
     _, filtered = filter_unpromising_items(db, rng.choice(levels))
-    sparse, sid = [], 0
-    for seq in db.sequences:
-        sid += rng.randint(1, 12)
-        if rng.random() < 0.5:
-            sparse.append(Sequence(sid=sid, itemsets=seq.itemsets))
-    for view in (filtered, *map(SequenceDatabase.from_sequences, (sparse, ()))):
+    for view in (filtered, SequenceDatabase.from_sequences(())):
         assert build_item_bitvectors(view) == {
             item: sum(1 << (seq.sid - 1) for seq in view.sequences if item in positions(seq))
             for item in view.item_universe

@@ -93,7 +93,7 @@ def test_filter_drops_low_seu_items(example_db):
     assert promising == frozenset({A, B, D, E, G})
     for seq in filtered.sequences:
         assert not {C, F} & positions(seq).keys()
-    # sids survive the rewrite untouched
+    # no sequence empties, so each keeps its place and sid
     assert [s.sid for s in filtered.sequences] == [1, 2, 3, 4, 5]
     # dropped items shrink the rewritten sequence utilities
     assert filtered.grid_sequence_utilities[2] == 25  # S3 without f
@@ -106,7 +106,8 @@ def test_filter_can_drop_whole_sequences():
     )
     promising, filtered = filter_unpromising_items(db, 10)
     assert promising == frozenset({2, 3})
-    assert [s.sid for s in filtered.sequences] == [2]
+    # the kept sequence is numbered again from 1
+    assert [s.sid for s in filtered.sequences] == [1]
 
 
 def test_filter_is_a_masked_copy_of_the_columns():
@@ -119,7 +120,7 @@ def test_filter_is_a_masked_copy_of_the_columns():
     )
     promising, filtered = filter_unpromising_items(db, 200)
     assert promising == frozenset({2, 3})
-    assert list(filtered.sids) == [1, 2, 4]
+    assert filtered.sequence_count == 3
     assert list(filtered.seq_starts) == [0, 2, 3, 5]
     assert list(filtered.set_starts) == [0, 1, 2, 3, 4, 5]
     assert list(filtered.items) == [2, 3, 2, 2, 3]

@@ -3,7 +3,8 @@
 Every public top-level name of ``src/cousr/*.py`` must be used beyond its own
 definition somewhere in ``src/cousr/`` or ``perfbench/`` (the benchmark wraps
 some layers by name, as strings), or be exported in ``cousr.__all__``.
-References that only the tests need live in ``tests/reference.py``.
+References that only the tests need live in ``tests/reference.py``, and each
+of its public top-level names must be used by some ``tests/test_*.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import cousr
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "cousr").glob("*.py"))
 USERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
+REFERENCE = ROOT / "tests" / "reference.py"
+TESTS = sorted((ROOT / "tests").glob("test_*.py"))
 
 
 def _uses(node: ast.AST) -> Counter:
@@ -52,5 +55,17 @@ def test_every_public_name_is_used_or_exported():
         if not name.startswith("_")
         and name not in cousr.__all__
         and uses[name] <= _uses(node)[name]
+    ]
+    assert unused == []
+
+
+def test_every_public_reference_name_is_used_by_a_test():
+    uses = sum((_uses(ast.parse(path.read_text(encoding="utf-8"))) for path in TESTS), Counter())
+    tree = ast.parse(REFERENCE.read_text(encoding="utf-8"))
+    unused = [
+        name
+        for node in tree.body
+        for name in _defined(node)
+        if not name.startswith("_") and not uses[name]
     ]
     assert unused == []

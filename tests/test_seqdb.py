@@ -63,14 +63,14 @@ def test_parse_duplicate_item_across_itemsets_rejected():
 
 def test_parse_appends_occurrences_to_flat_columns():
     db = parse_database("3:1 -1 4:2 -1 -2\n# note\n4:2 3:1 -1 -2\n-2\n5:1 -1 3:1 -1 -2\n")
-    assert list(db.sids) == [1, 2, 3, 4]
+    assert db.sequence_count == 4
     assert list(db.seq_starts) == [0, 2, 3, 3, 5]
     assert list(db.set_starts) == [0, 1, 2, 4, 5, 6]
     # items ascend within an itemset, whatever their order in the line
     assert list(db.items) == [3, 4, 3, 4, 5, 3]
     assert list(db.qtys) == [1, 2, 1, 2, 1, 1]
     assert all(column.typecode == "i" for column in (
-        db.sids, db.seq_starts, db.set_starts, db.items, db.qtys))
+        db.seq_starts, db.set_starts, db.items, db.qtys))
 
 
 @pytest.mark.parametrize(
@@ -132,18 +132,22 @@ def test_from_sequences_round_trips_parsed_columns(text):
     assert SequenceDatabase.from_sequences(db.sequences) == db
 
 
-def test_from_sequences_keeps_sid_gaps():
+def test_from_sequences_rejects_sid_gaps():
     sequences = (
-        Sequence(sid=2, itemsets=(((1, 1), (3, 2)),)),
-        Sequence(sid=5, itemsets=()),
-        Sequence(sid=9, itemsets=(((2, 1),), ((1, 4),))),
+        Sequence(sid=1, itemsets=(((1, 1), (3, 2)),)),
+        Sequence(sid=2, itemsets=()),
+        Sequence(sid=3, itemsets=(((2, 1),), ((1, 4),))),
     )
     db = SequenceDatabase.from_sequences(sequences)
-    assert list(db.sids) == [2, 5, 9]
+    assert db.sequence_count == 3
     assert list(db.seq_starts) == [0, 1, 1, 3]
     assert list(db.set_starts) == [0, 2, 3, 4]
     assert db.sequences == sequences
-    assert SequenceDatabase.from_sequences(db.sequences) == db
+    # a sequence's sid is its position plus one: no gaps, no other start
+    for sids in ((2, 5, 9), (2, 3, 4), (1, 2, 4)):
+        gapped = [Sequence(sid, seq.itemsets) for sid, seq in zip(sids, sequences)]
+        with pytest.raises(ValueError, match="sids must be 1..n"):
+            SequenceDatabase.from_sequences(gapped)
 
 
 @pytest.mark.parametrize(
