@@ -9,7 +9,7 @@ seed-deterministic synthetic data (:mod:`cousr.synth`).
 
 from .measures import MinedRule, Rule
 from .miner import MinerConfig, MiningResult, MiningStats, mine
-from .oracle import OracleLimits, enumerate_all_rules, oracle_chusrs
+from .oracle import enumerate_all_rules, oracle_chusrs
 from .seqdb import (
     ParseError,
     Sequence,
@@ -28,7 +28,6 @@ __all__ = [
     "MinerConfig",
     "MiningResult",
     "MiningStats",
-    "OracleLimits",
     "ParseError",
     "Rule",
     "Sequence",

@@ -120,18 +120,6 @@ def _as_int(text, flag: str) -> int:
         raise ConfigError(f"{flag} must be an integer, got {text!r}") from None
 
 
-def _worker_count() -> int:
-    cpu = os.cpu_count() or 1
-    env = os.environ.get("COUSR_THREADS")
-    if env is None:
-        return cpu
-    try:
-        cap = int(env)
-    except ValueError:
-        raise ConfigError(f"COUSR_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(cpu, cap))
-
-
 def _load(args) -> SequenceDatabase:
     if not args.db or not args.utils:
         raise ConfigError("--db and --utils are both required")
@@ -205,19 +193,14 @@ def cmd_verify(args) -> int:
         if count < 0:
             raise ConfigError(f"--random must be >= 0, got {count}")
         base = _as_int(args.seed, "--seed")
-        seeds = [base + k for k in range(count)]
-        workers = _worker_count()
-        problems: list[str] = []
-        if workers > 1 and count > 1:
-            # imported here, so that mine and bench do not load multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+        seeds = range(base, base + count)
+        # imported here, so that mine and bench do not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for chunk in pool.map(_verify_random_seed, seeds, chunksize=16):
-                    problems.extend(chunk)
-        else:
-            for seed in seeds:
-                problems.extend(_verify_random_seed(seed))
+        problems: list[str] = []
+        with ProcessPoolExecutor(max_workers=max(1, min(count, os.cpu_count() or 1))) as pool:
+            for chunk in pool.map(_verify_random_seed, seeds, chunksize=16):
+                problems.extend(chunk)
         for line in problems:
             print(line, file=sys.stderr)
         print(

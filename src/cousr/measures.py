@@ -1,12 +1,11 @@
 """Itemset and rule measures, computed on per-item bit vectors.
 
-Bit vectors index sequences by position: bit ``k`` of an item's vector is set
-iff the item occurs in the ``k``-th sequence (from 0), the one with sid
-``k + 1``. Vectors are plain Python
-integers, so intersection/union are single ``&``/``|`` operations and
-cardinality is ``int.bit_count()``. Rule occurrence and rule utility are
-read straight from each sequence's itemsets and the grid unit utilities,
-with no per-sequence cache.
+Bit vectors index sequences by their number, the position ``k`` (from 0):
+bit ``k`` of an item's vector is set iff the item occurs in the ``k``-th
+sequence. Vectors are plain Python integers, so intersection/union are
+single ``&``/``|`` operations and cardinality is ``int.bit_count()``. Rule
+occurrence and rule utility are read straight from each sequence's itemsets
+and the grid unit utilities, with no per-sequence cache.
 
 Measures:
 
@@ -174,9 +173,9 @@ def rule_occurs(rule: Rule, seq: Sequence) -> bool:
 def rule_sids(rule: Rule, db: SequenceDatabase) -> int:
     """Bit vector of the sequences supporting the rule."""
     mask = 0
-    for seq in db.sequences:
+    for index, seq in enumerate(db.sequences):
         if rule_occurs(rule, seq):
-            mask |= 1 << (seq.sid - 1)
+            mask |= 1 << index
     return mask
 
 

@@ -121,8 +121,10 @@ class MinerConfig:
             raise ConfigError(f"min_bond must be in [0, 1], got {self.min_bond}")
         if self.min_lift < 0:
             raise ConfigError(f"min_lift must be >= 0, got {self.min_lift}")
-        if self.max_rule_side is not None and self.max_rule_side < 1:
-            raise ConfigError(f"max_rule_side must be >= 1, got {self.max_rule_side}")
+        side = self.max_rule_side
+        # exactly int: a float would be truncated, and a bool is no size
+        if side is not None and (type(side) is not int or side < 1):
+            raise ConfigError(f"max_rule_side must be an integer >= 1, got {side!r}")
 
     @classmethod
     def for_variant(cls, variant: str, **kwargs) -> "MinerConfig":

@@ -11,13 +11,13 @@ no pruning; only the data model, the measured-rule record
 (:func:`cousr.miner.as_fraction`) are shared with the fast miner, so
 agreement between the two is meaningful evidence of correctness.
 
-Enumeration is refused beyond :class:`OracleLimits` because the candidate
-count grows as 3^m for m occurring items.
+Enumeration is refused beyond :data:`MAX_ITEMS` occurring items or
+:data:`MAX_SEQUENCES` sequences because the candidate count grows as 3^m
+for m occurring items.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -32,14 +32,12 @@ class OracleLimitError(ValueError):
     """Database exceeds the size the exhaustive oracle is willing to process."""
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_items: int = 12
-    max_sequences: int = 16
+MAX_ITEMS = 12
+MAX_SEQUENCES = 16
 
 
 class _SequenceView(NamedTuple):
-    sid: int
+    seq_index: int
     items: frozenset[int]
     prefix_unions: tuple[frozenset[int], ...]  # prefix_unions[p] = items of itemsets 1..p
     suffix_unions: tuple[frozenset[int], ...]  # suffix_unions[p] = items of itemsets p+1..l
@@ -49,7 +47,7 @@ class _SequenceView(NamedTuple):
 def _views(db: SequenceDatabase) -> list[_SequenceView]:
     units = db.require_utilities().grid_units
     views = []
-    for seq in db.sequences:
+    for seq_index, seq in enumerate(db.sequences):
         sets = [frozenset(item for item, _ in itemset) for itemset in seq.itemsets]
         prefixes: list[frozenset[int]] = []
         acc: frozenset[int] = frozenset()
@@ -65,7 +63,7 @@ def _views(db: SequenceDatabase) -> list[_SequenceView]:
             item: qty * units[item] for itemset in seq.itemsets for item, qty in itemset
         }
         views.append(
-            _SequenceView(seq.sid, acc, tuple(prefixes), tuple(suffixes), utilities)
+            _SequenceView(seq_index, acc, tuple(prefixes), tuple(suffixes), utilities)
         )
     return views
 
@@ -79,29 +77,26 @@ def _occurs(antecedent: frozenset[int], consequent: frozenset[int], view: _Seque
     return False
 
 
-def _check_limits(db: SequenceDatabase, limits: OracleLimits) -> tuple[int, ...]:
+def _check_limits(db: SequenceDatabase) -> tuple[int, ...]:
     occurring = tuple(sorted(db.item_universe))
-    if len(occurring) > limits.max_items:
+    if len(occurring) > MAX_ITEMS:
         raise OracleLimitError(
-            f"{len(occurring)} occurring items exceed the oracle limit of {limits.max_items}"
+            f"{len(occurring)} occurring items exceed the oracle limit of {MAX_ITEMS}"
         )
-    if db.sequence_count > limits.max_sequences:
+    if db.sequence_count > MAX_SEQUENCES:
         raise OracleLimitError(
-            f"{db.sequence_count} sequences exceed the oracle limit of {limits.max_sequences}"
+            f"{db.sequence_count} sequences exceed the oracle limit of {MAX_SEQUENCES}"
         )
     return occurring
 
 
-def enumerate_all_rules(
-    db: SequenceDatabase, limits: OracleLimits | None = None
-) -> Iterator[MinedRule]:
+def enumerate_all_rules(db: SequenceDatabase) -> Iterator[MinedRule]:
     """Measure every ordered pair of disjoint non-empty subsets of occurring items.
 
     For rules that never occur, confidence and lift are reported as 0 so the
     stream stays total.
     """
-    limits = limits or OracleLimits()
-    occurring = _check_limits(db, limits)
+    occurring = _check_limits(db)
     views = _views(db)
     n = db.sequence_count
     scale = db.utilities.scale
@@ -119,7 +114,7 @@ def enumerate_all_rules(
             union_set = frozenset(union)
             candidates = containing(union_set)
             union_utility = {
-                v.sid: sum(v.item_utilities[item] for item in union) for v in candidates
+                v.seq_index: sum(v.item_utilities[item] for item in union) for v in candidates
             }
             for split in range(1, 2 ** size - 1):
                 antecedent = tuple(
@@ -132,7 +127,7 @@ def enumerate_all_rules(
                 y_set = frozenset(consequent)
                 supporters = [v for v in candidates if _occurs(x_set, y_set, v)]
                 rule_support = len(supporters)
-                utility = Fraction(sum(union_utility[v.sid] for v in supporters), scale)
+                utility = Fraction(sum(union_utility[v.seq_index] for v in supporters), scale)
                 sup_x = len(containing(x_set))
                 sup_y = len(containing(y_set))
                 conf = Fraction(rule_support, sup_x) if sup_x else Fraction(0)
@@ -154,12 +149,7 @@ def enumerate_all_rules(
 
 
 def oracle_chusrs(
-    db: SequenceDatabase,
-    min_util,
-    min_conf,
-    min_bond,
-    min_lift,
-    limits: OracleLimits | None = None,
+    db: SequenceDatabase, min_util, min_conf, min_bond, min_lift
 ) -> tuple[MinedRule, ...]:
     """Every occurring rule that clears all four thresholds, canonically ordered."""
     min_util = as_fraction(min_util)
@@ -168,7 +158,7 @@ def oracle_chusrs(
     min_lift = as_fraction(min_lift)
     kept = [
         rule
-        for rule in enumerate_all_rules(db, limits)
+        for rule in enumerate_all_rules(db)
         if rule.support >= 1
         and rule.utility >= min_util
         and rule.confidence >= min_conf

@@ -21,10 +21,10 @@ consequent items the other way round. ``only_left`` / ``only_right`` /
 
 The utility-list of a rule has one row per supporting sequence::
 
-    (sid, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y, table)
+    (seq_index, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y, table)
 
-``sid`` is the sequence's position in the database plus one (the ``k``-th
-sequence, from 0, is sid ``k + 1`` and bit ``k`` of every sequence mask),
+``seq_index`` is the sequence's position ``k`` in the database (from 0, the
+bit ``k`` of every sequence mask and slot ``k`` of a :class:`SequenceTables`),
 ``iutil`` is the rule's utility in that sequence, ``lutil``, ``rutil``,
 ``lrutil`` are the utility sums over the three classes and ``table`` is the
 sequence's row table (below). Consequences used by the miner:
@@ -105,7 +105,7 @@ _SUM_TYPECODES = tuple((1 << 8 * array(code).itemsize, code) for code in "BHIQ")
 class UtilityListRow(NamedTuple):
     """Per-sequence record of a utility-list (amounts in grid units)."""
 
-    sid: int
+    seq_index: int
     iutil: int
     lutil: int
     rutil: int
@@ -167,7 +167,7 @@ class UtilityList:
         else:
             rule, fixed = Rule(antecedent + (item,), consequent), consequent[-1]
         rows = []
-        for sid, iutil, _, _, _, max_pos_x, min_pos_y, table in self.rows:
+        for seq_index, iutil, _, _, _, max_pos_x, min_pos_y, table in self.rows:
             where = table.where
             base = where.get(item)
             if base is None:
@@ -177,10 +177,10 @@ class UtilityList:
             iutil += sums[base - 2] - sums[base + last]
             if right:
                 if pos > max_pos_x:
-                    rows.append(table.row(sid, iutil, where[fixed], base, max_pos_x,
+                    rows.append(table.row(seq_index, iutil, where[fixed], base, max_pos_x,
                                           pos if pos < min_pos_y else min_pos_y))
             elif pos < min_pos_y:
-                rows.append(table.row(sid, iutil, base, where[fixed],
+                rows.append(table.row(seq_index, iutil, base, where[fixed],
                                       pos if pos > max_pos_x else max_pos_x, min_pos_y))
         return UtilityList(rule=rule, rows=tuple(rows))
 
@@ -249,7 +249,7 @@ class SequenceTable:
         self.upto = upto
 
     def row(
-        self, sid: int, iutil: int, base_x: int, base_y: int, max_pos_x: int, min_pos_y: int
+        self, seq_index: int, iutil: int, base_x: int, base_y: int, max_pos_x: int, min_pos_y: int
     ) -> UtilityListRow:
         """A rule's row in this sequence; the row keeps this table.
 
@@ -260,7 +260,7 @@ class SequenceTable:
         both = base_x if base_x > base_y else base_y
         lrutil = sums[both + min_pos_y - 1] - sums[both + max_pos_x]
         return _new_tuple(UtilityListRow, (
-            sid,
+            seq_index,
             iutil,
             sums[base_x + min_pos_y - 1] - lrutil,
             sums[base_y + self.last] - sums[base_y + max_pos_x] - lrutil,
@@ -283,8 +283,8 @@ def _set_bits(mask: int) -> list[int]:
 
 
 class SequenceTables:
-    """The row tables of one database, one slot per sequence, each table
-    built on first use; sid ``k + 1`` is slot ``k``.
+    """The row tables of one database, one slot per sequence (slot ``k``
+    for the ``k``-th), each table built on first use.
 
     Item masks index :attr:`items` (the database's items, ascending) by
     position, so the lowest set bit is the smallest item.
@@ -297,11 +297,10 @@ class SequenceTables:
         self.items = tuple(sorted(db.item_universe))
         self.rank = {item: bit for bit, item in enumerate(self.items)}
 
-    def table(self, sid: int) -> SequenceTable:
-        table = self._slots[sid - 1]
+    def table(self, index: int) -> SequenceTable:
+        table = self._slots[index]
         if table is None:
-            table = SequenceTable(self.db, sid - 1, self._grid_units, self.rank)
-            self._slots[sid - 1] = table
+            table = self._slots[index] = SequenceTable(self.db, index, self._grid_units, self.rank)
         return table
 
     def items_of(self, mask: int) -> list[int]:
@@ -313,7 +312,7 @@ class SequenceTables:
 def build_utility_list(rule: Rule, tables: SequenceTables, sids: int) -> UtilityList:
     """The utility-list of a 1*1 rule ``a => b`` (a search root).
 
-    ``sids`` masks the sequences to scan (bit ``k`` for sid ``k + 1``);
+    ``sids`` masks the sequences to scan (bit ``k`` for the ``k``-th);
     each must hold both items, and any superset of the supporting
     sequences gives the same rows. The miner passes the AND of the two
     items' bit vectors.
@@ -321,14 +320,14 @@ def build_utility_list(rule: Rule, tables: SequenceTables, sids: int) -> Utility
     (a,), (b,) = rule.antecedent, rule.consequent
     table_of = tables.table
     rows: list[UtilityListRow] = []
-    for bit in _set_bits(sids):
-        table = table_of(bit + 1)
+    for index in _set_bits(sids):
+        table = table_of(index)
         where, sums, last = table.where, table.sums, table.last
         base_x, base_y = where[a], where[b]
         max_pos_x, min_pos_y = sums[base_x + last + 1], sums[base_y + last + 1]
         if max_pos_x < min_pos_y:
             iutil = sums[base_x - 2] - sums[base_x + last] + sums[base_y - 2] - sums[base_y + last]
-            rows.append(table.row(bit + 1, iutil, base_x, base_y, max_pos_x, min_pos_y))
+            rows.append(table.row(index, iutil, base_x, base_y, max_pos_x, min_pos_y))
     return UtilityList(rule=rule, rows=tuple(rows))
 
 

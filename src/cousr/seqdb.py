@@ -10,11 +10,11 @@ in sequence ``S`` is ``quantity(i, S) * unit_utility(i)``.
 In memory a database is one flat encoding (:class:`SequenceDatabase`): four
 ``array('i')`` columns in compressed-sparse-row form, so item ids and
 quantities lie in ``1..2**31 - 1`` (the Java ``int`` range of SPMF's
-format). A sequence is addressed by its position alone: the ``k``-th
-sequence (from 0) has sid ``k + 1``, so sids run 1..n with no gaps and no
-column stores them. :class:`Sequence` records (a sid plus its itemsets, with
-no cached views) are the reference view of the same data, built only when
-:attr:`SequenceDatabase.sequences` is read.
+format). A sequence's number is its position ``k`` (from 0): bit ``k`` of
+every sequence mask, slot ``k`` of every per-sequence table. Messages meant
+for people count sequences from 1. :class:`Sequence` records
+(``Sequence(itemsets)``, with no cached views) are the reference view of the
+same data, built only when :attr:`SequenceDatabase.sequences` is read.
 
 On-disk formats (UTF-8; lines whose first non-blank character is ``#`` are
 comments; blank lines are skipped):
@@ -25,7 +25,7 @@ comments; blank lines are skipped):
 
   ``item:qty`` pairs separated by whitespace, ``-1`` closes an itemset,
   ``-2`` closes the sequence. Item ids and quantities are base-10 unsigned
-  integers from 1 to 2**31 - 1. Sequence ids are assigned 1..n in line order.
+  integers from 1 to 2**31 - 1. Sequences are numbered in line order.
 
 * Utility file, one ``item utility`` pair per line. The utility may be a
   decimal (e.g. ``0.35``).
@@ -82,7 +82,7 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Sequence:
-    """One sequence: a sid and its ordered itemsets of (item, quantity) pairs.
+    """One sequence: its ordered itemsets of (item, quantity) pairs.
 
     Itemsets are stored canonically, items ascending within each itemset.
     Because items occur at most once per sequence, every item has a unique
@@ -90,39 +90,12 @@ class Sequence:
 
     Sequences are the reference view of a :class:`SequenceDatabase`: the
     miner reads the database's flat columns and never builds them. A
-    sequence holds nothing but its ``sid`` and ``itemsets``; the reference
-    paths (:mod:`cousr.measures`, the oracle, the tests) read the itemsets.
+    sequence holds nothing but its ``itemsets``, and its number is its
+    position in the database; :meth:`SequenceDatabase.from_sequences`
+    checks sequences built by hand.
     """
 
-    sid: int
     itemsets: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.sid < 1:
-            raise ValueError(f"sequence id must be >= 1, got {self.sid}")
-        seen: set[int] = set()
-        for itemset in self.itemsets:
-            if not itemset:
-                raise ValueError("itemsets must be non-empty")
-            previous = 0
-            for item, qty in itemset:
-                if item < 1 or qty < 1:
-                    raise ValueError(f"items and quantities are positive, got {item}:{qty}")
-                if item <= previous:
-                    raise ValueError(f"itemset items must be strictly ascending in sequence {self.sid}")
-                previous = item
-                if item in seen:
-                    raise ValueError(f"item {item} occurs more than once in sequence {self.sid}")
-                seen.add(item)
-
-    @classmethod
-    def _trusted(cls, sid: int, itemsets: tuple[tuple[tuple[int, int], ...], ...]) -> Sequence:
-        """Build without :meth:`__post_init__`'s checks, for itemsets that
-        already satisfy them: those of a :class:`SequenceDatabase`."""
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "sid", sid)
-        object.__setattr__(seq, "itemsets", itemsets)
-        return seq
 
 
 @dataclass(frozen=True)
@@ -168,10 +141,10 @@ class SequenceDatabase:
     The miner reads index ranges of these columns. :attr:`sequences` is the
     same data as :class:`Sequence` objects, for the reference paths
     (:mod:`cousr.measures`, the oracle, the tests); it is built on first
-    access and never on the mine path. :meth:`from_sequences` encodes
-    sequences. The ``k``-th sequence has sid ``k + 1``: there is no sid
-    column, and a derived database (filtering) that drops sequences
-    numbers the kept ones 1..n again.
+    access and never on the mine path. :meth:`from_sequences` checks and
+    encodes sequences. A sequence's number is its position ``k``: no
+    column stores it, and a derived database (filtering) that drops
+    sequences numbers the kept ones from 0 again.
     """
 
     seq_starts: array
@@ -184,36 +157,39 @@ class SequenceDatabase:
     def from_sequences(
         cls, sequences: Iterable[Sequence], utilities: UtilityTable | None = None
     ) -> SequenceDatabase:
-        """Encode sequences, whose sids must be 1..n in order; ``ValueError``
-        otherwise or if an item id or quantity exceeds :data:`INT_MAX`."""
+        """Check and encode sequences. ``ValueError``, naming the sequence
+        by its 1-based number, for an empty itemset, an item id or quantity
+        outside ``1..``:data:`INT_MAX`, items not ascending within an
+        itemset, or an item repeated in a sequence."""
         items, qtys = array("i"), array("i")
         seq_starts, set_starts = array("i", [0]), array("i", [0])
-        try:
-            for sid, seq in enumerate(sequences, start=1):
-                if seq.sid != sid:
-                    raise ValueError(f"sequence {sid} has sid {seq.sid}; sids must be 1..n in order")
-                for itemset in seq.itemsets:
-                    for item, qty in itemset:
-                        items.append(item)
-                        qtys.append(qty)
-                    set_starts.append(len(items))
-                seq_starts.append(len(set_starts) - 1)
-        except OverflowError:
-            raise ValueError(f"item ids and quantities must be at most {INT_MAX}") from None
+        for number, seq in enumerate(sequences, start=1):
+            seen: set[int] = set()
+            for itemset in seq.itemsets:
+                if not itemset:
+                    raise ValueError(f"sequence {number}: empty itemset")
+                previous = 0
+                for item, qty in itemset:
+                    if not (previous < item <= INT_MAX and 1 <= qty <= INT_MAX) or item in seen:
+                        raise ValueError(
+                            f"sequence {number}: {item}:{qty} is out of order, repeated or"
+                            f" outside 1..{INT_MAX}"
+                        )
+                    previous = item
+                    seen.add(item)
+                    items.append(item)
+                    qtys.append(qty)
+                set_starts.append(len(items))
+            seq_starts.append(len(set_starts) - 1)
         return cls(seq_starts, set_starts, items, qtys, utilities)
 
     @cached_property
     def sequences(self) -> tuple[Sequence, ...]:
         """The sequences as :class:`Sequence` objects (the reference view)."""
         items, qtys, set_starts = self.items, self.qtys, self.set_starts
-        itemsets = [
-            tuple(zip(items[a:b], qtys[a:b])) for a, b in zip(set_starts, set_starts[1:])
-        ]
-        seq_starts = self.seq_starts
-        return tuple(
-            Sequence._trusted(k + 1, tuple(itemsets[seq_starts[k]:seq_starts[k + 1]]))
-            for k in range(self.sequence_count)
-        )
+        itemsets = [tuple(zip(items[a:b], qtys[a:b])) for a, b in zip(set_starts, set_starts[1:])]
+        starts = self.seq_starts
+        return tuple(Sequence(tuple(itemsets[a:b])) for a, b in zip(starts, starts[1:]))
 
     @property
     def sequence_count(self) -> int:
@@ -280,9 +256,13 @@ def decimal_text(value: Fraction, places: int | None = None) -> str:
             raise ValueError(f"{value} has no finite decimal form")
         places = max(twos, fives)
     scaled = round(value * 10**places)
-    whole, fraction = divmod(abs(scaled), 10**places)
-    text = f"{'-' if scaled < 0 else ''}{whole}"
-    return f"{text}.{fraction:0{places}d}".rstrip("0") if fraction else text
+    # Decimal writes an integer of any length; str() of an int stops at
+    # sys.int_info.default_max_str_digits digits
+    digits = str(Decimal(abs(scaled))).rjust(places + 1, "0")
+    split = len(digits) - places
+    text = f"{'-' if scaled < 0 else ''}{digits[:split]}"
+    fraction = digits[split:].rstrip("0")
+    return f"{text}.{fraction}" if fraction else text
 
 
 def _quote(token: str) -> str:

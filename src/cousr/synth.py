@@ -56,10 +56,10 @@ def synthesize_database(
     population = list(range(1, n_items + 1))
     cum_weights = list(accumulate(1.0 / rank for rank in population))
     sequences = []
-    for sid in range(1, n_sequences + 1):
+    for _ in range(n_sequences):
         length = max(1, min(n_items, round(rng.gauss(avg_len, avg_len / 3.0))))
         items = _pick_distinct(rng, population, cum_weights, length)
-        sequences.append(Sequence(sid=sid, itemsets=_split_into_itemsets(rng, items, max_itemset)))
+        sequences.append(Sequence(_split_into_itemsets(rng, items, max_itemset)))
     table = UtilityTable(
         entries={item: Fraction(rng.randint(1, max_unit_utility)) for item in population}
     )
@@ -82,10 +82,10 @@ def random_small_database(
     population = list(range(1, n_items + 1))
     cum_weights = list(accumulate(1.0 / rank for rank in population))
     sequences = []
-    for sid in range(1, rng.randint(2, max_sequences) + 1):
+    for _ in range(rng.randint(2, max_sequences)):
         length = rng.randint(1, n_items)
         items = _pick_distinct(rng, population, cum_weights, length)
-        sequences.append(Sequence(sid=sid, itemsets=_split_into_itemsets(rng, items, max_itemset)))
+        sequences.append(Sequence(_split_into_itemsets(rng, items, max_itemset)))
     if rng.random() < 0.25:
         entries = {item: Fraction(rng.randint(1, 40), 10) for item in population}
     else:

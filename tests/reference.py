@@ -48,9 +48,9 @@ def classify_expansion_items(rule: Rule, seq: Sequence) -> _ItemClasses:
         max_pos_x = max(position[i] for i in rule.antecedent)
         min_pos_y = min(position[i] for i in rule.consequent)
     except KeyError:
-        raise RuleAbsentError(f"rule {rule} does not occur in sequence {seq.sid}") from None
+        raise RuleAbsentError(f"rule {rule} does not occur in {seq}") from None
     if max_pos_x >= min_pos_y:
-        raise RuleAbsentError(f"rule {rule} does not occur in sequence {seq.sid}")
+        raise RuleAbsentError(f"rule {rule} does not occur in {seq}")
     last_x = rule.antecedent[-1]
     last_y = rule.consequent[-1]
     members = set(rule.items)
@@ -74,7 +74,7 @@ def rebuild_utility_list(rule: Rule, tables: SequenceTables) -> UtilityList:
     utilities read from every sequence's itemsets, each row derived by
     :meth:`cousr.rulecore.SequenceTable.row` from its sequence's table."""
     db, rows = tables.db, []
-    for seq in db.sequences:
+    for index, seq in enumerate(db.sequences):
         position = positions(seq)
         if not position.keys() >= set(rule.items):
             continue
@@ -82,10 +82,10 @@ def rebuild_utility_list(rule: Rule, tables: SequenceTables) -> UtilityList:
         min_pos_y = min(position[item] for item in rule.consequent)
         if max_pos_x < min_pos_y:
             grid = grid_utilities(seq, db)
-            table = tables.table(seq.sid)
+            table = tables.table(index)
             base_x, base_y = table.where[rule.antecedent[-1]], table.where[rule.consequent[-1]]
             iutil = sum(grid[item] for item in rule.items)
-            rows.append(table.row(seq.sid, iutil, base_x, base_y, max_pos_x, min_pos_y))
+            rows.append(table.row(index, iutil, base_x, base_y, max_pos_x, min_pos_y))
     return UtilityList(rule=rule, rows=tuple(rows))
 
 
@@ -104,11 +104,12 @@ def random_expansions(ul: UtilityList, tables: SequenceTables, rng, steps: int):
 
 def sids_mask(ul: UtilityList) -> int:
     """Bit vector of the sequences the utility-list has a row for."""
-    return sum(1 << (row.sid - 1) for row in ul.rows)
+    return sum(1 << row.seq_index for row in ul.rows)
 
 
 def sids_of(mask: int) -> set[int]:
-    """Decode a bit vector back into a set of sids."""
+    """Decode a bit vector into the 1-based numbers of its sequences (the
+    worked example's s1..s5)."""
     return {bit + 1 for bit in range(mask.bit_length()) if mask >> bit & 1}
 
 
@@ -120,8 +121,8 @@ def seu_of_item(item: int, db: SequenceDatabase) -> Fraction:
 
 def seu_of_rule(rule_mask: int, db: SequenceDatabase) -> Fraction:
     """Sum of whole-sequence utilities over the rule's supporting sequences."""
-    sus = zip(db.sequences, db.grid_sequence_utilities)
-    return Fraction(sum(su for seq, su in sus if rule_mask >> seq.sid - 1 & 1), db.utilities.scale)
+    sus = enumerate(db.grid_sequence_utilities)
+    return Fraction(sum(su for index, su in sus if rule_mask >> index & 1), db.utilities.scale)
 
 
 def descendant_keys(antecedent, consequent, items, right=True) -> set:

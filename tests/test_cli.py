@@ -122,9 +122,18 @@ def test_mine_report_payload(tmp_path):
     assert all(stats[f"pruned_s{k}"] >= 0 for k in range(1, 8))
 
 
+# accepted thresholds whose plain decimal form is longer than the digits
+# int() writes as text: (flag value, its plain decimal form)
+LONG_THRESHOLDS = [
+    ("1e4300", "1" + "0" * 4300),
+    ("1234e4298", "1234" + "0" * 4298),
+    ("7" * 4400 + "e-5", "7" * 4395 + "." + "7" * 5),
+]
+
+
 def test_thresholds_are_echoed_exactly(tmp_path):
     # a terminating threshold is written in plain decimal, any other as p/q,
-    # so each reads back as the value mined with
+    # so each reads back as the value mined with, at any length
     report = tmp_path / "report.json"
     code, _ = run_mine(tmp_path, "--min-util", "0.0000001", "--min-conf", "2/3",
                        "--report", str(report))
@@ -132,12 +141,30 @@ def test_thresholds_are_echoed_exactly(tmp_path):
     config = json.loads(report.read_text())["config"]
     assert (config["min_util"], config["min_conf"]) == ("0.0000001", "2/3")
     assert as_fraction(config["min_conf"]) == Fraction(2, 3)
+    for flag, written in LONG_THRESHOLDS:
+        code, _ = run_mine(tmp_path, "--min-util", flag, "--report", str(report))
+        assert code == EXIT_OK
+        assert json.loads(report.read_text())["config"]["min_util"] == written
+        assert as_fraction(written) == as_fraction(flag)
     out = tmp_path / "bench.csv"
+    long_flags = [flag for flag, _ in LONG_THRESHOLDS]
     code = main(["bench", "--db", str(EXAMPLE_DB), "--utils", str(EXAMPLE_UT), "--variant", "s6s7",
-                 "--min-util", "0.0000001,0.0000002,1/3", "--out", str(out)])
+                 "--min-util", ",".join(["0.0000001", "0.0000002", "1/3", *long_flags]),
+                 "--out", str(out)])
     assert code == EXIT_OK
     minutils = [line.split(";")[1] for line in out.read_text().splitlines()[1:]]
-    assert minutils == ["0.0000001", "0.0000002", "1/3"]
+    assert minutils == ["0.0000001", "0.0000002", "1/3", *(text for _, text in LONG_THRESHOLDS)]
+
+
+def test_rule_csv_writes_utilities_of_any_length(tmp_path):
+    # the input accepts unit utility 9e4299, and the rule 1 => 2 sums two of
+    # them: a utility of 4,301 digits, written in full
+    db, ut, out = tmp_path / "long.db", tmp_path / "long.ut", tmp_path / "rules.csv"
+    db.write_text("1:1 -1 2:1 -1 -2\n")
+    ut.write_text("1 9e4299\n2 9e4299\n")
+    code = main(["mine", "--db", str(db), "--utils", str(ut), "--out", str(out)])
+    assert code == EXIT_OK
+    assert out.read_text().splitlines()[1:] == ["1;2;18" + "0" * 4299 + ";1;1;1;1;1"]
 
 
 def test_report_deterministic_outside_timing(tmp_path):
@@ -268,7 +295,8 @@ def test_verify_example_matches_oracle():
 
 
 def test_verify_random_batch(monkeypatch):
-    monkeypatch.setenv("COUSR_THREADS", "1")
+    # the worker count follows the CPU count alone: no environment setting
+    monkeypatch.setenv("COUSR_THREADS", "not a number")
     assert main(["verify", "--random", "12", "--seed", "7"]) == EXIT_OK
 
 

@@ -193,14 +193,14 @@ def test_bitset_matches_naive_scan_randomized(seed):
     for itemset in all_itemsets(db, 3):
         assert itemset_support(itemset, bvs) == naive_support(itemset, db)
         assert itemset_dissup(itemset, bvs) == naive_dissup(itemset, db)
-    # a filtered database numbers its sequences 1..n again, and bit sid - 1
-    # still marks each one; the filter's threshold is on the utility grid
+    # a filtered database numbers its sequences from 0 again, and bit k
+    # still marks the k-th; the filter's threshold is on the utility grid
     scale = db.utilities.scale
     levels = sorted({int(seu_of_item(item, db) * scale) for item in db.item_universe})
     _, filtered = filter_unpromising_items(db, rng.choice(levels))
     for view in (filtered, SequenceDatabase.from_sequences(())):
         assert build_item_bitvectors(view) == {
-            item: sum(1 << (seq.sid - 1) for seq in view.sequences if item in positions(seq))
+            item: sum(1 << k for k, seq in enumerate(view.sequences) if item in positions(seq))
             for item in view.item_universe
         }
 

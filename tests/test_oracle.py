@@ -9,8 +9,9 @@ from cousr import MinerConfig, Rule, mine, parse_database, parse_utility_table, 
 from cousr.measures import rule_utility
 from cousr.miner import VARIANTS
 from cousr.oracle import (
+    MAX_ITEMS,
+    MAX_SEQUENCES,
     OracleLimitError,
-    OracleLimits,
     enumerate_all_rules,
     oracle_chusrs,
 )
@@ -95,14 +96,20 @@ def test_oracle_is_deterministic(example_db):
 
 
 def test_limits_rejected():
+    assert (MAX_ITEMS, MAX_SEQUENCES) == (12, 16)
     big = synthesize_database(4, 20, 6, seed=1)
     with pytest.raises(OracleLimitError):
         list(enumerate_all_rules(big))
     many = synthesize_database(20, 6, 3, seed=1)
     with pytest.raises(OracleLimitError):
         oracle_chusrs(many, 0, 0, 0, 0)
-    # explicit limits can widen the envelope
-    assert oracle_chusrs(many, 10**9, 0, 0, 0, limits=OracleLimits(max_sequences=32)) == ()
+    # the refusal starts one sequence past the limit
+    ut = parse_utility_table("1 1\n")
+    at_limit = with_utilities(parse_database("1:1 -1 -2\n" * MAX_SEQUENCES), ut)
+    assert oracle_chusrs(at_limit, 0, 0, 0, 0) == ()
+    with pytest.raises(OracleLimitError):
+        oracle_chusrs(with_utilities(parse_database("1:1 -1 -2\n" * (MAX_SEQUENCES + 1)), ut),
+                      0, 0, 0, 0)
 
 
 def test_oracle_utility_matches_measures_path():

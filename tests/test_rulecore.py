@@ -68,13 +68,13 @@ def test_classify_rejects_non_occurring_rule(example_db):
 
 def test_initial_utility_list_rows(example_db, tables):
     ul = rebuild_utility_list(AE, tables)
-    # (sid, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y), then the table
+    # (seq_index, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y), then the table
     assert [tuple(row)[:7] for row in ul.rows] == [
-        (1, 9, 5, 2, 0, 1, 2),
-        (2, 12, 18, 4, 0, 1, 4),
-        (3, 15, 10, 0, 3, 1, 4),
-        (4, 9, 7, 6, 0, 1, 2),
-        (5, 15, 5, 11, 0, 1, 2),
+        (0, 9, 5, 2, 0, 1, 2),
+        (1, 12, 18, 4, 0, 1, 4),
+        (2, 15, 10, 0, 3, 1, 4),
+        (3, 9, 7, 6, 0, 1, 2),
+        (4, 15, 5, 11, 0, 1, 2),
     ]
     assert ul.utility == rule_utility(AE, example_db) == 60
     assert ul.support == 5
@@ -109,7 +109,7 @@ def test_left_expansion_with_c_matches_worked_values(example_db, tables):
     parent = rebuild_utility_list(AE, tables)
     expanded = parent.expand(C, right=False)
     assert expanded.rule == Rule.of([A, C], [E])
-    assert [tuple(row)[:7] for row in expanded.rows] == [(2, 16, 9, 4, 0, 2, 4)]
+    assert [tuple(row)[:7] for row in expanded.rows] == [(1, 16, 9, 4, 0, 2, 4)]
     assert expanded.rows == rebuild_utility_list(expanded.rule, tables).rows
 
 
@@ -227,11 +227,11 @@ def test_incremental_expansion_equals_rebuild(seed):
 def _long_database():
     """Three sequences of 48 items in 24 itemsets, each in its own item order."""
     sequences = []
-    for sid, step in enumerate((5, 7, 11), start=1):
+    for step in (5, 7, 11):
         itemsets = [[] for _ in range(24)]
         for item in range(1, 49):
             itemsets[item * step % 24].append((item, 1 + item % 5))
-        sequences.append(Sequence(sid=sid, itemsets=tuple(map(tuple, itemsets))))
+        sequences.append(Sequence(tuple(map(tuple, itemsets))))
     entries = {item: Fraction(1 + item % 7, 1 + item % 2) for item in range(1, 49)}
     return SequenceDatabase.from_sequences(sequences, UtilityTable(entries=entries))
 
@@ -243,8 +243,8 @@ def _assert_table_layout(db):
     """Every table reads back each item's position and grid utility, and its
     cumulative masks give the items after / before every position."""
     tables = SequenceTables(db)
-    for seq in db.sequences:
-        table = tables.table(seq.sid)
+    for index, seq in enumerate(db.sequences):
+        table = tables.table(index)
         sums, last, upto = table.sums, table.last, table.upto
         width = last + 2
         position, grid = positions(seq), grid_utilities(seq, db)
@@ -282,7 +282,7 @@ def test_table_layout_of_long_sequences():
 def test_table_sums_take_the_narrowest_unsigned_array(unit, typecode):
     db = tiny_db("1:1 -1 2:1 3:1 -1 -2\n", f"1 {unit}\n2 {unit}\n3 1\n")
     tables = SequenceTables(db)
-    sums = tables.table(1).sums
+    sums = tables.table(0).sums
     if typecode is None:
         assert type(sums) is list
     else:
@@ -297,17 +297,16 @@ def test_table_sums_hold_positions_beyond_the_utility():
     # zero utilities, yet positions reach 300: one byte is not enough
     db = tiny_db(" ".join(f"{item}:1 -1" for item in range(1, 301)) + " -2\n",
                  "".join(f"{item} 0\n" for item in range(1, 301)))
-    assert SequenceTables(db).table(1).sums.typecode == "H"
+    assert SequenceTables(db).table(0).sums.typecode == "H"
     _assert_table_layout(db)
 
 
 def _assert_rows_match_classification(ul, db, tables):
     """Rows and candidates agree with the item-by-item reference classification."""
-    sequences = {seq.sid: seq for seq in db.sequences}
     left, right = set(), set()
     for row in ul.rows:
-        assert row.table is tables.table(row.sid)
-        seq = sequences[row.sid]
+        assert row.table is tables.table(row.seq_index)
+        seq = db.sequences[row.seq_index]
         position, grid = positions(seq), grid_utilities(seq, db)
         classes = classify_expansion_items(ul.rule, seq)
         assert (row.lutil, row.rutil, row.lrutil) == tuple(

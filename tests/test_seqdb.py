@@ -30,8 +30,7 @@ def test_parse_single_sequence_structure():
     db = parse_database("1:1 2:1 -1 5:1 -1 4:5 -1 7:1 -1 -2\n")
     assert db.sequence_count == 1
     seq = db.sequences[0]
-    assert Sequence.__slots__ == ("sid", "itemsets")  # a plain record, no cached views
-    assert seq.sid == 1
+    assert Sequence.__slots__ == ("itemsets",)  # a plain record, no cached views
     assert seq.itemsets == (((1, 1), (2, 1)), ((5, 1),), ((4, 5),), ((7, 1),))
 
 
@@ -43,7 +42,7 @@ def test_parse_empty_input_gives_empty_database():
 
 def test_parse_skips_comments_and_blank_lines():
     db = parse_database("# header\n\n1:1 -1 -2\n   # indented comment\n2:1 -1 -2\n")
-    assert [seq.sid for seq in db.sequences] == [1, 2]
+    assert db.sequence_count == 2
     assert db.sequences[1].itemsets == (((2, 1),),)
 
 
@@ -132,36 +131,23 @@ def test_from_sequences_round_trips_parsed_columns(text):
     assert SequenceDatabase.from_sequences(db.sequences) == db
 
 
-def test_from_sequences_rejects_sid_gaps():
-    sequences = (
-        Sequence(sid=1, itemsets=(((1, 1), (3, 2)),)),
-        Sequence(sid=2, itemsets=()),
-        Sequence(sid=3, itemsets=(((2, 1),), ((1, 4),))),
-    )
-    db = SequenceDatabase.from_sequences(sequences)
-    assert db.sequence_count == 3
-    assert list(db.seq_starts) == [0, 1, 1, 3]
-    assert list(db.set_starts) == [0, 2, 3, 4]
-    assert db.sequences == sequences
-    # a sequence's sid is its position plus one: no gaps, no other start
-    for sids in ((2, 5, 9), (2, 3, 4), (1, 2, 4)):
-        gapped = [Sequence(sid, seq.itemsets) for sid, seq in zip(sids, sequences)]
-        with pytest.raises(ValueError, match="sids must be 1..n"):
-            SequenceDatabase.from_sequences(gapped)
-
-
 @pytest.mark.parametrize(
-    "sequences",
+    "itemsets",
     [
-        (Sequence(sid=2, itemsets=(((1, 1),),)), Sequence(sid=1, itemsets=(((1, 1),),))),
-        (Sequence(sid=2, itemsets=(((1, 1),),)), Sequence(sid=2, itemsets=(((2, 1),),))),
-        (Sequence(sid=INT_MAX + 1, itemsets=(((1, 1),),)),),
-        (Sequence(sid=1, itemsets=(((INT_MAX + 1, 1),),)),),
-        (Sequence(sid=1, itemsets=(((1, INT_MAX + 1),),)),),
+        pytest.param(((),), id="empty-itemset"),
+        pytest.param((((0, 1),),), id="item-below-1"),
+        pytest.param((((1, 0),),), id="qty-below-1"),
+        pytest.param((((INT_MAX + 1, 1),),), id="item-above-int-max"),
+        pytest.param((((1, INT_MAX + 1),),), id="qty-above-int-max"),
+        pytest.param((((2, 1), (1, 1)),), id="not-ascending"),
+        pytest.param((((1, 1),), ((1, 2),)), id="repeated-item"),
     ],
 )
-def test_from_sequences_rejects_unordered_sids_and_values_beyond_the_int_range(sequences):
-    with pytest.raises(ValueError):
+def test_from_sequences_rejects_invalid_sequences(itemsets):
+    # the parser checks text itself; sequences given as objects are checked
+    # as they are encoded, and the message counts sequences from 1
+    sequences = (Sequence((((1, 1),),)), Sequence(itemsets))
+    with pytest.raises(ValueError, match=r"^sequence 2: "):
         SequenceDatabase.from_sequences(sequences)
 
 
@@ -178,24 +164,6 @@ def test_serialized_synthetic_databases_are_pinned(args, digest):
     n_sequences, n_items, avg_len, seed = args
     db = synthesize_database(n_sequences, n_items, avg_len, seed, max_itemset=4)
     assert hashlib.sha256(serialize_database(db).encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize(
-    "sid,itemsets",
-    [
-        (0, (((1, 1),),)),  # sid below 1
-        (1, ((),)),  # empty itemset
-        (1, (((0, 1),),)),  # item id below 1
-        (1, (((1, 0),),)),  # quantity below 1
-        (1, (((2, 1), (1, 1)),)),  # items not ascending
-        (1, (((1, 1),), ((1, 2),))),  # item in two itemsets
-    ],
-)
-def test_sequence_constructor_rejects_invalid_itemsets(sid, itemsets):
-    # the parser builds sequences without these checks, having made them
-    # itself; every other caller goes through them
-    with pytest.raises(ValueError):
-        Sequence(sid=sid, itemsets=itemsets)
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ def test_same_seed_same_database():
 def test_synthetic_database_shape():
     db = synthesize_database(200, 30, 6, seed=7)
     assert db.sequence_count == 200
-    assert [s.sid for s in db.sequences] == list(range(1, 201))
     for seq in db.sequences:
         assert all(len(itemset) <= 3 for itemset in seq.itemsets)
         for item, qty in ((i, q) for itemset in seq.itemsets for i, q in itemset):
