@@ -13,13 +13,14 @@ import json
 import os
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from . import synth
 from .miner import VARIANTS, ConfigError, MinerConfig, MiningResult, as_fraction, mine
 from .oracle import OracleLimitError, oracle_chusrs
-from .seqdb import ParseError, SequenceDatabase, decimal_text, load_database
+from .seqdb import ParseError, SequenceDatabase, decimal_text, exact_text, load_database
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -37,12 +38,9 @@ def format_fraction(value: Fraction) -> str:
 
 
 def format_threshold(value: Fraction) -> str:
-    """A threshold written exactly, so :func:`as_fraction` reads back the same
-    value: a terminating decimal in plain notation, any other value as ``p/q``."""
-    try:
-        return decimal_text(value)
-    except ValueError:
-        return str(value)
+    """A threshold written exactly (:func:`exact_text`), so :func:`as_fraction`
+    reads back the same value."""
+    return exact_text(value)
 
 
 def rules_csv_text(result: MiningResult) -> str:
@@ -154,18 +152,13 @@ def cmd_mine(args) -> int:
     return EXIT_OK
 
 
-def _verify_db(db: SequenceDatabase, min_util, min_conf, min_bond, min_lift) -> list[str]:
-    """Compare all four miner variants against the exhaustive oracle.
-
-    The configs are built first, so out-of-range thresholds raise
-    :class:`ConfigError` before the oracle enumerates anything.
-    """
-    thresholds = dict(min_util=min_util, min_conf=min_conf, min_bond=min_bond, min_lift=min_lift)
-    configs = {variant: MinerConfig.for_variant(variant, **thresholds) for variant in VARIANTS}
-    expected = {(r.antecedent, r.consequent): r for r in oracle_chusrs(db, **thresholds)}
+def _verify_db(db: SequenceDatabase, config: MinerConfig) -> list[str]:
+    """Compare all four miner variants of ``config`` against the exhaustive oracle."""
+    expected = {(r.antecedent, r.consequent): r for r in oracle_chusrs(db, config)}
     problems: list[str] = []
-    for variant, config in configs.items():
-        got = {(m.antecedent, m.consequent): m for m in mine(db, config).rules}
+    for variant, (s6, s7) in VARIANTS.items():
+        variant_config = replace(config, bond_matrix_prune=s6, esucs_prune=s7)
+        got = {(m.antecedent, m.consequent): m for m in mine(db, variant_config).rules}
         for key in sorted(expected.keys() - got.keys()):
             problems.append(f"[{variant}] missing from miner: {key[0]} => {key[1]}")
         for key in sorted(got.keys() - expected.keys()):
@@ -183,7 +176,9 @@ def _verify_random_seed(seed: int) -> list[str]:
     rng = random.Random(seed)
     db = synth.random_small_database(rng)
     thresholds = synth.random_thresholds(rng, db)
-    problems = _verify_db(db, *thresholds)
+    # drawn after the thresholds, so each seed keeps its database and thresholds
+    config = MinerConfig(*thresholds, max_rule_side=rng.choice((None, None, 1, 2)))
+    problems = _verify_db(db, config)
     return [f"seed {seed}: {p}" for p in problems]
 
 
@@ -211,7 +206,9 @@ def cmd_verify(args) -> int:
         return EXIT_OK if not problems else EXIT_MISMATCH
 
     db = _load(args)
-    problems = _verify_db(db, args.min_util, args.min_conf, args.min_bond, args.min_lift)
+    # built before the oracle runs, so an out-of-range threshold exits at once
+    config = MinerConfig(args.min_util, args.min_conf, args.min_bond, args.min_lift)
+    problems = _verify_db(db, config)
     for line in problems:
         print(line, file=sys.stderr)
     print(f"verify: {'OK' if not problems else 'MISMATCH'}", file=sys.stderr)

@@ -42,6 +42,7 @@ sequences.
 
 from __future__ import annotations
 
+import re
 import time
 from array import array
 from dataclasses import asdict, dataclass, replace
@@ -53,7 +54,7 @@ from math import ceil
 from . import measures, rulecore
 from .measures import MinedRule, Rule
 from .rulecore import UtilityList
-from .seqdb import SequenceDatabase, exact_decimal, gc_paused
+from .seqdb import SequenceDatabase, exact_decimal, exact_text, gc_paused, quote
 
 VARIANTS = {
     "base": (False, False),
@@ -61,6 +62,10 @@ VARIANTS = {
     "s7": (False, True),
     "s6s7": (True, True),
 }
+
+
+# ``p/q`` as Fraction() reads it: a signed numerator over an unsigned denominator
+_RATIO = re.compile(r"([+-]?\d+(?:_\d+)*)/(\d+(?:_\d+)*)")
 
 
 class ConfigError(ValueError):
@@ -79,10 +84,11 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     text = repr(value) if isinstance(value, float) else value
     if isinstance(text, str) and "/" in text:
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            pass
+        ratio = _RATIO.fullmatch(text.strip())
+        # Decimal reads digits of any length; Fraction(text) stops at
+        # sys.int_info.default_max_str_digits
+        if ratio and Decimal(ratio[2]):
+            return Fraction(Decimal(ratio[1])) / Fraction(Decimal(ratio[2]))
     elif isinstance(text, (str, Decimal)):
         try:
             return exact_decimal(text)
@@ -109,18 +115,14 @@ class MinerConfig:
     max_rule_side: int | None = None
 
     def __post_init__(self) -> None:
-        self.min_util = as_fraction(self.min_util)
-        self.min_conf = as_fraction(self.min_conf)
-        self.min_bond = as_fraction(self.min_bond)
-        self.min_lift = as_fraction(self.min_lift)
-        if self.min_util < 0:
-            raise ConfigError(f"min_util must be >= 0, got {self.min_util}")
-        if not 0 <= self.min_conf <= 1:
-            raise ConfigError(f"min_conf must be in [0, 1], got {self.min_conf}")
-        if not 0 <= self.min_bond <= 1:
-            raise ConfigError(f"min_bond must be in [0, 1], got {self.min_bond}")
-        if self.min_lift < 0:
-            raise ConfigError(f"min_lift must be >= 0, got {self.min_lift}")
+        for name in ("min_util", "min_conf", "min_bond", "min_lift"):
+            value = as_fraction(getattr(self, name))
+            setattr(self, name, value)
+            # every threshold is >= 0; confidence and bond are also <= 1
+            ratio = name in ("min_conf", "min_bond")
+            if value < 0 or (ratio and value > 1):
+                bounds = "in [0, 1]" if ratio else ">= 0"
+                raise ConfigError(f"{name} must be {bounds}, got {quote(exact_text(value))}")
         side = self.max_rule_side
         # exactly int: a float would be truncated, and a bool is no size
         if side is not None and (type(side) is not int or side < 1):
@@ -192,7 +194,7 @@ def filter_unpromising_items(
     The threshold is in grid units of the utility table, as :func:`mine`
     computes it once. The filtered database is a masked copy of the columns:
     the unpromising occurrences go, then the itemsets and sequences they
-    empty; the surviving sequences are numbered 1..n again, in order. When
+    empty; the surviving sequences are numbered from 0 again, in order. When
     every item is promising the input database itself is returned.
     Returns (promising items, filtered database).
     """
@@ -289,8 +291,9 @@ class _Search:
         sup_rule = ul.support
         sup_x = ctx.sids_x.bit_count()
         sup_y = ctx.sids_y.bit_count()
+        utility = ul.utility
         if (
-            ul.utility >= self.min_util_grid
+            utility >= self.min_util_grid
             and self._conf_ok(sup_rule, sup_x)
             and self._lift_ok(sup_rule, sup_x, sup_y)
         ):
@@ -298,7 +301,7 @@ class _Search:
                 MinedRule(
                     antecedent=rule.antecedent,
                     consequent=rule.consequent,
-                    utility=Fraction(ul.utility, self.scale),
+                    utility=Fraction(utility, self.scale),
                     support=sup_rule,
                     confidence=Fraction(sup_rule, sup_x),
                     lift=Fraction(self.n * sup_rule, sup_x * sup_y),

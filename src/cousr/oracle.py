@@ -1,14 +1,15 @@
 """Exhaustive reference miner: slow, direct, and independent of the fast path.
 
-Every candidate rule over the occurring items is measured straight from the
-definitions by per-sequence scans: occurrence is checked by trying every
-split point of a sequence (antecedent inside the prefix union of itemsets,
-consequent inside the suffix union), supports by set containment, utilities
-by summing quantity times unit price, all read from each sequence's
-itemsets. No bit vectors, no flat columns, no utility-lists or row tables,
-no pruning; only the data model, the measured-rule record
-(:class:`cousr.measures.MinedRule`) and the threshold coercion
-(:func:`cousr.miner.as_fraction`) are shared with the fast miner, so
+Every rule over the occurring items that occurs in at least one sequence is
+measured straight from the definitions by per-sequence scans: occurrence is
+checked by trying every split point of a sequence (antecedent inside the
+prefix union of itemsets, consequent inside the suffix union), supports by
+set containment, utilities by summing quantity times unit price, all read
+from each sequence's itemsets. No bit vectors, no flat columns, no
+utility-lists or row tables, no pruning; only the data model, the
+measured-rule record (:class:`cousr.measures.MinedRule`) and the
+configuration (:class:`cousr.miner.MinerConfig`, whose thresholds are
+already exact and range-checked) are shared with the fast miner, so
 agreement between the two is meaningful evidence of correctness.
 
 Enumeration is refused beyond :data:`MAX_ITEMS` occurring items or
@@ -20,11 +21,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, NamedTuple
 
 from .measures import MinedRule
-from .miner import as_fraction
+from .miner import MinerConfig
 from .seqdb import SequenceDatabase
 
 
@@ -37,7 +38,6 @@ MAX_SEQUENCES = 16
 
 
 class _SequenceView(NamedTuple):
-    seq_index: int
     items: frozenset[int]
     prefix_unions: tuple[frozenset[int], ...]  # prefix_unions[p] = items of itemsets 1..p
     suffix_unions: tuple[frozenset[int], ...]  # suffix_unions[p] = items of itemsets p+1..l
@@ -47,7 +47,7 @@ class _SequenceView(NamedTuple):
 def _views(db: SequenceDatabase) -> list[_SequenceView]:
     units = db.require_utilities().grid_units
     views = []
-    for seq_index, seq in enumerate(db.sequences):
+    for seq in db.sequences:
         sets = [frozenset(item for item, _ in itemset) for itemset in seq.itemsets]
         prefixes: list[frozenset[int]] = []
         acc: frozenset[int] = frozenset()
@@ -62,9 +62,7 @@ def _views(db: SequenceDatabase) -> list[_SequenceView]:
         utilities = {
             item: qty * units[item] for itemset in seq.itemsets for item, qty in itemset
         }
-        views.append(
-            _SequenceView(seq_index, acc, tuple(prefixes), tuple(suffixes), utilities)
-        )
+        views.append(_SequenceView(acc, tuple(prefixes), tuple(suffixes), utilities))
     return views
 
 
@@ -91,11 +89,8 @@ def _check_limits(db: SequenceDatabase) -> tuple[int, ...]:
 
 
 def enumerate_all_rules(db: SequenceDatabase) -> Iterator[MinedRule]:
-    """Measure every ordered pair of disjoint non-empty subsets of occurring items.
-
-    For rules that never occur, confidence and lift are reported as 0 so the
-    stream stays total.
-    """
+    """Measure every rule ``X => Y`` (disjoint non-empty sets of occurring
+    items) that occurs in at least one sequence."""
     occurring = _check_limits(db)
     views = _views(db)
     n = db.sequence_count
@@ -111,60 +106,48 @@ def enumerate_all_rules(db: SequenceDatabase) -> Iterator[MinedRule]:
 
     for size in range(2, len(occurring) + 1):
         for union in combinations(occurring, size):
-            union_set = frozenset(union)
-            candidates = containing(union_set)
-            union_utility = {
-                v.seq_index: sum(v.item_utilities[item] for item in union) for v in candidates
-            }
-            for split in range(1, 2 ** size - 1):
-                antecedent = tuple(
-                    item for index, item in enumerate(union) if split >> index & 1
-                )
-                consequent = tuple(
-                    item for index, item in enumerate(union) if not split >> index & 1
-                )
+            candidates = containing(frozenset(union))
+            if not candidates:
+                continue
+            # each candidate with the union's utility in it
+            holders = [(v, sum(v.item_utilities[item] for item in union)) for v in candidates]
+            for antecedent in chain.from_iterable(combinations(union, k) for k in range(1, size)):
                 x_set = frozenset(antecedent)
+                consequent = tuple(item for item in union if item not in x_set)
                 y_set = frozenset(consequent)
-                supporters = [v for v in candidates if _occurs(x_set, y_set, v)]
-                rule_support = len(supporters)
-                utility = Fraction(sum(union_utility[v.seq_index] for v in supporters), scale)
+                supported = [u for v, u in holders if _occurs(x_set, y_set, v)]
+                if not supported:
+                    continue
+                rule_support = len(supported)
                 sup_x = len(containing(x_set))
                 sup_y = len(containing(y_set))
-                conf = Fraction(rule_support, sup_x) if sup_x else Fraction(0)
-                lift_value = (
-                    Fraction(n * rule_support, sup_x * sup_y)
-                    if sup_x and sup_y
-                    else Fraction(0)
-                )
                 yield MinedRule(
                     antecedent=antecedent,
                     consequent=consequent,
-                    utility=utility,
+                    utility=Fraction(sum(supported), scale),
                     support=rule_support,
-                    confidence=conf,
-                    lift=lift_value,
+                    confidence=Fraction(rule_support, sup_x),
+                    lift=Fraction(n * rule_support, sup_x * sup_y),
                     bond_antecedent=Fraction(sup_x, dissup(x_set)),
                     bond_consequent=Fraction(sup_y, dissup(y_set)),
                 )
 
 
-def oracle_chusrs(
-    db: SequenceDatabase, min_util, min_conf, min_bond, min_lift
-) -> tuple[MinedRule, ...]:
-    """Every occurring rule that clears all four thresholds, canonically ordered."""
-    min_util = as_fraction(min_util)
-    min_conf = as_fraction(min_conf)
-    min_bond = as_fraction(min_bond)
-    min_lift = as_fraction(min_lift)
-    kept = [
+def oracle_chusrs(db: SequenceDatabase, config: MinerConfig) -> tuple[MinedRule, ...]:
+    """Every occurring rule that clears ``config``'s four thresholds and side
+    cap, canonically ordered: the rules :func:`cousr.miner.mine` must return.
+
+    The strategy toggles are ignored; they cannot change the rule set.
+    """
+    cap = config.max_rule_side or MAX_ITEMS
+    return tuple(sorted(
         rule
         for rule in enumerate_all_rules(db)
-        if rule.support >= 1
-        and rule.utility >= min_util
-        and rule.confidence >= min_conf
-        and rule.bond_antecedent >= min_bond
-        and rule.bond_consequent >= min_bond
-        and rule.lift >= min_lift
-    ]
-    kept.sort()
-    return tuple(kept)
+        if rule.utility >= config.min_util
+        and rule.confidence >= config.min_conf
+        and rule.bond_antecedent >= config.min_bond
+        and rule.bond_consequent >= config.min_bond
+        and rule.lift >= config.min_lift
+        and len(rule.antecedent) <= cap
+        and len(rule.consequent) <= cap
+    ))

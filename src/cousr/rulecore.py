@@ -88,7 +88,6 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, combinations
 from typing import NamedTuple
 
@@ -124,15 +123,15 @@ class UtilityList:
     def support(self) -> int:
         return len(self.rows)
 
-    @cached_property
+    @property
     def utility(self) -> int:
         return sum(row.iutil for row in self.rows)
 
-    @cached_property
+    @property
     def total(self) -> int:
         return sum(row.iutil + row.lutil + row.rutil + row.lrutil for row in self.rows)
 
-    @cached_property
+    @property
     def left_total(self) -> int:
         return sum(row.iutil + row.lutil + row.lrutil for row in self.rows)
 

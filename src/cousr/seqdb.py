@@ -253,7 +253,7 @@ def decimal_text(value: Fraction, places: int | None = None) -> str:
         while rest % 5 == 0:
             rest, fives = rest // 5, fives + 1
         if rest != 1:
-            raise ValueError(f"{value} has no finite decimal form")
+            raise ValueError("no finite decimal form")
         places = max(twos, fives)
     scaled = round(value * 10**places)
     # Decimal writes an integer of any length; str() of an int stops at
@@ -265,7 +265,16 @@ def decimal_text(value: Fraction, places: int | None = None) -> str:
     return f"{text}.{fraction}" if fraction else text
 
 
-def _quote(token: str) -> str:
+def exact_text(value: Fraction) -> str:
+    """``value`` written exactly, at any length: a terminating decimal in plain
+    notation (:func:`decimal_text`), any other value as ``p/q``."""
+    try:
+        return decimal_text(value)
+    except ValueError:
+        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+
+
+def quote(token: str) -> str:
     """``token`` quoted for a message; a long one as an excerpt plus its length."""
     if len(token) <= 2 * _QUOTED_CHARS + 3:
         return repr(token)
@@ -328,7 +337,7 @@ def parse_database(text: str) -> SequenceDatabase:
                 if index + 1 < len(tokens):
                     raise ParseError(
                         ParseError.MALFORMED_TOKEN,
-                        f"unexpected token {_quote(tokens[index + 1])} after sequence terminator",
+                        f"unexpected token {quote(tokens[index + 1])} after sequence terminator",
                         lineno, _column(line, index + 1),
                     )
                 break
@@ -361,7 +370,7 @@ def _parse_pair(token: str, lineno: int, line: str, index: int) -> tuple[int, in
     if not (colon and item_text.isdecimal() and qty_text.isdecimal()):
         raise ParseError(
             ParseError.MALFORMED_TOKEN,
-            f"expected item:qty, -1 or -2, got {_quote(token)}",
+            f"expected item:qty, -1 or -2, got {quote(token)}",
             lineno, _column(line, index),
         )
     try:
@@ -371,7 +380,7 @@ def _parse_pair(token: str, lineno: int, line: str, index: int) -> tuple[int, in
     if not (1 <= item <= INT_MAX and 1 <= qty <= INT_MAX):
         raise ParseError(
             ParseError.MALFORMED_TOKEN,
-            f"item ids and quantities must be in 1..{INT_MAX}, got {_quote(token)}",
+            f"item ids and quantities must be in 1..{INT_MAX}, got {quote(token)}",
             lineno, _column(line, index),
         )
     return item, qty
@@ -387,7 +396,7 @@ def parse_utility_table(text: str) -> UtilityTable:
         if len(tokens) != 2:
             raise ParseError(
                 ParseError.MALFORMED_TOKEN,
-                f"expected 'item utility', got {_quote(line.strip())}", lineno, _column(line, 0),
+                f"expected 'item utility', got {quote(line.strip())}", lineno, _column(line, 0),
             )
         item_tok, value_tok = tokens
         try:
@@ -397,25 +406,26 @@ def parse_utility_table(text: str) -> UtilityTable:
         if item < 1:
             raise ParseError(
                 ParseError.NON_NUMERIC,
-                f"item id must be a positive integer, got {_quote(item_tok)}",
+                f"item id must be a positive integer, got {quote(item_tok)}",
                 lineno, _column(line, 0),
             )
         try:
             value = exact_decimal(value_tok)
         except ValueError as exc:
             raise ParseError(
-                ParseError.NON_NUMERIC, f"utility must be a number, got {_quote(value_tok)}: {exc}",
+                ParseError.NON_NUMERIC, f"utility must be a number, got {quote(value_tok)}: {exc}",
                 lineno, _column(line, 1),
             ) from None
         if value < 0:
             raise ParseError(
-                ParseError.NON_NUMERIC, f"utility must be non-negative, got {_quote(value_tok)}",
+                ParseError.NON_NUMERIC, f"utility must be non-negative, got {quote(value_tok)}",
                 lineno, _column(line, 1),
             )
         if item in entries and entries[item] != value:
             raise ParseError(
                 ParseError.CONFLICTING_DUPLICATE,
-                f"item {item} already has utility {entries[item]}, conflicting {_quote(value_tok)}",
+                f"item {item} already has utility {quote(exact_text(entries[item]))},"
+                f" conflicting {quote(value_tok)}",
                 lineno, _column(line, 0),
             )
         entries[item] = value

@@ -225,16 +225,16 @@ def _assert_bounds_dominate(db):
 
 def test_upper_bound_soundness(example_db):
     with criterion("upper-bound soundness: no prune loses a desired rule"):
-        draws = [(example_db, (Fraction(50), Fraction(7, 10), Fraction(3, 10), Fraction(11, 10)))]
+        draws = [(example_db, MinerConfig(**GOLDEN))]
         for seed in range(40):
             rng = random.Random(20_000 + seed)
             db = random_small_database(rng, max_items=6)
-            draws.append((db, random_thresholds(rng, db)))
-        for index, (db, thresholds) in enumerate(draws):
-            expected = oracle_chusrs(db, *thresholds)
-            for variant in VARIANTS:
-                config = MinerConfig.for_variant(variant, **dict(zip(GOLDEN, thresholds)))
-                assert mine(db, config).rules == expected, f"draw {index}, {variant}"
+            draws.append((db, MinerConfig(*random_thresholds(rng, db))))
+        for index, (db, config) in enumerate(draws):
+            expected = oracle_chusrs(db, config)
+            for variant, (s6, s7) in VARIANTS.items():
+                variant_config = replace(config, bond_matrix_prune=s6, esucs_prune=s7)
+                assert mine(db, variant_config).rules == expected, f"draw {index}, {variant}"
             _assert_bounds_dominate(db)
 
 

@@ -21,7 +21,9 @@ from cousr.cli import (
     EXIT_OK,
     EXIT_PARSE,
     RULES_HEADER,
+    _verify_random_seed,
     format_fraction,
+    format_threshold,
     main,
 )
 from cousr.measures import (
@@ -33,6 +35,7 @@ from cousr.measures import (
     rule_utility,
 )
 from cousr.miner import as_fraction
+from cousr.oracle import oracle_chusrs
 
 from conftest import EXAMPLE_DB, EXAMPLE_UT
 
@@ -254,6 +257,32 @@ def test_huge_threshold_exponent_is_config_error_at_once(command, flag, capsys):
     assert capsys.readouterr().err.startswith("cousr: config error:")
 
 
+def test_out_of_range_long_threshold_is_config_error(capsys):
+    # -1e4300 is an exact decimal of 4,301 digits, too long for str() of an int
+    code = main(["mine", "--db", str(EXAMPLE_DB), "--utils", str(EXAMPLE_UT), "--min-util=-1e4300"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("cousr: config error: min_util must be >= 0")
+    assert all(len(line) < 200 for line in err.splitlines())
+
+
+def test_conflicting_long_utility_is_parse_error(tmp_path, capsys):
+    conflict = tmp_path / "conflict.ut"
+    conflict.write_text("1 1e4300\n1 2\n")
+    code = main(["mine", "--db", str(EXAMPLE_DB), "--utils", str(conflict)])
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("cousr: parse error: line 2, column 1: item 1 already has utility")
+    assert all(len(line) < 200 for line in err.splitlines())
+
+
+def test_long_ratio_threshold_reads_back_unchanged():
+    value = Fraction(10**4400, 3)
+    written = format_threshold(value)
+    assert written == "1" + "0" * 4400 + "/3"
+    assert as_fraction(written) == value
+
+
 def test_missing_file_exit_code(tmp_path):
     code = main(["mine", "--db", str(tmp_path / "nope.db"), "--utils", str(EXAMPLE_UT)])
     assert code == EXIT_PARSE
@@ -298,6 +327,18 @@ def test_verify_random_batch(monkeypatch):
     # the worker count follows the CPU count alone: no environment setting
     monkeypatch.setenv("COUSR_THREADS", "not a number")
     assert main(["verify", "--random", "12", "--seed", "7"]) == EXIT_OK
+
+
+def test_verify_random_draws_a_side_cap(monkeypatch):
+    caps = []
+
+    def oracle(db, config):
+        caps.append(config.max_rule_side)
+        return oracle_chusrs(db, config)
+
+    monkeypatch.setattr("cousr.cli.oracle_chusrs", oracle)
+    assert all(_verify_random_seed(seed) == [] for seed in range(12))
+    assert set(caps) == {None, 1, 2}
 
 
 def test_verify_negative_random_count_is_config_error(capsys):

@@ -420,7 +420,7 @@ def test_rule_behind_low_confidence_root_is_mined():
     # 3) has confidence 1: a gate on right recursion below min_conf would lose it
     lines = "\n".join(["1:1 -1 -2"] * 4 + ["1:1 3:1 -1 2:1 4:1 -1 -2"]) + "\n"
     db = with_utilities(parse_database(lines), parse_utility_table("1 1\n2 1\n3 1\n4 1\n"))
-    thresholds = dict(min_util=1, min_conf="0.5", min_bond="0.2", min_lift=1)
-    result = mine(db, MinerConfig(**thresholds))
+    config = MinerConfig(min_util=1, min_conf="0.5", min_bond="0.2", min_lift=1)
+    result = mine(db, config)
     assert ((1, 3), (2, 4)) in rule_keys(result)
-    assert result.rules == oracle_chusrs(db, **thresholds)
+    assert result.rules == oracle_chusrs(db, config)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from cousr import MinerConfig, Rule, mine, parse_database, parse_utility_table, with_utilities
-from cousr.measures import rule_utility
+from cousr.measures import rule_sids, rule_utility
 from cousr.miner import VARIANTS
 from cousr.oracle import (
     MAX_ITEMS,
@@ -19,20 +21,39 @@ from cousr.synth import random_small_database, random_thresholds, synthesize_dat
 
 from conftest import A, B, C, D, G
 
-GOLDEN = (50, Fraction(7, 10), Fraction(3, 10), Fraction(11, 10))
+GOLDEN = MinerConfig(min_util=50, min_conf="0.7", min_bond="0.3", min_lift="1.1")
+UNFILTERED = MinerConfig()
 
 
-def test_candidate_count_formula():
-    # ordered pairs of disjoint non-empty subsets of m items: 3^m - 2*2^m + 1
-    db = with_utilities(
+def _candidates(items):
+    """Every ordered pair of disjoint non-empty subsets of ``items``."""
+    for sides in product((0, 1, 2), repeat=len(items)):
+        x = tuple(item for item, side in zip(items, sides) if side == 1)
+        y = tuple(item for item, side in zip(items, sides) if side == 2)
+        if x and y:
+            yield x, y
+
+
+def test_enumeration_yields_exactly_the_occurring_rules(example_db):
+    three_items = with_utilities(
         parse_database("1:1 -1 2:1 -1 3:1 -1 -2\n"),
         parse_utility_table("1 1\n2 1\n3 1\n"),
     )
-    assert sum(1 for _ in enumerate_all_rules(db)) == 12
-
-
-def test_candidate_count_on_example(example_db):
-    assert sum(1 for _ in enumerate_all_rules(example_db)) == 3**7 - 2 * 2**7 + 1
+    rng = random.Random(7)
+    dbs = [example_db, three_items] + [random_small_database(rng) for _ in range(24)]
+    counts = []
+    for db in dbs:
+        items = sorted(db.item_universe)
+        candidates = list(_candidates(items))
+        m = len(items)
+        assert len(candidates) == 3**m - 2 * 2**m + 1
+        occurring = {key for key in candidates if rule_sids(Rule(*key), db) != 0}
+        yielded = [(r.antecedent, r.consequent) for r in enumerate_all_rules(db)]
+        assert len(yielded) == len(set(yielded))
+        assert set(yielded) == occurring
+        counts.append(len(yielded))
+    # 1 => 2, 1 => 3, 2 => 3 and {1, 2} => 3, 1 => {2, 3} in the three-item database
+    assert counts[:2] == [367, 5]
 
 
 def test_single_item_db_yields_nothing():
@@ -41,7 +62,7 @@ def test_single_item_db_yields_nothing():
 
 
 def test_oracle_reproduces_golden_rules(example_db):
-    rules = oracle_chusrs(example_db, *GOLDEN)
+    rules = oracle_chusrs(example_db, GOLDEN)
     assert [(r.antecedent, r.consequent) for r in rules] == [
         ((A, B, C, D), (G,)),
         ((A, B, D), (G,)),
@@ -66,13 +87,12 @@ def test_oracle_full_measure_tuple(example_db):
 
 
 def test_raising_min_lift_empties_the_golden_set(example_db):
-    assert oracle_chusrs(example_db, 50, Fraction(7, 10), Fraction(3, 10), Fraction(13, 10)) == ()
+    assert oracle_chusrs(example_db, replace(GOLDEN, min_lift=Fraction(13, 10))) == ()
 
 
 def test_zero_thresholds_keep_every_occurring_rule(example_db):
-    rules = oracle_chusrs(example_db, 0, 0, 0, 0)
-    occurring = [r for r in enumerate_all_rules(example_db) if r.support >= 1]
-    assert len(rules) == len(occurring)
+    rules = oracle_chusrs(example_db, UNFILTERED)
+    assert rules == tuple(sorted(enumerate_all_rules(example_db)))
     assert all(r.support >= 1 for r in rules)
     keys = {(r.antecedent, r.consequent) for r in rules}
     assert ((A,), (B,)) in keys
@@ -86,13 +106,14 @@ def test_float_thresholds_coerce_like_the_miner():
         parse_database("1:1 -1 2:1 -1 -2\n" + "1:1 -1 -2\n" * 9),
         parse_utility_table("1 1\n2 1\n"),
     )
-    mined = mine(db, MinerConfig(min_conf=0.1))
+    config = MinerConfig(min_conf=0.1)
+    mined = mine(db, config)
     assert [(m.antecedent, m.consequent) for m in mined.rules] == [((1,), (2,))]
-    assert oracle_chusrs(db, 0, 0.1, 0, 0) == mined.rules
+    assert oracle_chusrs(db, config) == mined.rules
 
 
 def test_oracle_is_deterministic(example_db):
-    assert oracle_chusrs(example_db, *GOLDEN) == oracle_chusrs(example_db, *GOLDEN)
+    assert oracle_chusrs(example_db, GOLDEN) == oracle_chusrs(example_db, GOLDEN)
 
 
 def test_limits_rejected():
@@ -102,14 +123,14 @@ def test_limits_rejected():
         list(enumerate_all_rules(big))
     many = synthesize_database(20, 6, 3, seed=1)
     with pytest.raises(OracleLimitError):
-        oracle_chusrs(many, 0, 0, 0, 0)
+        oracle_chusrs(many, UNFILTERED)
     # the refusal starts one sequence past the limit
     ut = parse_utility_table("1 1\n")
     at_limit = with_utilities(parse_database("1:1 -1 -2\n" * MAX_SEQUENCES), ut)
-    assert oracle_chusrs(at_limit, 0, 0, 0, 0) == ()
+    assert oracle_chusrs(at_limit, UNFILTERED) == ()
     with pytest.raises(OracleLimitError):
         oracle_chusrs(with_utilities(parse_database("1:1 -1 -2\n" * (MAX_SEQUENCES + 1)), ut),
-                      0, 0, 0, 0)
+                      UNFILTERED)
 
 
 def test_oracle_utility_matches_measures_path():
@@ -120,39 +141,39 @@ def test_oracle_utility_matches_measures_path():
             assert r.utility == rule_utility(Rule(r.antecedent, r.consequent), db)
 
 
-THRESHOLD_NAMES = ("min_util", "min_conf", "min_bond", "min_lift")
-
-
 def _random_case(seed, **size):
     rng = random.Random(seed)
     db = random_small_database(rng, **size)
-    return db, dict(zip(THRESHOLD_NAMES, random_thresholds(rng, db)))
+    return db, MinerConfig(*random_thresholds(rng, db))
+
+
+def _variant_configs(config):
+    return [replace(config, bond_matrix_prune=s6, esucs_prune=s7) for s6, s7 in VARIANTS.values()]
 
 
 @pytest.mark.parametrize("cap", [1, 2])
 def test_miner_matches_oracle_with_a_rule_side_cap(cap):
     for seed in range(40):
-        db, thresholds = _random_case(20_000 + seed)
-        expected = tuple(
-            r for r in oracle_chusrs(db, *thresholds.values())
-            if len(r.antecedent) <= cap and len(r.consequent) <= cap
-        )
-        for variant in ("base", "s6s7"):
-            config = MinerConfig.for_variant(variant, max_rule_side=cap, **thresholds)
-            assert mine(db, config).rules == expected, (seed, variant)
+        db, config = _random_case(20_000 + seed)
+        config = replace(config, max_rule_side=cap)
+        expected = oracle_chusrs(db, config)
+        for variant_config in _variant_configs(config):
+            assert mine(db, variant_config).rules == expected, (seed, variant_config)
 
 
 def test_miner_matches_oracle_at_the_oracle_limits():
     # random_small_database stays at 8 items and 8 sequences by default; these
     # draws reach the oracle's limits of 12 items and 16 sequences. The oracle
-    # takes seconds per 12-item database, so the sample is three seeds whose
-    # rule sets are not empty (606, 401 and 5 rules).
+    # takes seconds per 12-item database, so the sample is six seeds whose
+    # rule sets are not empty: 30, 53 and 103 (606, 401 and 5 rules), then
+    # 147 (12 items, 12 sequences, 16 rules), 191 (11 items, 14 sequences,
+    # 3 rules) and 195 (12 items, 8 sequences, 3,464 rules).
     sizes = []
-    for seed in (30, 53, 103):
-        db, thresholds = _random_case(seed, max_items=12, max_sequences=16)
+    for seed in (30, 53, 103, 147, 191, 195):
+        db, config = _random_case(seed, max_items=12, max_sequences=16)
         sizes.append((len(db.item_universe), db.sequence_count))
-        expected = oracle_chusrs(db, *thresholds.values())
+        expected = oracle_chusrs(db, config)
         assert expected
-        for variant in VARIANTS:
-            assert mine(db, MinerConfig.for_variant(variant, **thresholds)).rules == expected
+        for variant_config in _variant_configs(config):
+            assert mine(db, variant_config).rules == expected
     assert max(sizes) == (12, 15) and max(n for _, n in sizes) == 16
