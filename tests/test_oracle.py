@@ -34,26 +34,40 @@ def _candidates(items):
             yield x, y
 
 
-def test_enumeration_yields_exactly_the_occurring_rules(example_db):
-    three_items = with_utilities(
+def _walk_candidates(db):
+    """Check that ``enumerate_all_rules`` yields exactly the candidates that occur.
+
+    Returns the number of candidates and the number of rules yielded.
+    """
+    candidates = list(_candidates(sorted(db.item_universe)))
+    occurring = {key for key in candidates if rule_sids(Rule(*key), db) != 0}
+    yielded = [(r.antecedent, r.consequent) for r in enumerate_all_rules(db)]
+    assert len(yielded) == len(set(yielded))
+    assert set(yielded) == occurring
+    return len(candidates), len(yielded)
+
+
+def test_candidate_count_formula():
+    # ordered pairs of disjoint non-empty subsets of m items: 3^m - 2*2^m + 1
+    db = with_utilities(
         parse_database("1:1 -1 2:1 -1 3:1 -1 -2\n"),
         parse_utility_table("1 1\n2 1\n3 1\n"),
     )
+    # of the 12 candidates only 1 => 2, 1 => 3, 2 => 3, {1, 2} => 3 and 1 => {2, 3} occur
+    assert _walk_candidates(db) == (12, 5)
+
+
+def test_candidate_count_on_example(example_db):
+    assert _walk_candidates(example_db) == (3**7 - 2 * 2**7 + 1, 367)
+
+
+def test_enumeration_yields_exactly_the_occurring_rules():
     rng = random.Random(7)
-    dbs = [example_db, three_items] + [random_small_database(rng) for _ in range(24)]
-    counts = []
-    for db in dbs:
-        items = sorted(db.item_universe)
-        candidates = list(_candidates(items))
-        m = len(items)
-        assert len(candidates) == 3**m - 2 * 2**m + 1
-        occurring = {key for key in candidates if rule_sids(Rule(*key), db) != 0}
-        yielded = [(r.antecedent, r.consequent) for r in enumerate_all_rules(db)]
-        assert len(yielded) == len(set(yielded))
-        assert set(yielded) == occurring
-        counts.append(len(yielded))
-    # 1 => 2, 1 => 3, 2 => 3 and {1, 2} => 3, 1 => {2, 3} in the three-item database
-    assert counts[:2] == [367, 5]
+    for _ in range(24):
+        db = random_small_database(rng)
+        m = len(db.item_universe)
+        candidates, _ = _walk_candidates(db)
+        assert candidates == 3**m - 2 * 2**m + 1
 
 
 def test_single_item_db_yields_nothing():
