@@ -20,7 +20,7 @@ from pathlib import Path
 from . import synth
 from .miner import VARIANTS, ConfigError, MinerConfig, MiningResult, as_fraction, mine
 from .oracle import OracleLimitError, oracle_chusrs
-from .seqdb import ParseError, SequenceDatabase, decimal_text, exact_text, load_database
+from .seqdb import ParseError, SequenceDatabase, decimal_text, exact_text, load_database, quote
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -115,7 +115,7 @@ def _as_int(text, flag: str) -> int:
     try:
         return int(text)
     except (TypeError, ValueError):
-        raise ConfigError(f"{flag} must be an integer, got {text!r}") from None
+        raise ConfigError(f"{flag} must be an integer, got {quote(str(text))}") from None
 
 
 def _load(args) -> SequenceDatabase:

@@ -9,25 +9,37 @@ and lift (``min_lift``). The search:
 2. scans once for all occurring 1*1 rules, recording per ordered pair the
    rule SEU (which doubles as the rule-seu pruning table), and keeps the
    pairs with SEU >= ``min_util`` (strategy 2);
-3. builds those rules' utility-lists and explores expansions depth-first,
+3. drops, once, every item that is in no kept pair, with the same masked
+   copy as step 1 (the pair reduction);
+4. builds the kept pairs' utility-lists and explores expansions depth-first,
    right (consequent) expansions first, then left; a left expansion is never
    followed by a right one, which makes the enumeration canonical.
 
 Candidate expansions are filtered, in order, by the rule-seu table
 (strategy 7, toggleable), the pairwise bond matrix (strategy 6, toggleable),
-and the exact bond of the extended side (strategy 3). A node's candidates
-are one item mask (:meth:`cousr.rulecore.UtilityList.candidates`);
-strategies 7 and 6 intersect it with per-item pass masks taken from their
-tables once, before the search, and only the survivors of strategy 3 get
-utility-lists (:meth:`~cousr.rulecore.UtilityList.expand`), built in
-ascending item order. Recursion is gated by the utility-list bounds: the
-four-column sum for right subtrees (strategy 4) and the sum without
-``rutil`` for left subtrees (strategy 5). Strategies 6 and 7 are sound, so
-toggling them never changes the mined rule set, only the number of
-utility-lists constructed. Confidence gates no recursion: a low-confidence
-rule can still have high-confidence left descendants, because left
-expansions shrink the antecedent's support (see the counterexample in the
-test suite).
+the exact bond of the extended side (strategy 3) and the child's expansion
+bound (the child bound). A node's candidates are one item mask
+(:meth:`cousr.rulecore.UtilityList.candidates`); strategies 7 and 6
+intersect it with per-item pass masks taken from their tables once, before
+the search. :meth:`~cousr.rulecore.UtilityList.expand` sums the child
+bound over the parent's rows and builds the utility-list, in ascending item
+order, only when the bound reaches ``min_util``. Recursion is gated by the
+utility-list bounds: the four-column sum for right subtrees (strategy 4) and
+the sum without ``rutil`` for left subtrees (strategy 5). Strategies 6 and 7
+are sound, so toggling them never changes the mined rule set, only the
+number of utility-lists constructed. Confidence gates no recursion: a
+low-confidence rule can still have high-confidence left descendants, because
+left expansions shrink the antecedent's support (see the counterexample in
+the test suite).
+
+The pair reduction and the child bound are sound additions outside the
+paper's seven strategies, and neither can be toggled; the four variants
+differ only in strategies 6 and 7. The pair reduction is sound because each
+pair ``a`` in X, ``b`` in Y of a rule has a rule SEU of at least the rule's
+utility, so an item in no kept pair is in no qualifying rule. The child
+bound follows the left/right expansion-estimated utilities (LEEU/REEU) of
+US-Rule (Huang, Gan et al., arXiv 2111.15020); see
+:meth:`~cousr.rulecore.UtilityList.expand`.
 
 The search owns its row tables (:class:`cousr.rulecore.SequenceTables` of
 the filtered database), so they go when :func:`mine` returns.
@@ -48,7 +60,7 @@ from array import array
 from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import ceil
 
 from . import measures, rulecore
@@ -93,8 +105,17 @@ def as_fraction(value) -> Fraction:
         try:
             return exact_decimal(text)
         except ValueError as exc:
-            raise ConfigError(f"cannot interpret threshold {value!r} as a number: {exc}") from None
-    raise ConfigError(f"cannot interpret threshold {value!r} as a number")
+            raise ConfigError(
+                f"cannot interpret threshold {_shown(value)} as a number: {exc}"
+            ) from None
+    raise ConfigError(f"cannot interpret threshold {_shown(value)} as a number")
+
+
+def _shown(value) -> str:
+    """``value`` for a message, bounded in length at any size (see :func:`quote`)."""
+    if type(value) is int:  # str() of an int stops at sys.int_info.default_max_str_digits
+        return quote(exact_text(Fraction(value)))
+    return quote(value if isinstance(value, str) else repr(value))
 
 
 @dataclass
@@ -126,7 +147,7 @@ class MinerConfig:
         side = self.max_rule_side
         # exactly int: a float would be truncated, and a bool is no size
         if side is not None and (type(side) is not int or side < 1):
-            raise ConfigError(f"max_rule_side must be an integer >= 1, got {side!r}")
+            raise ConfigError(f"max_rule_side must be an integer >= 1, got {_shown(side)}")
 
     @classmethod
     def for_variant(cls, variant: str, **kwargs) -> "MinerConfig":
@@ -143,8 +164,11 @@ class MinerConfig:
 class MiningStats:
     """Counters mirroring the pruning strategies (s1..s7) plus build totals.
 
-    ``utility_list_rows`` counts every utility-list tuple allocated and
-    serves as the memory proxy reported by the CLI.
+    ``pruned_unpaired`` counts the s1-promising items that the pair
+    reduction drops and ``pruned_child_bound`` the candidates the child
+    bound cuts; ``initial_rules_kept`` is the number of pairs strategy 2
+    keeps. ``utility_list_rows`` counts every utility-list tuple allocated
+    and serves as the memory proxy reported by the CLI.
     """
 
     promising_items: int = 0
@@ -156,6 +180,8 @@ class MiningStats:
     pruned_s5: int = 0
     pruned_s6: int = 0
     pruned_s7: int = 0
+    pruned_unpaired: int = 0
+    pruned_child_bound: int = 0
     utility_lists_built: int = 0
     utility_list_rows: int = 0
     wall_ms: float = 0.0
@@ -192,11 +218,8 @@ def filter_unpromising_items(
     """Drop items whose SEU is below ``min_util_grid`` (strategy 1).
 
     The threshold is in grid units of the utility table, as :func:`mine`
-    computes it once. The filtered database is a masked copy of the columns:
-    the unpromising occurrences go, then the itemsets and sequences they
-    empty; the surviving sequences are numbered from 0 again, in order. When
-    every item is promising the input database itself is returned.
-    Returns (promising items, filtered database).
+    computes it once. The filtered database is :func:`keep_items`' masked
+    copy. Returns (promising items, filtered database).
     """
     items = db.items
     seu: dict[int, int] = {}
@@ -204,19 +227,31 @@ def filter_unpromising_items(
         for item in items[start:end]:
             seu[item] = seu.get(item, 0) + su
     promising = frozenset(item for item, value in seu.items() if value >= min_util_grid)
-    if len(promising) == len(seu):
-        return promising, db
-    keep = bytes([item in promising for item in items])
+    return promising, keep_items(db, promising)
+
+
+def keep_items(db: SequenceDatabase, kept: frozenset[int]) -> SequenceDatabase:
+    """The database without the occurrences of items outside ``kept``.
+
+    A masked copy of the columns: the other items' occurrences go, then the
+    itemsets and sequences they empty; the surviving sequences are numbered
+    from 0 again, in order. When ``kept`` holds every item of the database
+    the database itself is returned.
+    """
+    if kept >= db.item_universe:
+        return db
+    items = db.items
+    keep = bytes([item in kept for item in items])
     set_bounds = zip(db.set_starts, db.set_starts[1:])
     kept_per_set = [keep.count(1, start, stop) for start, stop in set_bounds]
     seq_starts, set_starts = array("i", [0]), array("i", [0])
     for first, end in zip(db.seq_starts, db.seq_starts[1:]):
-        for kept in kept_per_set[first:end]:
-            if kept:
-                set_starts.append(set_starts[-1] + kept)
+        for count in kept_per_set[first:end]:
+            if count:
+                set_starts.append(set_starts[-1] + count)
         if len(set_starts) - 1 > seq_starts[-1]:
             seq_starts.append(len(set_starts) - 1)
-    return promising, replace(
+    return replace(
         db, seq_starts=seq_starts, set_starts=set_starts,
         items=array("i", compress(items, keep)), qtys=array("i", compress(db.qtys, keep)),
     )
@@ -351,7 +386,10 @@ class _Search:
             if not self._bond_ok(new_side.bit_count(), new_or.bit_count()):
                 self.stats.pruned_s3 += 1
                 continue
-            ul = parent.expand(item, right)
+            ul = parent.expand(item, right, self.min_util_grid)
+            if ul is None:
+                self.stats.pruned_child_bound += 1
+                continue
             self.stats.utility_lists_built += 1
             self.stats.utility_list_rows += len(ul.rows)
             if right:
@@ -384,17 +422,21 @@ def _mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     stats.promising_items = len(promising)
     stats.pruned_s1 = len(db.item_universe) - len(promising)
 
+    pair_seu = rulecore.scan_rule_pairs(filtered)
+    kept = [p for p in sorted(pair_seu) if pair_seu[p] >= min_util_grid]
+    stats.pruned_s2 = len(pair_seu) - len(kept)
+    stats.initial_rules_kept = len(kept)
+    del pair_seu  # the search needs only the kept pairs; free the table first
+    paired = frozenset(chain.from_iterable(kept))
+    stats.pruned_unpaired = len(promising) - len(paired)
+    filtered = keep_items(filtered, paired)
+
     bitvectors = measures.build_item_bitvectors(filtered)
     search = _Search(filtered, config, min_util_grid, sequence_count, bitvectors, stats)
     if config.bond_matrix_prune:
         search.set_bond_passes(rulecore.build_bond_matrix(filtered))
-    pair_seu = rulecore.scan_rule_pairs(filtered)
-    kept = [p for p in sorted(pair_seu) if pair_seu[p] >= min_util_grid]
-    stats.pruned_s2 = len(pair_seu) - len(kept)
-    del pair_seu  # the search needs only the kept pairs; free the table first
     if config.esucs_prune:
         search.set_rule_seu_passes(kept)
-    stats.initial_rules_kept = len(kept)
 
     for a, b in kept:
         rule = Rule((a,), (b,))

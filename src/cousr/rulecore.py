@@ -34,6 +34,15 @@ sequence's row table (below). Consequences used by the miner:
   reachable by further expansions (and is itself bounded by the rule's
   sequence-estimated utility)
 * sum minus ``rutil``       >= utility of every left-only descendant
+* the same two sums, taken only over the rows in which an item ``i`` is
+  right- (left-) feasible, bound the right (left) child by ``i`` and every
+  canonical descendant of that child: the child occurs only in those rows,
+  and each item it can still add is in one of the parent's classes there
+  (a left child grows only to the left). This *child bound* follows
+  US-Rule's right/left expansion-estimated utilities (REEU/LEEU; Huang,
+  Gan et al., arXiv 2111.15020); it is a sound cut outside the paper's
+  seven strategies, and :meth:`UtilityList.expand` applies it before it
+  derives a row
 
 **Row tables.** Each sequence with ``k`` items in ``l`` itemsets gets one
 :class:`SequenceTable`, built from the database's flat columns on first use
@@ -152,9 +161,16 @@ class UtilityList:
             mask = mask >> cut << cut
         return mask
 
-    def expand(self, item: int, right: bool) -> UtilityList:
+    def expand(self, item: int, right: bool, floor: int = 0) -> UtilityList | None:
         """The utility-list of the rule grown by ``item`` on the right
-        (consequent) or left side, derived row by row from this one.
+        (consequent) or left side, derived row by row from this one, or
+        ``None`` when the child's expansion bound is below ``floor``.
+
+        The bound sums, over the rows where ``item`` is feasible on that
+        side, ``iutil + lutil + rutil + lrutil`` for a right child and
+        ``iutil + lutil + lrutil`` for a left one; it bounds the utility of
+        the child and of every canonical descendant of it. A cut child costs
+        one lookup per row and derives no row.
 
         :class:`Rule` raises ``ValueError`` when the item breaks the canonical
         order constraint (it must exceed every item of the extended side) or
@@ -165,21 +181,32 @@ class UtilityList:
             rule, fixed = Rule(antecedent, consequent + (item,)), antecedent[-1]
         else:
             rule, fixed = Rule(antecedent + (item,), consequent), consequent[-1]
-        rows = []
-        for seq_index, iutil, _, _, _, max_pos_x, min_pos_y, table in self.rows:
-            where = table.where
-            base = where.get(item)
+        feasible = []
+        bound = 0
+        for row in self.rows:
+            table = row[7]
+            base = table.where.get(item)
             if base is None:
                 continue
-            sums, last = table.sums, table.last
-            pos = sums[base + last + 1]
-            iutil += sums[base - 2] - sums[base + last]
+            pos = table.sums[base + table.last + 1]
             if right:
-                if pos > max_pos_x:
-                    rows.append(table.row(seq_index, iutil, where[fixed], base, max_pos_x,
-                                          pos if pos < min_pos_y else min_pos_y))
-            elif pos < min_pos_y:
-                rows.append(table.row(seq_index, iutil, base, where[fixed],
+                if pos > row[5]:
+                    bound += row[1] + row[2] + row[3] + row[4]
+                    feasible.append((row, base, pos))
+            elif pos < row[6]:
+                bound += row[1] + row[2] + row[4]
+                feasible.append((row, base, pos))
+        if bound < floor:
+            return None
+        rows = []
+        for (seq_index, iutil, _, _, _, max_pos_x, min_pos_y, table), base, pos in feasible:
+            sums = table.sums
+            iutil += sums[base - 2] - sums[base + table.last]
+            if right:
+                rows.append(table.row(seq_index, iutil, table.where[fixed], base, max_pos_x,
+                                      pos if pos < min_pos_y else min_pos_y))
+            else:
+                rows.append(table.row(seq_index, iutil, base, table.where[fixed],
                                       pos if pos > max_pos_x else max_pos_x, min_pos_y))
         return UtilityList(rule=rule, rows=tuple(rows))
 

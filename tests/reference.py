@@ -7,11 +7,15 @@ rows, so the tests can hold the package's fast paths against them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, combinations
+from math import ceil
 from typing import NamedTuple
 
-from cousr.measures import Rule
+from cousr import measures
+from cousr.measures import MinedRule, Rule
+from cousr.miner import MinerConfig
 from cousr.rulecore import SequenceTables, UtilityList
 from cousr.seqdb import Sequence, SequenceDatabase
 
@@ -141,3 +145,103 @@ def descendant_keys(antecedent, consequent, items, right=True) -> set:
         for ladd in subsets(left_pool)
         if not set(ladd) & set(radd)
     }
+
+
+def reference_mine(db: SequenceDatabase, config: MinerConfig) -> tuple[MinedRule, ...]:
+    """The rules that clear ``config``'s thresholds and side cap, found by a
+    plain depth-first search with no utility-list, row table, pair table or
+    strategy mask.
+
+    Each sequence is one ``{item: (position, grid utility)}`` dict, and each
+    searched rule carries the list of its supporting sequences; one scan of
+    those gives every child (one more item on either side) with its own
+    supporting sequences. A rule is searched only when its SEU (the summed
+    utility of its supporting sequences) reaches ``min_util`` and the bond
+    of each side reaches ``min_bond``: both only fall as a rule grows, so
+    every sub-rule of a qualifying rule passes them. For the same reason the
+    dicts keep only the items whose own SEU reaches ``min_util``. A
+    seen-set, not an expansion order, keeps each rule from being searched
+    twice.
+    """
+    units = db.require_utilities().grid_units
+    scale = db.utilities.scale
+    floor = ceil(config.min_util * scale)  # sums are whole grid units
+    cap = config.max_rule_side or len(db.item_universe)
+    bitvectors = measures.build_item_bitvectors(db)
+    seq_utility = db.grid_sequence_utilities
+    item_seu: defaultdict[int, int] = defaultdict(int)
+    for seq, su in zip(db.sequences, seq_utility):
+        for itemset in seq.itemsets:
+            for item, _ in itemset:
+                item_seu[item] += su
+    seqs = [
+        {item: (pos, qty * units[item]) for pos, itemset in enumerate(seq.itemsets)
+         for item, qty in itemset if item_seu[item] >= floor}
+        for seq in db.sequences
+    ]
+
+    def side_mask(items) -> int:
+        mask = -1
+        for item in items:
+            mask &= bitvectors[item]
+        return mask
+
+    seen: set = set()
+    stack: list = []
+
+    def seu_reached(sids) -> bool:
+        return sum(map(seq_utility.__getitem__, sids)) >= floor
+
+    def push(x, y, sids) -> None:
+        if (x, y) not in seen:
+            seen.add((x, y))
+            if (measures.bond(x, bitvectors).value >= config.min_bond
+                    and measures.bond(y, bitvectors).value >= config.min_bond):
+                stack.append((x, y, sids))
+
+    roots = defaultdict(list)
+    for k, seq in enumerate(seqs):
+        for a, (pos_a, _) in seq.items():
+            for b, (pos_b, _) in seq.items():
+                if pos_a < pos_b:
+                    roots[a, b].append(k)
+    for (a, b), sids in roots.items():
+        if seu_reached(sids):
+            push((a,), (b,), sids)
+    found = []
+    while stack:
+        x, y, sids = stack.pop()
+        rule_mask = sum(1 << k for k in sids)
+        x_mask, y_mask = side_mask(x), side_mask(y)
+        rule = MinedRule(
+            antecedent=x,
+            consequent=y,
+            utility=Fraction(sum(seqs[k][item][1] for k in sids for item in x + y), scale),
+            support=len(sids),
+            confidence=measures.confidence(rule_mask, x_mask),
+            lift=measures.lift(rule_mask, x_mask, y_mask, db.sequence_count),
+            bond_antecedent=measures.bond(x, bitvectors).value,
+            bond_consequent=measures.bond(y, bitvectors).value,
+        )
+        if (rule.utility >= config.min_util and rule.confidence >= config.min_conf
+                and rule.lift >= config.min_lift):
+            found.append(rule)
+        left, right = defaultdict(list), defaultdict(list)
+        for k in sids:
+            seq = seqs[k]
+            max_pos_x = max(seq[item][0] for item in x)
+            min_pos_y = min(seq[item][0] for item in y)
+            for item, (pos, _) in seq.items():
+                if pos < min_pos_y and item not in x:
+                    left[item].append(k)
+                if pos > max_pos_x and item not in y:
+                    right[item].append(k)
+        if len(x) < cap:
+            for item, item_sids in left.items():
+                if seu_reached(item_sids):
+                    push(tuple(sorted(x + (item,))), y, item_sids)
+        if len(y) < cap:
+            for item, item_sids in right.items():
+                if seu_reached(item_sids):
+                    push(x, tuple(sorted(y + (item,))), item_sids)
+    return tuple(sorted(found))

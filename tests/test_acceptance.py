@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -26,7 +26,7 @@ from cousr.measures import (
     rule_sids,
     rule_utility,
 )
-from cousr.miner import VARIANTS, filter_unpromising_items
+from cousr.miner import VARIANTS, filter_unpromising_items, keep_items
 from cousr.oracle import enumerate_all_rules, oracle_chusrs
 from cousr.rulecore import SequenceTables, build_bond_matrix, scan_rule_pairs
 from cousr.seqdb import Sequence, SequenceDatabase, UtilityTable
@@ -37,6 +37,7 @@ from reference import (
     descendant_keys,
     random_expansions,
     rebuild_utility_list,
+    reference_mine,
     seu_of_rule,
     sids_of,
 )
@@ -181,12 +182,16 @@ def _assert_bounds_dominate(db):
     database; s3/s6 bond each pair and each prefix of a side of two or more
     items at least as high as the side; s4/s5 bound the utility of every
     canonical descendant (all of them, and the left-only ones) by the
-    utility-list's ``total`` and ``left_total``.
+    utility-list's ``total`` and ``left_total``; the child bound of
+    ``UtilityList.expand`` cuts no canonical child whose own utility or a
+    descendant's reaches the floor; and the pair reduction keeps the rule's
+    items. s4/s5 and the child bound are checked on ``db`` and on the
+    database the miner searches at ``min_util = u``: s1-filtered, then
+    reduced to the items of the kept pairs.
     """
     scale = db.utilities.scale
     rules = list(enumerate_all_rules(db))
     grid_utility = {(r.antecedent, r.consequent): int(r.utility * scale) for r in rules}
-    items = sorted(db.item_universe)
     tables = SequenceTables(db)
     bitvectors = build_item_bitvectors(db)
     co_counts = build_bond_matrix(db)
@@ -203,24 +208,38 @@ def _assert_bounds_dominate(db):
             continue
         if u not in at_util:
             promising, filtered = filter_unpromising_items(db, u)
-            at_util[u] = promising, scan_rule_pairs(filtered)
-        promising, pair_seu = at_util[u]
+            pair_seu = scan_rule_pairs(filtered)
+            paired = frozenset(chain.from_iterable(p for p, seu in pair_seu.items() if seu >= u))
+            at_util[u] = promising, pair_seu, SequenceTables(keep_items(filtered, paired))
+        promising, pair_seu, searched = at_util[u]
         assert set(r.antecedent + r.consequent) <= promising, f"s1 drops an item of {key}"
         for a in r.antecedent:
             for b in r.consequent:
                 assert pair_seu.get((a, b), 0) >= u, f"s2/s7 pair {(a, b)} under {key}"
+        assert set(r.antecedent + r.consequent) <= set(searched.items), (
+            f"the pair reduction drops an item of {key}"
+        )
         sides = ((r.antecedent, r.bond_antecedent), (r.consequent, r.bond_consequent))
         for side, side_bond in sides:
             for a, b in combinations(side, 2):
                 assert pair_bond(a, b) >= side_bond, f"s6 pair {(a, b)} under {key}"
             for k in range(2, len(side)):
                 assert bond(side[:k], bitvectors).value >= side_bond, f"s3 prefix under {key}"
-        ul = rebuild_utility_list(Rule(*key), tables)
-        for right, bound in ((True, ul.total), (False, ul.left_total)):
-            for descendant in descendant_keys(*key, items, right=right):
-                assert bound >= grid_utility.get(descendant, 0), (
-                    f"{'s4 total' if right else 's5 left_total'} of {key} under {descendant}"
-                )
+        for row_tables in (tables, searched):
+            items = row_tables.items
+            ul = rebuild_utility_list(Rule(*key), row_tables)
+            for right, bound in ((True, ul.total), (False, ul.left_total)):
+                for descendant in descendant_keys(*key, items, right=right):
+                    assert bound >= grid_utility.get(descendant, 0), (
+                        f"{'s4 total' if right else 's5 left_total'} of {key} under {descendant}"
+                    )
+                for item in row_tables.items_of(ul.candidates(right, row_tables.rank)):
+                    child = ul.expand(item, right).rule
+                    reach = max(grid_utility.get(descendant, 0) for descendant in
+                                descendant_keys(child.antecedent, child.consequent, items, right))
+                    assert ul.expand(item, right, reach) is not None, (
+                        f"child bound of {key} cuts {child}"
+                    )
 
 
 def test_upper_bound_soundness(example_db):
@@ -330,3 +349,42 @@ def test_desk_sequences_repeated(desk):
         assert got.rules == tuple(
             m._replace(utility=2 * m.utility, support=2 * m.support) for m in result.rules
         )
+
+
+# 11 -----------------------------------------------------------------------------
+
+def test_reference_miner_matches_the_oracle():
+    with criterion("reference miner == oracle on 300 random small dbs, side caps included"):
+        rng = random.Random(30_000)
+        for index in range(300):
+            db = random_small_database(rng)
+            config = MinerConfig(*random_thresholds(rng, db),
+                                 max_rule_side=rng.choice((None, None, 1, 2)))
+            assert reference_mine(db, config) == oracle_chusrs(db, config), f"draw {index}"
+
+
+# (synthesize_database arguments, thresholds); wide's and long's min_util are
+# the cuts perfbench calibrates at seed 3 to keep 58 and 150 root rules
+BEYOND_THE_ORACLE = {
+    "dense": (dict(n_sequences=3000, n_items=200, avg_len=12, seed=3),
+              dict(min_util=3000, min_conf="0.3", min_bond="0.1")),
+    "wide": (dict(n_sequences=30_000, n_items=2000, avg_len=8, seed=3, max_unit_utility=10),
+             dict(min_util=50225)),
+    "long": (dict(n_sequences=2000, n_items=200, avg_len=30, seed=3, max_unit_utility=1),
+             dict(min_util=25309)),
+}
+
+
+@pytest.mark.parametrize("name", BEYOND_THE_ORACLE)
+def test_reference_miner_matches_mine_beyond_the_oracle(name):
+    with criterion(f"{name}: mine == reference miner"):
+        spec, thresholds = BEYOND_THE_ORACLE[name]
+        db = synthesize_database(**spec)
+        config = MinerConfig(**thresholds)
+        assert mine(db, config).rules == reference_mine(db, config)
+
+
+def test_desk_reference_miner_matches_mine(desk):
+    with criterion("desk: mine == reference miner"):
+        db, result, _ = desk
+        assert result.rules == reference_mine(db, MinerConfig(**DESK))

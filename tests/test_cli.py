@@ -314,6 +314,15 @@ def test_config_error_exit_code(flags, capsys):
     assert capsys.readouterr().err.startswith("cousr: config error:")
 
 
+def test_long_max_side_is_config_error_with_a_short_message(capsys):
+    code = main(["mine", "--db", str(EXAMPLE_DB), "--utils", str(EXAMPLE_UT),
+                 "--max-side", "9" * 5000])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("cousr: config error: --max-side must be an integer")
+    assert all(len(line) < 200 for line in err.splitlines())
+
+
 def test_mine_without_inputs_is_config_error():
     assert main(["mine"]) == EXIT_CONFIG
 

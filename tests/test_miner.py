@@ -75,6 +75,22 @@ def test_config_out_of_range(kwargs):
         MinerConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        # -10**5000 has too many digits for str() of an int
+        lambda: MinerConfig(max_rule_side=-10**5000),
+        lambda: MinerConfig(max_rule_side="9" * 5000),
+        lambda: as_fraction("x" * 5000),
+    ],
+    ids=["huge-negative-side", "long-side-text", "long-threshold-text"],
+)
+def test_long_config_value_is_quoted_as_an_excerpt(make):
+    with pytest.raises(ConfigError) as raised:
+        make()
+    assert len(str(raised.value)) < 200
+
+
 def test_unknown_variant_rejected():
     with pytest.raises(ConfigError):
         MinerConfig.for_variant("s8")
@@ -382,14 +398,14 @@ def test_stats_counters(example_db):
     assert payload["pruned_s1"] == 2
     assert list(payload) == [
         "promising_items", "initial_rules_kept", "pruned_s1", "pruned_s2", "pruned_s3",
-        "pruned_s4", "pruned_s5", "pruned_s6", "pruned_s7",
-        "utility_lists_built", "utility_list_rows", "wall_ms",
+        "pruned_s4", "pruned_s5", "pruned_s6", "pruned_s7", "pruned_unpaired",
+        "pruned_child_bound", "utility_lists_built", "utility_list_rows", "wall_ms",
     ]
 
 
 def test_search_counters_are_pinned():
     # the search order fixes every counter; these are the values of the
-    # flag-based row derivation that preceded the row tables
+    # search over the items of the kept pairs, with the child bound
     db = synthesize_database(2000, 200, 8, seed=3)
     config = MinerConfig.for_variant(
         "s6s7", min_util=800, min_conf="0.3", min_bond="0.1", min_lift="0"
@@ -399,17 +415,20 @@ def test_search_counters_are_pinned():
     stats = result.stats.as_dict()
     assert {key: stats[key] for key in (
         "initial_rules_kept", "pruned_s2", "pruned_s3", "pruned_s4", "pruned_s5",
-        "pruned_s6", "pruned_s7", "utility_lists_built", "utility_list_rows",
+        "pruned_s6", "pruned_s7", "pruned_unpaired", "pruned_child_bound",
+        "utility_lists_built", "utility_list_rows",
     )} == {
         "initial_rules_kept": 1822,
         "pruned_s2": 12959,
-        "pruned_s3": 4246,
-        "pruned_s4": 2677,
-        "pruned_s5": 6729,
-        "pruned_s6": 67058,
-        "pruned_s7": 85288,
-        "utility_lists_built": 8578,
-        "utility_list_rows": 69359,
+        "pruned_s3": 4236,
+        "pruned_s4": 774,
+        "pruned_s5": 1553,
+        "pruned_s6": 66996,
+        "pruned_s7": 82499,
+        "pruned_unpaired": 8,
+        "pruned_child_bound": 5175,
+        "utility_lists_built": 3396,
+        "utility_list_rows": 53583,
     }
 
 
