@@ -167,8 +167,10 @@ class MiningStats:
     ``pruned_unpaired`` counts the s1-promising items that the pair
     reduction drops and ``pruned_child_bound`` the candidates the child
     bound cuts; ``initial_rules_kept`` is the number of pairs strategy 2
-    keeps. ``utility_list_rows`` counts every utility-list tuple allocated
-    and serves as the memory proxy reported by the CLI.
+    keeps. ``utility_list_rows`` counts every utility-list tuple allocated.
+    It is no measure of the search's memory: most of that is the row tables
+    the rows point to (one per sequence a root touches), which no counter
+    here counts.
     """
 
     promising_items: int = 0
@@ -364,7 +366,8 @@ class _Search:
 
     def expand(self, ctx: RuleContext, right: bool) -> None:
         parent = ctx.ul
-        candidates = parent.candidates(right, self.tables.rank)
+        rank = self.tables.rank
+        candidates = parent.candidates(right, rank)
         last_x = parent.rule.antecedent[-1]
         last_y = parent.rule.consequent[-1]
         if candidates and self.s7_right is not None:
@@ -386,7 +389,7 @@ class _Search:
             if not self._bond_ok(new_side.bit_count(), new_or.bit_count()):
                 self.stats.pruned_s3 += 1
                 continue
-            ul = parent.expand(item, right, self.min_util_grid)
+            ul = parent.expand(item, right, rank, self.min_util_grid)
             if ul is None:
                 self.stats.pruned_child_bound += 1
                 continue

@@ -53,9 +53,8 @@ A table is a flat ``(k+1) x (l+1)`` array ``T`` of dominance sums,
 ``T[r][q]`` = utility of the items whose rank in the sequence (ascending
 item order, from 0) is ``>= r`` and whose position is ``<= q``; each table
 row ``r`` carries one more cell, the position of the item of rank
-``r - 1``. ``where`` maps an item to the offset of row ``rank(item) + 1``
-only: the item's position is that row's extra cell and its utility is
-``T[r][l] - T[r+1][l]`` (``r`` its rank).
+``r - 1``: an item of rank ``r`` has its position in row ``r + 1``'s
+extra cell and its utility in ``T[r][l] - T[r+1][l]``.
 With ``rL = rank(last_x) + 1``, ``rR = rank(last_y) + 1``, ``mx = max_pos_x``
 and ``my = min_pos_y``, the class sums are rectangles::
 
@@ -76,6 +75,11 @@ cumulative bit mask ``upto[q]`` over the database's dense item ranks; the
 items after ``q`` are ``upto[l] ^ upto[q]`` and those before it
 ``upto[q - 1]``, so a node's candidate items
 (:meth:`UtilityList.candidates`) are the OR of one mask per row.
+``upto[l]``, kept as ``mask``, holds the sequence's items, and it is the
+table's only item index: an item is in the sequence iff its bit is set,
+and as dense ranks follow item order, the set bits below it count its
+rank in the sequence, which gives its row's offset
+(:meth:`SequenceTable.offset`).
 
 All utility amounts in this module are integers on the utility table's grid
 (see :attr:`cousr.seqdb.UtilityTable.scale`).
@@ -161,34 +165,45 @@ class UtilityList:
             mask = mask >> cut << cut
         return mask
 
-    def expand(self, item: int, right: bool, floor: int = 0) -> UtilityList | None:
+    def expand(
+        self, item: int, right: bool, rank: dict[int, int], floor: int = 0
+    ) -> UtilityList | None:
         """The utility-list of the rule grown by ``item`` on the right
         (consequent) or left side, derived row by row from this one, or
-        ``None`` when the child's expansion bound is below ``floor``.
+        ``None`` when the child's expansion bound is below ``floor``;
+        ``rank`` is the tables' :attr:`SequenceTables.rank`.
 
         The bound sums, over the rows where ``item`` is feasible on that
         side, ``iutil + lutil + rutil + lrutil`` for a right child and
         ``iutil + lutil + lrutil`` for a left one; it bounds the utility of
         the child and of every canonical descendant of it. A cut child costs
-        one lookup per row and derives no row.
+        one mask test per row and derives no row.
 
         :class:`Rule` raises ``ValueError`` when the item breaks the canonical
         order constraint (it must exceed every item of the extended side) or
-        already belongs to the rule.
+        already belongs to the rule; a row whose sequence lacks the other
+        side's last item raises ``ValueError`` too.
         """
         antecedent, consequent = self.rule.antecedent, self.rule.consequent
         if right:
             rule, fixed = Rule(antecedent, consequent + (item,)), antecedent[-1]
         else:
             rule, fixed = Rule(antecedent + (item,), consequent), consequent[-1]
+        bit = 1 << rank[item]
+        through = (bit << 1) - 1
+        fixed_bit = 1 << rank[fixed]
+        fixed_through = (fixed_bit << 1) - 1
         feasible = []
         bound = 0
         for row in self.rows:
             table = row[7]
-            base = table.where.get(item)
-            if base is None:
+            # SequenceTable.offset, inlined: the sequence's items up to this one
+            below = table.mask & through
+            if below < bit:
                 continue
-            pos = table.sums[base + table.last + 1]
+            width = table.last + 2
+            base = below.bit_count() * width
+            pos = table.sums[base + width - 1]
             if right:
                 if pos > row[5]:
                     bound += row[1] + row[2] + row[3] + row[4]
@@ -200,13 +215,17 @@ class UtilityList:
             return None
         rows = []
         for (seq_index, iutil, _, _, _, max_pos_x, min_pos_y, table), base, pos in feasible:
-            sums = table.sums
-            iutil += sums[base - 2] - sums[base + table.last]
+            sums, last = table.sums, table.last
+            below = table.mask & fixed_through
+            if below < fixed_bit:
+                raise ValueError(f"sequence {seq_index} lacks item {fixed} of rule {self.rule}")
+            fixed_base = below.bit_count() * (last + 2)
+            iutil += sums[base - 2] - sums[base + last]
             if right:
-                rows.append(table.row(seq_index, iutil, table.where[fixed], base, max_pos_x,
+                rows.append(table.row(seq_index, iutil, fixed_base, base, max_pos_x,
                                       pos if pos < min_pos_y else min_pos_y))
             else:
-                rows.append(table.row(seq_index, iutil, base, table.where[fixed],
+                rows.append(table.row(seq_index, iutil, base, fixed_base,
                                       pos if pos > max_pos_x else max_pos_x, min_pos_y))
         return UtilityList(rule=rule, rows=tuple(rows))
 
@@ -222,16 +241,17 @@ class SequenceTable:
     needs more than 64 bits) and holds the table rows ``0..k`` one after
     the other, each ``width = last + 2`` cells long: the ``last + 1``
     sums ``T[r][0..last]``, then one cell holding the position of the item
-    of rank ``r - 1`` (0 in row 0). ``where[item]`` is the offset in
-    ``sums`` of the table row ``rank(item) + 1``, so with ``base =
-    where[item]`` the item's position is ``sums[base + last + 1]`` and its
-    utility ``T[r][last] - T[r + 1][last]`` is
-    ``sums[base - 2] - sums[base + last]``. ``upto[q]`` masks the items
-    positioned at or before ``q``; the items after ``q`` are
-    ``upto[last] ^ upto[q]`` and those before it ``upto[q - 1]``.
+    of rank ``r - 1`` (0 in row 0). ``upto[q]`` masks the items
+    positioned at or before ``q`` over the dense ranks ``rank``; the items
+    after ``q`` are ``upto[last] ^ upto[q]`` and those before it
+    ``upto[q - 1]``. ``mask`` is ``upto[last]``, the sequence's items;
+    from it :meth:`offset` finds the offset ``base`` in ``sums`` of an
+    item's table row: the item's position is ``sums[base + last + 1]`` and
+    its utility ``T[r][last] - T[r + 1][last]`` is
+    ``sums[base - 2] - sums[base + last]``.
     """
 
-    __slots__ = ("sums", "last", "where", "upto")
+    __slots__ = ("sums", "last", "upto", "mask")
 
     def __init__(
         self, db: SequenceDatabase, index: int, grid_units: dict[int, int], rank: dict[int, int]
@@ -250,17 +270,13 @@ class SequenceTable:
         # table rows from the highest item rank down; row r sums ranks >= r
         row = [0] * width
         rows = [row]
-        where = {}
         upto = [0] * (last + 1)
-        base = len(occurrences) * width
         for item, pos, qty in occurrences:
             value = qty * grid_units[item]
-            where[item] = base
             row[-1] = pos
             row = row[:pos] + [cell + value for cell in row[pos:-1]]
             row.append(0)
             rows.append(row)
-            base -= width
             upto[pos] |= 1 << rank[item]
         rows.reverse()
         for q in range(1, last + 1):
@@ -271,16 +287,22 @@ class SequenceTable:
         typecode = next((code for bound, code in _SUM_TYPECODES if largest < bound), None)
         self.sums = sums if typecode is None else array(typecode, sums)
         self.last = last
-        self.where = where
         self.upto = upto
+        self.mask = upto[last]
+
+    def offset(self, through: int) -> int:
+        """Offset in ``sums`` of the table row of an item of the sequence;
+        ``through`` masks the dense ranks up to the item's, so the set bits
+        it keeps number the item's rank in the sequence plus one."""
+        return (self.mask & through).bit_count() * (self.last + 2)
 
     def row(
         self, seq_index: int, iutil: int, base_x: int, base_y: int, max_pos_x: int, min_pos_y: int
     ) -> UtilityListRow:
         """A rule's row in this sequence; the row keeps this table.
 
-        ``base_x`` / ``base_y`` are ``where[last_x]`` / ``where[last_y]``
-        for the rule's last antecedent / consequent item.
+        ``base_x`` / ``base_y`` are the :meth:`offset` of the rule's last
+        antecedent / consequent item.
         """
         sums = self.sums
         both = base_x if base_x > base_y else base_y
@@ -341,15 +363,24 @@ def build_utility_list(rule: Rule, tables: SequenceTables, sids: int) -> Utility
     ``sids`` masks the sequences to scan (bit ``k`` for the ``k``-th);
     each must hold both items, and any superset of the supporting
     sequences gives the same rows. The miner passes the AND of the two
-    items' bit vectors.
+    items' bit vectors. A masked sequence that lacks ``a`` or ``b`` raises
+    ``ValueError``.
     """
     (a,), (b,) = rule.antecedent, rule.consequent
+    rank = tables.rank
+    bit_a, bit_b = 1 << rank[a], 1 << rank[b]
+    through_a, through_b = (bit_a << 1) - 1, (bit_b << 1) - 1
     table_of = tables.table
     rows: list[UtilityListRow] = []
     for index in _set_bits(sids):
         table = table_of(index)
-        where, sums, last = table.where, table.sums, table.last
-        base_x, base_y = where[a], where[b]
+        # SequenceTable.offset, inlined: the sequence's items up to a and up to b
+        mask, sums, last = table.mask, table.sums, table.last
+        below_x, below_y = mask & through_a, mask & through_b
+        if below_x < bit_a or below_y < bit_b:
+            raise ValueError(f"sequence {index} lacks item {a} or {b} of rule {rule}")
+        width = last + 2
+        base_x, base_y = below_x.bit_count() * width, below_y.bit_count() * width
         max_pos_x, min_pos_y = sums[base_x + last + 1], sums[base_y + last + 1]
         if max_pos_x < min_pos_y:
             iutil = sums[base_x - 2] - sums[base_x + last] + sums[base_y - 2] - sums[base_y + last]

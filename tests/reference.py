@@ -87,7 +87,9 @@ def rebuild_utility_list(rule: Rule, tables: SequenceTables) -> UtilityList:
         if max_pos_x < min_pos_y:
             grid = grid_utilities(seq, db)
             table = tables.table(index)
-            base_x, base_y = table.where[rule.antecedent[-1]], table.where[rule.consequent[-1]]
+            last_x, last_y = rule.antecedent[-1], rule.consequent[-1]
+            base_x = table.offset((2 << tables.rank[last_x]) - 1)
+            base_y = table.offset((2 << tables.rank[last_y]) - 1)
             iutil = sum(grid[item] for item in rule.items)
             rows.append(table.row(index, iutil, base_x, base_y, max_pos_x, min_pos_y))
     return UtilityList(rule=rule, rows=tuple(rows))
@@ -102,7 +104,7 @@ def random_expansions(ul: UtilityList, tables: SequenceTables, rng, steps: int):
         feasible = tables.items_of(ul.candidates(right, tables.rank))
         if not feasible:
             return
-        ul = ul.expand(rng.choice(feasible), right)
+        ul = ul.expand(rng.choice(feasible), right, tables.rank)
         yield ul
 
 

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from cousr import Rule, parse_database, parse_utility_table, with_utilities
 from cousr.measures import build_item_bitvectors, rule_sids, rule_utility
 from cousr.miner import filter_unpromising_items
-from cousr.rulecore import SequenceTables, build_bond_matrix, build_utility_list, scan_rule_pairs
+from cousr.rulecore import (
+    SequenceTable,
+    SequenceTables,
+    UtilityList,
+    build_bond_matrix,
+    build_utility_list,
+    scan_rule_pairs,
+)
 from cousr.seqdb import Sequence, SequenceDatabase, UtilityTable
 from cousr.synth import random_small_database
 
@@ -86,7 +93,7 @@ def test_utility_list_of_larger_rule_from_scratch(example_db, tables):
     # expansion derives
     rule = Rule.of([A, B], [E])
     ul = rebuild_utility_list(rule, tables)
-    assert ul.rows == rebuild_utility_list(AE, tables).expand(B, right=False).rows
+    assert ul.rows == rebuild_utility_list(AE, tables).expand(B, False, tables.rank).rows
     assert ul.utility == rule_utility(rule, example_db)
     assert sids_mask(ul) == rule_sids(rule, example_db)
 
@@ -103,11 +110,20 @@ def test_restricting_to_known_sids_gives_same_rows(example_db, tables):
     assert build_utility_list(AE, tables, sids=mask).rows == rebuild_utility_list(AE, tables).rows
 
 
+@pytest.mark.parametrize("a,b", [(A, G), (C, E)])
+def test_root_builder_refuses_a_sequence_without_an_item(example_db, tables, a, b):
+    # the third sequence holds a and e but neither c nor g; the others hold both items
+    assert not positions(example_db.sequences[2]).keys() & {C, G}
+    bitvectors = build_item_bitvectors(example_db)
+    with pytest.raises(ValueError, match="sequence 2 lacks"):
+        build_utility_list(Rule.of([a], [b]), tables, sids=bitvectors[a] & bitvectors[b] | 1 << 2)
+
+
 # -- expansion ----------------------------------------------------------------------
 
 def test_left_expansion_with_c_matches_worked_values(example_db, tables):
     parent = rebuild_utility_list(AE, tables)
-    expanded = parent.expand(C, right=False)
+    expanded = parent.expand(C, False, tables.rank)
     assert expanded.rule == Rule.of([A, C], [E])
     assert [tuple(row)[:7] for row in expanded.rows] == [(1, 16, 9, 4, 0, 2, 4)]
     assert expanded.rows == rebuild_utility_list(expanded.rule, tables).rows
@@ -115,10 +131,20 @@ def test_left_expansion_with_c_matches_worked_values(example_db, tables):
 
 def test_right_expansion_with_g(example_db, tables):
     parent = rebuild_utility_list(AE, tables)
-    expanded = parent.expand(G, right=True)
+    expanded = parent.expand(G, True, tables.rank)
     assert sids_of(sids_mask(expanded)) == {1, 2, 4, 5}
     assert expanded.utility == rule_utility(Rule.of([A], [E, G]), example_db) == 59
     assert expanded.rows == rebuild_utility_list(expanded.rule, tables).rows
+
+
+@pytest.mark.parametrize(
+    "rule,item,right", [(Rule.of([C], [E]), G, True), (Rule.of([A], [G]), B, False)]
+)
+def test_expansion_refuses_a_row_without_the_fixed_item(tables, rule, item, right):
+    # a's rows for a => e, relabelled: the third sequence lacks c and g
+    corrupt = UtilityList(rule=rule, rows=rebuild_utility_list(AE, tables).rows)
+    with pytest.raises(ValueError, match="lacks item"):
+        corrupt.expand(item, right, tables.rank)
 
 
 def test_expansion_with_item_absent_from_all_rows():
@@ -126,7 +152,7 @@ def test_expansion_with_item_absent_from_all_rows():
     tables = SequenceTables(tiny_db("4:1 1:1 -1 2:1 -1 -2\n1:1 -1 2:1 3:1 -1 -2\n"))
     parent = rebuild_utility_list(Rule.of([1], [2]), tables)
     assert parent.support == 2
-    expanded = parent.expand(4, right=True)
+    expanded = parent.expand(4, True, tables.rank)
     assert expanded.rows == ()
 
 
@@ -137,7 +163,7 @@ def test_expansion_with_item_absent_from_all_rows():
 def test_expansion_order_constraint_violations(example_db, tables, item, side):
     parent = rebuild_utility_list(AE, tables)
     with pytest.raises(ValueError):
-        parent.expand(item, right=side == "right")
+        parent.expand(item, side == "right", tables.rank)
 
 
 # -- upper bounds --------------------------------------------------------------------
@@ -239,18 +265,42 @@ def _long_database():
 LONG_DB = _long_database()
 
 
+def _many_items_database():
+    """Four sequences over 130 items in 10 itemsets, so item masks span three
+    64-bit words; each sequence leaves out the multiples of its step."""
+    sequences = []
+    for step in (3, 7, 9, 11):
+        itemsets = [[] for _ in range(10)]
+        for item in range(1, 131):
+            if item % step:
+                itemsets[item * step % 10].append((item, 1 + item % 4))
+        sequences.append(Sequence(tuple(map(tuple, itemsets))))
+    entries = {item: Fraction(1 + item % 5, 1 + item % 3) for item in range(1, 131)}
+    return SequenceDatabase.from_sequences(sequences, UtilityTable(entries=entries))
+
+
+MANY_ITEMS_DB = _many_items_database()
+
+
 def _assert_table_layout(db):
-    """Every table reads back each item's position and grid utility, and its
-    cumulative masks give the items after / before every position."""
+    """Every table finds each item's row from its item mask, and that row
+    reads back the item's position and grid utility; an item outside the
+    sequence has no bit; the cumulative masks give the items after / before
+    every position."""
     tables = SequenceTables(db)
     for index, seq in enumerate(db.sequences):
         table = tables.table(index)
-        sums, last, upto = table.sums, table.last, table.upto
+        sums, last, upto, mask = table.sums, table.last, table.upto, table.mask
         width = last + 2
         position, grid = positions(seq), grid_utilities(seq, db)
         assert last == len(seq.itemsets)
-        assert table.where.keys() == position.keys()
-        for item, base in table.where.items():
+        assert mask is upto[last]
+        for item in tables.items:
+            bit = 1 << tables.rank[item]
+            assert bool(mask & bit) == (item in position)
+        for rank, item in enumerate(sorted(position)):
+            base = table.offset((2 << tables.rank[item]) - 1)
+            assert base == (rank + 1) * width  # table row rank + 1
             assert sums[base + last + 1] == position[item]
             # T[rank][last] - T[rank + 1][last]
             assert sums[base - width + last] - sums[base + last] == grid[item]
@@ -273,6 +323,16 @@ def test_table_layout_matches_positions_and_grid_utilities(seed):
 
 def test_table_layout_of_long_sequences():
     _assert_table_layout(LONG_DB)
+
+
+def test_table_layout_beyond_one_mask_word():
+    assert len(MANY_ITEMS_DB.item_universe) == 130
+    _assert_table_layout(MANY_ITEMS_DB)
+
+
+def test_sequence_table_keeps_no_dict():
+    assert SequenceTable.__slots__ == ("sums", "last", "upto", "mask")
+    assert not hasattr(SequenceTables(LONG_DB).table(0), "__dict__")
 
 
 @pytest.mark.parametrize(
@@ -356,3 +416,18 @@ def test_utility_list_totals_match_direct_measures(seed, long):
         for row in ul.rows:
             assert min(row.iutil, row.lutil, row.rutil, row.lrutil) >= 0
 
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rows_across_several_mask_words(seed):
+    # roots and expansions over 130 dense ranks equal the rebuild and the
+    # reference classification
+    rng = random.Random(seed)
+    db = MANY_ITEMS_DB
+    tables = SequenceTables(db)
+    bitvectors = build_item_bitvectors(db)
+    a, b = rng.choice(sorted(scan_rule_pairs(db)))
+    root = build_utility_list(Rule.of([a], [b]), tables, bitvectors[a] & bitvectors[b])
+    assert root.rows == rebuild_utility_list(root.rule, tables).rows
+    for ul in (root, *random_expansions(root, tables, rng, 5)):
+        assert ul.rows == rebuild_utility_list(ul.rule, tables).rows
+        _assert_rows_match_classification(ul, db, tables)
