@@ -90,8 +90,11 @@ def as_fraction(value) -> Fraction:
     Text is a ratio ``p/q`` or a decimal for :func:`cousr.seqdb.exact_decimal`.
     Anything without a finite exact value (``inf``, ``nan``, ``1/0``, a
     decimal exponent beyond +-:data:`cousr.seqdb.MAX_DECIMAL_EXPONENT`, text
-    that is no number) raises :class:`ConfigError`.
+    that is no number) raises :class:`ConfigError`, and so does a ``bool``,
+    which ``int`` would read as 0 or 1.
     """
+    if isinstance(value, bool):
+        raise ConfigError(f"a bool is no threshold, got {_shown(value)}")
     if isinstance(value, (Fraction, int)):
         return Fraction(value)
     text = repr(value) if isinstance(value, float) else value
@@ -168,9 +171,9 @@ class MiningStats:
     reduction drops and ``pruned_child_bound`` the candidates the child
     bound cuts; ``initial_rules_kept`` is the number of pairs strategy 2
     keeps. ``utility_list_rows`` counts every utility-list tuple allocated.
-    It is no measure of the search's memory: most of that is the row tables
-    the rows point to (one per sequence a root touches), which no counter
-    here counts.
+    ``row_tables`` counts the sequences whose row table the search filled
+    (each one a root touched); with the rows, the tables are most of the
+    search's memory.
     """
 
     promising_items: int = 0
@@ -186,6 +189,7 @@ class MiningStats:
     pruned_child_bound: int = 0
     utility_lists_built: int = 0
     utility_list_rows: int = 0
+    row_tables: int = 0
     wall_ms: float = 0.0
 
     def as_dict(self) -> dict:
@@ -366,8 +370,8 @@ class _Search:
 
     def expand(self, ctx: RuleContext, right: bool) -> None:
         parent = ctx.ul
-        rank = self.tables.rank
-        candidates = parent.candidates(right, rank)
+        tables = self.tables
+        candidates = parent.candidates(right, tables)
         last_x = parent.rule.antecedent[-1]
         last_y = parent.rule.consequent[-1]
         if candidates and self.s7_right is not None:
@@ -378,7 +382,7 @@ class _Search:
             passes = self.s6_pass.get(last_y if right else last_x, 0)
             self.stats.pruned_s6 += (candidates & ~passes).bit_count()
             candidates &= passes
-        for item in self.tables.items_of(candidates):
+        for item in tables.items_of(candidates):
             vector = self.bitvectors[item]
             if right:
                 new_side = ctx.sids_y & vector
@@ -389,7 +393,7 @@ class _Search:
             if not self._bond_ok(new_side.bit_count(), new_or.bit_count()):
                 self.stats.pruned_s3 += 1
                 continue
-            ul = parent.expand(item, right, rank, self.min_util_grid)
+            ul = parent.expand(item, right, tables, self.min_util_grid)
             if ul is None:
                 self.stats.pruned_child_bound += 1
                 continue
@@ -451,6 +455,7 @@ def _mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
             left_only=False,
         )
 
+    stats.row_tables = sum(sums is not None for sums in search.tables.sums)
     rules = tuple(sorted(search.emitted))
     if len({(m.antecedent, m.consequent) for m in rules}) != len(rules):
         raise AssertionError("canonical enumeration produced a duplicate rule")

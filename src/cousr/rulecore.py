@@ -21,13 +21,14 @@ consequent items the other way round. ``only_left`` / ``only_right`` /
 
 The utility-list of a rule has one row per supporting sequence::
 
-    (seq_index, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y, table)
+    (seq_index, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y, sums)
 
 ``seq_index`` is the sequence's position ``k`` in the database (from 0, the
-bit ``k`` of every sequence mask and slot ``k`` of a :class:`SequenceTables`),
-``iutil`` is the rule's utility in that sequence, ``lutil``, ``rutil``,
-``lrutil`` are the utility sums over the three classes and ``table`` is the
-sequence's row table (below). Consequences used by the miner:
+bit ``k`` of every sequence mask and index ``k`` of every column of a
+:class:`SequenceTables`), ``iutil`` is the rule's utility in that sequence,
+``lutil``, ``rutil``, ``lrutil`` are the utility sums over the three classes
+and ``sums`` is the sequence's packed row table (below). Consequences used
+by the miner:
 
 * sum of ``iutil``          = rule utility; row count = rule support
 * sum of the four utilities >= utility of the rule and of every descendant
@@ -44,17 +45,20 @@ sequence's row table (below). Consequences used by the miner:
   seven strategies, and :meth:`UtilityList.expand` applies it before it
   derives a row
 
-**Row tables.** Each sequence with ``k`` items in ``l`` itemsets gets one
-:class:`SequenceTable`, built from the database's flat columns on first use
-and held in the sequence's slot of a :class:`SequenceTables`, which the
-caller creates and passes to :func:`build_utility_list` (the miner's search
-owns one and drops it on return); every row keeps its sequence's table.
-A table is a flat ``(k+1) x (l+1)`` array ``T`` of dominance sums,
-``T[r][q]`` = utility of the items whose rank in the sequence (ascending
-item order, from 0) is ``>= r`` and whose position is ``<= q``; each table
-row ``r`` carries one more cell, the position of the item of rank
-``r - 1``: an item of rank ``r`` has its position in row ``r + 1``'s
-extra cell and its utility in ``T[r][l] - T[r+1][l]``.
+**Row tables.** A :class:`SequenceTables`, which the caller creates and
+passes to :func:`build_utility_list` (the miner's search owns one and drops
+it on return), holds the row tables of one database as columns indexed by
+the sequence's position ``k``; no Python object stands for one sequence.
+Sequence ``k``'s table is filled from the database's flat columns on first
+use. Of a sequence with ``k`` items in ``l`` itemsets, ``sums[k]`` is a
+flat ``(k+1) x (l+1)`` array ``T`` of dominance sums, ``T[r][q]`` =
+utility of the items whose rank in the sequence (ascending item order, from
+0) is ``>= r`` and whose position is ``<= q``; each table row ``r`` carries
+one more cell, the position of the item of rank ``r - 1``: an item of rank
+``r`` has its position in row ``r + 1``'s extra cell and its utility in
+``T[r][l] - T[r+1][l]``. Each buffer is its own, so every offset into it
+stays small, and it is as narrow as its cells allow: ``bytes`` when every
+cell is below 256, else the narrowest unsigned ``array``, else a list.
 With ``rL = rank(last_x) + 1``, ``rR = rank(last_y) + 1``, ``mx = max_pos_x``
 and ``my = min_pos_y``, the class sums are rectangles::
 
@@ -63,23 +67,25 @@ and ``my = min_pos_y``, the class sums are rectangles::
     lrutil = T[max(rL, rR)][my - 1] - T[max(rL, rR)][mx]
     lutil  = L - lrutil,   rutil = R - lrutil
 
-:meth:`SequenceTable.row` is the one place rows are derived. A child row
+:meth:`SequenceTables.row` is the one place rows are derived. A child row
 needs only its parent row's ``mx``/``my`` and table: a right expansion by an
 item at position ``p`` sets ``my' = min(my, p)``, a left one
 ``mx' = max(mx, p)``, so :meth:`UtilityList.expand` grows a rule by one item
 with a constant-time step per parent row, and :func:`build_utility_list`
 builds the 1*1 roots, the only lists made from scratch, through the same
-function.
-The table also keeps, per position ``q``, the items at or before ``q`` as a
-cumulative bit mask ``upto[q]`` over the database's dense item ranks; the
-items after ``q`` are ``upto[l] ^ upto[q]`` and those before it
-``upto[q - 1]``, so a node's candidate items
-(:meth:`UtilityList.candidates`) are the OR of one mask per row.
-``upto[l]``, kept as ``mask``, holds the sequence's items, and it is the
-table's only item index: an item is in the sequence iff its bit is set,
-and as dense ranks follow item order, the set bits below it count its
-rank in the sequence, which gives its row's offset
-(:meth:`SequenceTable.offset`).
+method.
+The store also keeps, per position ``q`` of sequence ``k``, the items at or
+before ``q`` as a cumulative bit mask over the database's dense item ranks,
+in one list ``upto`` shared by all sequences: sequence ``k``'s ``l + 1``
+masks sit at ``seq_starts[k] + k + q`` for ``q = 0..l``, so the CSR columns
+give every offset. With ``u = upto[seq_starts[k] + k:]``, the items after
+``q`` are ``u[l] ^ u[q]`` and those before it ``u[q - 1]``, so a node's
+candidate items (:meth:`UtilityList.candidates`) are the OR of one mask per
+row. ``masks[k]`` is ``u[l]``, the sequence's items, and ``lasts[k]`` is
+``l``. The mask is the table's only item index: an item is in the sequence
+iff its bit is set, and as dense ranks follow item order, the set bits below
+it count its rank in the sequence, which gives its row's offset
+(:meth:`SequenceTables.offset`).
 
 All utility amounts in this module are integers on the utility table's grid
 (see :attr:`cousr.seqdb.UtilityTable.scale`).
@@ -110,8 +116,9 @@ from .seqdb import SequenceDatabase
 # builds a row without the Python-level NamedTuple constructor (hot path)
 _new_tuple = tuple.__new__
 
-# (exclusive upper bound, typecode) of the unsigned arrays a table's sums may use
-_SUM_TYPECODES = tuple((1 << 8 * array(code).itemsize, code) for code in "BHIQ")
+# (exclusive upper bound, typecode) of the unsigned arrays a table's sums may
+# use when a cell reaches 256 (below that, ``bytes``)
+_SUM_TYPECODES = tuple((1 << 8 * array(code).itemsize, code) for code in "HIQ")
 
 
 class UtilityListRow(NamedTuple):
@@ -124,7 +131,7 @@ class UtilityListRow(NamedTuple):
     lrutil: int
     max_pos_x: int
     min_pos_y: int
-    table: SequenceTable
+    sums: bytes | array | list[int]
 
 
 @dataclass(frozen=True)
@@ -148,30 +155,32 @@ class UtilityList:
     def left_total(self) -> int:
         return sum(row.iutil + row.lutil + row.lrutil for row in self.rows)
 
-    def candidates(self, right: bool, rank: dict[int, int]) -> int:
-        """Mask (over the dense item ranks ``rank``) of the items feasible in
-        at least one row for a right (consequent) or left expansion."""
+    def candidates(self, right: bool, tables: SequenceTables) -> int:
+        """Mask (over the dense item ranks of ``tables``) of the items
+        feasible in at least one row for a right (consequent) or left
+        expansion."""
+        upto, starts = tables.upto, tables.db.seq_starts
         mask = 0
         if right:
-            for _, _, _, _, _, max_pos_x, _, table in self.rows:
-                upto = table.upto
-                mask |= upto[-1] ^ upto[max_pos_x]
+            masks = tables.masks
+            for seq_index, _, _, _, _, max_pos_x, _, _ in self.rows:
+                mask |= masks[seq_index] ^ upto[starts[seq_index] + seq_index + max_pos_x]
         else:
-            for _, _, _, _, _, _, min_pos_y, table in self.rows:
-                mask |= table.upto[min_pos_y - 1]
+            for seq_index, _, _, _, _, _, min_pos_y, _ in self.rows:
+                mask |= upto[starts[seq_index] + seq_index + min_pos_y - 1]
         if mask:
             rule = self.rule
-            cut = rank[rule.consequent[-1] if right else rule.antecedent[-1]] + 1
+            cut = tables.rank[rule.consequent[-1] if right else rule.antecedent[-1]] + 1
             mask = mask >> cut << cut
         return mask
 
     def expand(
-        self, item: int, right: bool, rank: dict[int, int], floor: int = 0
+        self, item: int, right: bool, tables: SequenceTables, floor: int = 0
     ) -> UtilityList | None:
         """The utility-list of the rule grown by ``item`` on the right
         (consequent) or left side, derived row by row from this one, or
         ``None`` when the child's expansion bound is below ``floor``;
-        ``rank`` is the tables' :attr:`SequenceTables.rank`.
+        ``tables`` holds the rows' tables.
 
         The bound sums, over the rows where ``item`` is feasible on that
         side, ``iutil + lutil + rutil + lrutil`` for a right child and
@@ -189,6 +198,7 @@ class UtilityList:
             rule, fixed = Rule(antecedent, consequent + (item,)), antecedent[-1]
         else:
             rule, fixed = Rule(antecedent + (item,), consequent), consequent[-1]
+        rank, masks, lasts, row_of = tables.rank, tables.masks, tables.lasts, tables.row
         bit = 1 << rank[item]
         through = (bit << 1) - 1
         fixed_bit = 1 << rank[fixed]
@@ -196,14 +206,14 @@ class UtilityList:
         feasible = []
         bound = 0
         for row in self.rows:
-            table = row[7]
-            # SequenceTable.offset, inlined: the sequence's items up to this one
-            below = table.mask & through
+            seq_index = row[0]
+            # SequenceTables.offset, inlined: the sequence's items up to this one
+            below = masks[seq_index] & through
             if below < bit:
                 continue
-            width = table.last + 2
+            width = lasts[seq_index] + 2
             base = below.bit_count() * width
-            pos = table.sums[base + width - 1]
+            pos = row[7][base + width - 1]
             if right:
                 if pos > row[5]:
                     bound += row[1] + row[2] + row[3] + row[4]
@@ -214,109 +224,20 @@ class UtilityList:
         if bound < floor:
             return None
         rows = []
-        for (seq_index, iutil, _, _, _, max_pos_x, min_pos_y, table), base, pos in feasible:
-            sums, last = table.sums, table.last
-            below = table.mask & fixed_through
+        for (seq_index, iutil, _, _, _, max_pos_x, min_pos_y, sums), base, pos in feasible:
+            below = masks[seq_index] & fixed_through
             if below < fixed_bit:
                 raise ValueError(f"sequence {seq_index} lacks item {fixed} of rule {self.rule}")
+            last = lasts[seq_index]
             fixed_base = below.bit_count() * (last + 2)
             iutil += sums[base - 2] - sums[base + last]
             if right:
-                rows.append(table.row(seq_index, iutil, fixed_base, base, max_pos_x,
-                                      pos if pos < min_pos_y else min_pos_y))
+                rows.append(row_of(seq_index, iutil, fixed_base, base, max_pos_x,
+                                   pos if pos < min_pos_y else min_pos_y))
             else:
-                rows.append(table.row(seq_index, iutil, base, fixed_base,
-                                      pos if pos > max_pos_x else max_pos_x, min_pos_y))
+                rows.append(row_of(seq_index, iutil, base, fixed_base,
+                                   pos if pos > max_pos_x else max_pos_x, min_pos_y))
         return UtilityList(rule=rule, rows=tuple(rows))
-
-
-class SequenceTable:
-    """Row table of one sequence: dominance sums plus feasible-item masks.
-
-    Built from the index ranges of the ``index``-th sequence of a
-    database's flat columns and the grid unit utilities
-    (:attr:`cousr.seqdb.UtilityTable.grid_units`); it builds no
-    :class:`~cousr.seqdb.Sequence`. ``sums`` is the narrowest unsigned
-    ``array`` that holds every cell (a list when the sequence's utility
-    needs more than 64 bits) and holds the table rows ``0..k`` one after
-    the other, each ``width = last + 2`` cells long: the ``last + 1``
-    sums ``T[r][0..last]``, then one cell holding the position of the item
-    of rank ``r - 1`` (0 in row 0). ``upto[q]`` masks the items
-    positioned at or before ``q`` over the dense ranks ``rank``; the items
-    after ``q`` are ``upto[last] ^ upto[q]`` and those before it
-    ``upto[q - 1]``. ``mask`` is ``upto[last]``, the sequence's items;
-    from it :meth:`offset` finds the offset ``base`` in ``sums`` of an
-    item's table row: the item's position is ``sums[base + last + 1]`` and
-    its utility ``T[r][last] - T[r + 1][last]`` is
-    ``sums[base - 2] - sums[base + last]``.
-    """
-
-    __slots__ = ("sums", "last", "upto", "mask")
-
-    def __init__(
-        self, db: SequenceDatabase, index: int, grid_units: dict[int, int], rank: dict[int, int]
-    ):
-        first, end = db.seq_starts[index], db.seq_starts[index + 1]
-        start = stop = db.set_starts[first]
-        positions: list[int] = []  # the itemset position of each occurrence
-        for pos, next_stop in enumerate(db.set_starts[first + 1:end + 1], start=1):
-            positions += [pos] * (next_stop - stop)
-            stop = next_stop
-        occurrences = sorted(
-            zip(db.items[start:stop], positions, db.qtys[start:stop]), reverse=True
-        )
-        last = end - first
-        width = last + 2
-        # table rows from the highest item rank down; row r sums ranks >= r
-        row = [0] * width
-        rows = [row]
-        upto = [0] * (last + 1)
-        for item, pos, qty in occurrences:
-            value = qty * grid_units[item]
-            row[-1] = pos
-            row = row[:pos] + [cell + value for cell in row[pos:-1]]
-            row.append(0)
-            rows.append(row)
-            upto[pos] |= 1 << rank[item]
-        rows.reverse()
-        for q in range(1, last + 1):
-            upto[q] |= upto[q - 1]
-        sums = [cell for row in rows for cell in row]
-        # the largest cell is the sequence's utility T[0][last] or a position
-        largest = max(rows[0][last], last)
-        typecode = next((code for bound, code in _SUM_TYPECODES if largest < bound), None)
-        self.sums = sums if typecode is None else array(typecode, sums)
-        self.last = last
-        self.upto = upto
-        self.mask = upto[last]
-
-    def offset(self, through: int) -> int:
-        """Offset in ``sums`` of the table row of an item of the sequence;
-        ``through`` masks the dense ranks up to the item's, so the set bits
-        it keeps number the item's rank in the sequence plus one."""
-        return (self.mask & through).bit_count() * (self.last + 2)
-
-    def row(
-        self, seq_index: int, iutil: int, base_x: int, base_y: int, max_pos_x: int, min_pos_y: int
-    ) -> UtilityListRow:
-        """A rule's row in this sequence; the row keeps this table.
-
-        ``base_x`` / ``base_y`` are the :meth:`offset` of the rule's last
-        antecedent / consequent item.
-        """
-        sums = self.sums
-        both = base_x if base_x > base_y else base_y
-        lrutil = sums[both + min_pos_y - 1] - sums[both + max_pos_x]
-        return _new_tuple(UtilityListRow, (
-            seq_index,
-            iutil,
-            sums[base_x + min_pos_y - 1] - lrutil,
-            sums[base_y + self.last] - sums[base_y + max_pos_x] - lrutil,
-            lrutil,
-            max_pos_x,
-            min_pos_y,
-            self,
-        ))
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -331,25 +252,108 @@ def _set_bits(mask: int) -> list[int]:
 
 
 class SequenceTables:
-    """The row tables of one database, one slot per sequence (slot ``k``
-    for the ``k``-th), each table built on first use.
+    """The row tables of one database, as columns indexed by the sequence's
+    position ``k``; sequence ``k``'s entries are filled on first use
+    (:meth:`table`).
 
-    Item masks index :attr:`items` (the database's items, ascending) by
-    position, so the lowest set bit is the smallest item.
+    ``sums[k]`` is the sequence's packed table, ``None`` until filled: its
+    rows ``0..n`` (``n`` items) one after the other, each ``last + 2``
+    cells long, the ``last + 1`` sums ``T[r][0..last]`` and then the
+    position of the item of rank ``r - 1`` (0 in row 0). ``lasts[k]`` is
+    the sequence's itemset count ``last``. ``upto`` holds, at
+    ``db.seq_starts[k] + k + q`` for ``q = 0..last``, the mask of the
+    sequence's items positioned at or before ``q``, and ``masks[k]`` is the
+    last of them, the sequence's items (0 until filled). Item masks index
+    :attr:`items` (the database's items, ascending) by position, so the
+    lowest set bit is the smallest item; :attr:`rank` maps an item to its
+    bit.
     """
 
     def __init__(self, db: SequenceDatabase):
         self.db = db
         self._grid_units = db.require_utilities().grid_units
-        self._slots: list[SequenceTable | None] = [None] * db.sequence_count
+        starts = db.seq_starts
+        self.lasts = [end - first for first, end in zip(starts, starts[1:])]
+        self.sums: list[bytes | array | list[int] | None] = [None] * db.sequence_count
+        self.masks = [0] * db.sequence_count
+        self.upto = [0] * (len(db.set_starts) - 1 + db.sequence_count)
         self.items = tuple(sorted(db.item_universe))
         self.rank = {item: bit for bit, item in enumerate(self.items)}
 
-    def table(self, index: int) -> SequenceTable:
-        table = self._slots[index]
-        if table is None:
-            table = self._slots[index] = SequenceTable(self.db, index, self._grid_units, self.rank)
-        return table
+    def table(self, index: int) -> bytes | array | list[int]:
+        """The ``index``-th sequence's ``sums``, filling its entries of every
+        column on first use."""
+        sums = self.sums[index]
+        if sums is not None:
+            return sums
+        db, rank, grid_units = self.db, self.rank, self._grid_units
+        first, end = db.seq_starts[index], db.seq_starts[index + 1]
+        start = stop = db.set_starts[first]
+        positions: list[int] = []  # the itemset position of each occurrence
+        for pos, next_stop in enumerate(db.set_starts[first + 1:end + 1], start=1):
+            positions += [pos] * (next_stop - stop)
+            stop = next_stop
+        occurrences = sorted(
+            zip(db.items[start:stop], positions, db.qtys[start:stop]), reverse=True
+        )
+        last = end - first
+        width = last + 2
+        upto, at = self.upto, first + index  # upto[at + q]: the items at or before q
+        # table rows from the highest item rank down; row r sums ranks >= r
+        row = [0] * width
+        rows = [row]
+        for item, pos, qty in occurrences:
+            value = qty * grid_units[item]
+            row[-1] = pos
+            row = row[:pos] + [cell + value for cell in row[pos:-1]]
+            row.append(0)
+            rows.append(row)
+            upto[at + pos] |= 1 << rank[item]
+        rows.reverse()
+        for q in range(at + 1, at + last + 1):
+            upto[q] |= upto[q - 1]
+        cells = [cell for row in rows for cell in row]
+        # the largest cell is the sequence's utility T[0][last] or a position
+        largest = max(rows[0][last], last)
+        if largest < 256:
+            sums = bytes(cells)
+        else:
+            typecode = next((code for bound, code in _SUM_TYPECODES if largest < bound), None)
+            sums = cells if typecode is None else array(typecode, cells)
+        self.sums[index] = sums
+        self.masks[index] = upto[at + last]
+        return sums
+
+    def offset(self, index: int, through: int) -> int:
+        """Offset ``base`` in ``sums[index]`` of the table row of an item of
+        the sequence; ``through`` masks the dense ranks up to the item's, so
+        the set bits it keeps number the item's rank in the sequence plus
+        one. The item's position is ``sums[base + last + 1]`` and its
+        utility ``sums[base - 2] - sums[base + last]``."""
+        return (self.masks[index] & through).bit_count() * (self.lasts[index] + 2)
+
+    def row(
+        self, index: int, iutil: int, base_x: int, base_y: int, max_pos_x: int, min_pos_y: int
+    ) -> UtilityListRow:
+        """A rule's row in the ``index``-th sequence, whose table is filled;
+        the row keeps the table's ``sums``.
+
+        ``base_x`` / ``base_y`` are the :meth:`offset` of the rule's last
+        antecedent / consequent item.
+        """
+        sums = self.sums[index]
+        both = base_x if base_x > base_y else base_y
+        lrutil = sums[both + min_pos_y - 1] - sums[both + max_pos_x]
+        return _new_tuple(UtilityListRow, (
+            index,
+            iutil,
+            sums[base_x + min_pos_y - 1] - lrutil,
+            sums[base_y + self.lasts[index]] - sums[base_y + max_pos_x] - lrutil,
+            lrutil,
+            max_pos_x,
+            min_pos_y,
+            sums,
+        ))
 
     def items_of(self, mask: int) -> list[int]:
         """The items of a mask, ascending."""
@@ -370,12 +374,13 @@ def build_utility_list(rule: Rule, tables: SequenceTables, sids: int) -> Utility
     rank = tables.rank
     bit_a, bit_b = 1 << rank[a], 1 << rank[b]
     through_a, through_b = (bit_a << 1) - 1, (bit_b << 1) - 1
-    table_of = tables.table
+    table_of, row_of = tables.table, tables.row
+    masks, lasts = tables.masks, tables.lasts
     rows: list[UtilityListRow] = []
     for index in _set_bits(sids):
-        table = table_of(index)
-        # SequenceTable.offset, inlined: the sequence's items up to a and up to b
-        mask, sums, last = table.mask, table.sums, table.last
+        sums = table_of(index)
+        # SequenceTables.offset, inlined: the sequence's items up to a and up to b
+        mask, last = masks[index], lasts[index]
         below_x, below_y = mask & through_a, mask & through_b
         if below_x < bit_a or below_y < bit_b:
             raise ValueError(f"sequence {index} lacks item {a} or {b} of rule {rule}")
@@ -384,7 +389,7 @@ def build_utility_list(rule: Rule, tables: SequenceTables, sids: int) -> Utility
         max_pos_x, min_pos_y = sums[base_x + last + 1], sums[base_y + last + 1]
         if max_pos_x < min_pos_y:
             iutil = sums[base_x - 2] - sums[base_x + last] + sums[base_y - 2] - sums[base_y + last]
-            rows.append(table.row(index, iutil, base_x, base_y, max_pos_x, min_pos_y))
+            rows.append(row_of(index, iutil, base_x, base_y, max_pos_x, min_pos_y))
     return UtilityList(rule=rule, rows=tuple(rows))
 
 

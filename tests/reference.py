@@ -76,7 +76,7 @@ def classify_expansion_items(rule: Rule, seq: Sequence) -> _ItemClasses:
 def rebuild_utility_list(rule: Rule, tables: SequenceTables) -> UtilityList:
     """A rule of any size's utility-list from scratch: positions and
     utilities read from every sequence's itemsets, each row derived by
-    :meth:`cousr.rulecore.SequenceTable.row` from its sequence's table."""
+    :meth:`cousr.rulecore.SequenceTables.row` from its sequence's table."""
     db, rows = tables.db, []
     for index, seq in enumerate(db.sequences):
         position = positions(seq)
@@ -86,12 +86,12 @@ def rebuild_utility_list(rule: Rule, tables: SequenceTables) -> UtilityList:
         min_pos_y = min(position[item] for item in rule.consequent)
         if max_pos_x < min_pos_y:
             grid = grid_utilities(seq, db)
-            table = tables.table(index)
+            tables.table(index)
             last_x, last_y = rule.antecedent[-1], rule.consequent[-1]
-            base_x = table.offset((2 << tables.rank[last_x]) - 1)
-            base_y = table.offset((2 << tables.rank[last_y]) - 1)
+            base_x = tables.offset(index, (2 << tables.rank[last_x]) - 1)
+            base_y = tables.offset(index, (2 << tables.rank[last_y]) - 1)
             iutil = sum(grid[item] for item in rule.items)
-            rows.append(table.row(index, iutil, base_x, base_y, max_pos_x, min_pos_y))
+            rows.append(tables.row(index, iutil, base_x, base_y, max_pos_x, min_pos_y))
     return UtilityList(rule=rule, rows=tuple(rows))
 
 
@@ -101,10 +101,10 @@ def random_expansions(ul: UtilityList, tables: SequenceTables, rng, steps: int):
     no candidate item."""
     for _ in range(steps):
         right = rng.choice((False, True))
-        feasible = tables.items_of(ul.candidates(right, tables.rank))
+        feasible = tables.items_of(ul.candidates(right, tables))
         if not feasible:
             return
-        ul = ul.expand(rng.choice(feasible), right, tables.rank)
+        ul = ul.expand(rng.choice(feasible), right, tables)
         yield ul
 
 

@@ -99,7 +99,7 @@ def test_intermediate_example_values(example_db):
         tables = SequenceTables(example_db)
         ul = rebuild_utility_list(Rule.of([A], [E]), tables)
         assert tuple(ul.rows[0])[:7] == (0, 9, 5, 2, 0, 1, 2)
-        expanded = ul.expand(C, False, tables.rank)
+        expanded = ul.expand(C, False, tables)
         assert tuple(expanded.rows[0])[:7] == (1, 16, 9, 4, 0, 2, 4)
 
 
@@ -233,11 +233,11 @@ def _assert_bounds_dominate(db):
                     assert bound >= grid_utility.get(descendant, 0), (
                         f"{'s4 total' if right else 's5 left_total'} of {key} under {descendant}"
                     )
-                for item in row_tables.items_of(ul.candidates(right, row_tables.rank)):
-                    child = ul.expand(item, right, row_tables.rank).rule
+                for item in row_tables.items_of(ul.candidates(right, row_tables)):
+                    child = ul.expand(item, right, row_tables).rule
                     reach = max(grid_utility.get(descendant, 0) for descendant in
                                 descendant_keys(child.antecedent, child.consequent, items, right))
-                    assert ul.expand(item, right, row_tables.rank, reach) is not None, (
+                    assert ul.expand(item, right, row_tables, reach) is not None, (
                         f"child bound of {key} cuts {child}"
                     )
 

@@ -75,6 +75,16 @@ def test_config_out_of_range(kwargs):
         MinerConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["min_util", "min_conf", "min_bond", "min_lift"])
+@pytest.mark.parametrize("flag", [False, True])
+def test_bool_threshold_rejected(name, flag):
+    # int() reads a bool as 0 or 1; a threshold flag is a caller's mistake
+    with pytest.raises(ConfigError, match="a bool is no threshold"):
+        MinerConfig(**{name: flag})
+    with pytest.raises(ConfigError):
+        as_fraction(flag)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -399,7 +409,8 @@ def test_stats_counters(example_db):
     assert list(payload) == [
         "promising_items", "initial_rules_kept", "pruned_s1", "pruned_s2", "pruned_s3",
         "pruned_s4", "pruned_s5", "pruned_s6", "pruned_s7", "pruned_unpaired",
-        "pruned_child_bound", "utility_lists_built", "utility_list_rows", "wall_ms",
+        "pruned_child_bound", "utility_lists_built", "utility_list_rows", "row_tables",
+        "wall_ms",
     ]
 
 
@@ -416,7 +427,7 @@ def test_search_counters_are_pinned():
     assert {key: stats[key] for key in (
         "initial_rules_kept", "pruned_s2", "pruned_s3", "pruned_s4", "pruned_s5",
         "pruned_s6", "pruned_s7", "pruned_unpaired", "pruned_child_bound",
-        "utility_lists_built", "utility_list_rows",
+        "utility_lists_built", "utility_list_rows", "row_tables",
     )} == {
         "initial_rules_kept": 1822,
         "pruned_s2": 12959,
@@ -429,6 +440,7 @@ def test_search_counters_are_pinned():
         "pruned_child_bound": 5175,
         "utility_lists_built": 3396,
         "utility_list_rows": 53583,
+        "row_tables": 1972,
     }
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from cousr import Rule, parse_database, parse_utility_table, with_utilities
 from cousr.measures import build_item_bitvectors, rule_sids, rule_utility
 from cousr.miner import filter_unpromising_items
 from cousr.rulecore import (
-    SequenceTable,
     SequenceTables,
     UtilityList,
     build_bond_matrix,
@@ -75,7 +75,7 @@ def test_classify_rejects_non_occurring_rule(example_db):
 
 def test_initial_utility_list_rows(example_db, tables):
     ul = rebuild_utility_list(AE, tables)
-    # (seq_index, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y), then the table
+    # (seq_index, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y), then the sums
     assert [tuple(row)[:7] for row in ul.rows] == [
         (0, 9, 5, 2, 0, 1, 2),
         (1, 12, 18, 4, 0, 1, 4),
@@ -93,7 +93,7 @@ def test_utility_list_of_larger_rule_from_scratch(example_db, tables):
     # expansion derives
     rule = Rule.of([A, B], [E])
     ul = rebuild_utility_list(rule, tables)
-    assert ul.rows == rebuild_utility_list(AE, tables).expand(B, False, tables.rank).rows
+    assert ul.rows == rebuild_utility_list(AE, tables).expand(B, False, tables).rows
     assert ul.utility == rule_utility(rule, example_db)
     assert sids_mask(ul) == rule_sids(rule, example_db)
 
@@ -123,7 +123,7 @@ def test_root_builder_refuses_a_sequence_without_an_item(example_db, tables, a, 
 
 def test_left_expansion_with_c_matches_worked_values(example_db, tables):
     parent = rebuild_utility_list(AE, tables)
-    expanded = parent.expand(C, False, tables.rank)
+    expanded = parent.expand(C, False, tables)
     assert expanded.rule == Rule.of([A, C], [E])
     assert [tuple(row)[:7] for row in expanded.rows] == [(1, 16, 9, 4, 0, 2, 4)]
     assert expanded.rows == rebuild_utility_list(expanded.rule, tables).rows
@@ -131,7 +131,7 @@ def test_left_expansion_with_c_matches_worked_values(example_db, tables):
 
 def test_right_expansion_with_g(example_db, tables):
     parent = rebuild_utility_list(AE, tables)
-    expanded = parent.expand(G, True, tables.rank)
+    expanded = parent.expand(G, True, tables)
     assert sids_of(sids_mask(expanded)) == {1, 2, 4, 5}
     assert expanded.utility == rule_utility(Rule.of([A], [E, G]), example_db) == 59
     assert expanded.rows == rebuild_utility_list(expanded.rule, tables).rows
@@ -144,7 +144,7 @@ def test_expansion_refuses_a_row_without_the_fixed_item(tables, rule, item, righ
     # a's rows for a => e, relabelled: the third sequence lacks c and g
     corrupt = UtilityList(rule=rule, rows=rebuild_utility_list(AE, tables).rows)
     with pytest.raises(ValueError, match="lacks item"):
-        corrupt.expand(item, right, tables.rank)
+        corrupt.expand(item, right, tables)
 
 
 def test_expansion_with_item_absent_from_all_rows():
@@ -152,7 +152,7 @@ def test_expansion_with_item_absent_from_all_rows():
     tables = SequenceTables(tiny_db("4:1 1:1 -1 2:1 -1 -2\n1:1 -1 2:1 3:1 -1 -2\n"))
     parent = rebuild_utility_list(Rule.of([1], [2]), tables)
     assert parent.support == 2
-    expanded = parent.expand(4, True, tables.rank)
+    expanded = parent.expand(4, True, tables)
     assert expanded.rows == ()
 
 
@@ -163,7 +163,7 @@ def test_expansion_with_item_absent_from_all_rows():
 def test_expansion_order_constraint_violations(example_db, tables, item, side):
     parent = rebuild_utility_list(AE, tables)
     with pytest.raises(ValueError):
-        parent.expand(item, side == "right", tables.rank)
+        parent.expand(item, side == "right", tables)
 
 
 # -- upper bounds --------------------------------------------------------------------
@@ -283,23 +283,30 @@ MANY_ITEMS_DB = _many_items_database()
 
 
 def _assert_table_layout(db):
-    """Every table finds each item's row from its item mask, and that row
-    reads back the item's position and grid utility; an item outside the
-    sequence has no bit; the cumulative masks give the items after / before
-    every position."""
+    """Every sequence's columns find each item's row from its item mask, and
+    that row reads back the item's position and grid utility; an item
+    outside the sequence has no bit; the shared cumulative masks, at the
+    offsets the CSR columns give, hold the items after / before every
+    position."""
     tables = SequenceTables(db)
+    assert tables.sums == [None] * db.sequence_count  # nothing filled before use
     for index, seq in enumerate(db.sequences):
-        table = tables.table(index)
-        sums, last, upto, mask = table.sums, table.last, table.upto, table.mask
+        sums = tables.table(index)
+        assert sums is tables.sums[index] is tables.table(index)
+        last, mask = tables.lasts[index], tables.masks[index]
+        at = db.seq_starts[index] + index
+        upto = tables.upto[at:at + last + 1]
         width = last + 2
         position, grid = positions(seq), grid_utilities(seq, db)
         assert last == len(seq.itemsets)
-        assert mask is upto[last]
+        assert len(sums) == (len(position) + 1) * width
+        assert mask is tables.upto[at + last]
+        assert upto[0] == 0  # positions start at 1
         for item in tables.items:
             bit = 1 << tables.rank[item]
             assert bool(mask & bit) == (item in position)
         for rank, item in enumerate(sorted(position)):
-            base = table.offset((2 << tables.rank[item]) - 1)
+            base = tables.offset(index, (2 << tables.rank[item]) - 1)
             assert base == (rank + 1) * width  # table row rank + 1
             assert sums[base + last + 1] == position[item]
             # T[rank][last] - T[rank + 1][last]
@@ -313,6 +320,8 @@ def _assert_table_layout(db):
                     before |= 1 << tables.rank[item]
             assert upto[last] ^ upto[q] == after
             assert upto[q - 1] == before
+    # every slot of the shared list belongs to exactly one sequence
+    assert len(tables.upto) == len(db.set_starts) - 1 + db.sequence_count
 
 
 @settings(max_examples=80, deadline=None)
@@ -330,34 +339,65 @@ def test_table_layout_beyond_one_mask_word():
     _assert_table_layout(MANY_ITEMS_DB)
 
 
-def test_sequence_table_keeps_no_dict():
-    assert SequenceTable.__slots__ == ("sums", "last", "upto", "mask")
-    assert not hasattr(SequenceTables(LONG_DB).table(0), "__dict__")
+def test_tables_are_columns_with_no_object_per_sequence():
+    db = MANY_ITEMS_DB
+    tables = SequenceTables(db)
+    bitvectors = build_item_bitvectors(db)
+    for a, b in sorted(scan_rule_pairs(db))[:20]:
+        ul = build_utility_list(Rule.of([a], [b]), tables, bitvectors[a] & bitvectors[b])
+        for row in ul.rows:
+            assert type(row.sums) in (bytes, array, list)
+            assert row.sums is tables.sums[row.seq_index]
+    assert any(sums is not None for sums in tables.sums)
+    for sums in tables.sums:
+        assert sums is None or type(sums) in (bytes, array, list)
+    # the store's own state: one entry per sequence in each column, and the
+    # shared mask list; nothing else per sequence
+    assert set(vars(tables)) == {
+        "db", "_grid_units", "lasts", "sums", "masks", "upto", "items", "rank",
+    }
+    for column in (tables.lasts, tables.sums, tables.masks):
+        assert type(column) is list and len(column) == db.sequence_count
+    assert all(type(value) is int for value in tables.lasts + tables.masks + tables.upto)
 
 
 @pytest.mark.parametrize(
     "unit,typecode",
-    [(1, "B"), (200, "H"), (2**20, "I"), (2**40, "Q"), (2**70, None)],
+    [(1, "B"), (127, "B"), (128, "H"), (200, "H"), (2**20, "I"), (2**40, "Q"), (2**70, None)],
 )
 def test_table_sums_take_the_narrowest_unsigned_array(unit, typecode):
+    # "B" stands for ``bytes``, None for a list; the largest cell is the
+    # sequence utility 2 * unit + 1: 255 at unit 127, 257 at 128
     db = tiny_db("1:1 -1 2:1 3:1 -1 -2\n", f"1 {unit}\n2 {unit}\n3 1\n")
     tables = SequenceTables(db)
-    sums = tables.table(0).sums
+    sums = tables.table(0)
     if typecode is None:
         assert type(sums) is list
+    elif typecode == "B":
+        assert type(sums) is bytes
     else:
-        assert sums.typecode == typecode
+        assert type(sums) is array and sums.typecode == typecode
+    assert max(sums) == 2 * unit + 1
     _assert_table_layout(db)
     ul = rebuild_utility_list(Rule.of([1], [2]), tables)
     assert ul.utility == 2 * unit
     _assert_rows_match_classification(ul, db, tables)
 
 
+def test_table_sums_of_256_take_two_bytes():
+    # one cell of exactly 256 is past a byte
+    db = tiny_db("1:1 -1 2:1 -1 -2\n", "1 128\n2 128\n")
+    sums = SequenceTables(db).table(0)
+    assert max(sums) == 256
+    assert type(sums) is array and sums.typecode == "H"
+    _assert_table_layout(db)
+
+
 def test_table_sums_hold_positions_beyond_the_utility():
     # zero utilities, yet positions reach 300: one byte is not enough
     db = tiny_db(" ".join(f"{item}:1 -1" for item in range(1, 301)) + " -2\n",
                  "".join(f"{item} 0\n" for item in range(1, 301)))
-    assert SequenceTables(db).table(0).sums.typecode == "H"
+    assert SequenceTables(db).table(0).typecode == "H"
     _assert_table_layout(db)
 
 
@@ -365,7 +405,7 @@ def _assert_rows_match_classification(ul, db, tables):
     """Rows and candidates agree with the item-by-item reference classification."""
     left, right = set(), set()
     for row in ul.rows:
-        assert row.table is tables.table(row.seq_index)
+        assert row.sums is tables.table(row.seq_index)
         seq = db.sequences[row.seq_index]
         position, grid = positions(seq), grid_utilities(seq, db)
         classes = classify_expansion_items(ul.rule, seq)
@@ -377,8 +417,8 @@ def _assert_rows_match_classification(ul, db, tables):
         assert row.min_pos_y == min(position[item] for item in ul.rule.consequent)
         left |= classes.only_left | classes.left_right
         right |= classes.only_right | classes.left_right
-    assert tables.items_of(ul.candidates(False, tables.rank)) == sorted(left)
-    assert tables.items_of(ul.candidates(True, tables.rank)) == sorted(right)
+    assert tables.items_of(ul.candidates(False, tables)) == sorted(left)
+    assert tables.items_of(ul.candidates(True, tables)) == sorted(right)
 
 
 @settings(max_examples=80, deadline=None)
