@@ -37,12 +37,6 @@ def format_fraction(value: Fraction) -> str:
     return decimal_text(value, 6)
 
 
-def format_threshold(value: Fraction) -> str:
-    """A threshold written exactly (:func:`exact_text`), so :func:`as_fraction`
-    reads back the same value."""
-    return exact_text(value)
-
-
 def rules_csv_text(result: MiningResult) -> str:
     lines = [RULES_HEADER]
     for mined in result.rules:
@@ -98,10 +92,10 @@ def _peak_rss_bytes() -> int | None:
 def report_payload(config: MinerConfig, variant: str, result: MiningResult) -> dict:
     return {
         "config": {
-            "min_util": format_threshold(config.min_util),
-            "min_conf": format_threshold(config.min_conf),
-            "min_bond": format_threshold(config.min_bond),
-            "min_lift": format_threshold(config.min_lift),
+            "min_util": exact_text(config.min_util),
+            "min_conf": exact_text(config.min_conf),
+            "min_bond": exact_text(config.min_bond),
+            "min_lift": exact_text(config.min_lift),
             "variant": variant,
             "max_rule_side": config.max_rule_side,
         },
@@ -252,7 +246,7 @@ def cmd_bench(args) -> int:
                 ";".join(
                     (
                         variant,
-                        format_threshold(min_util),
+                        exact_text(min_util),
                         str(len(result.rules)),
                         str(stats.pruned_s6),
                         str(stats.pruned_s7),

@@ -24,10 +24,10 @@ intersect it with per-item pass masks taken from their tables once, before
 the search. :meth:`~cousr.rulecore.UtilityList.expand` sums the child
 bound over the parent's rows and builds the utility-list, in ascending item
 order, only when the bound reaches ``min_util``. Recursion is gated by the
-utility-list bounds: the four-column sum for right subtrees (strategy 4) and
-the sum without ``rutil`` for left subtrees (strategy 5). Strategies 6 and 7
-are sound, so toggling them never changes the mined rule set, only the
-number of utility-lists constructed. Confidence gates no recursion: a
+utility-list bounds: the rows' summed ``total`` for right subtrees
+(strategy 4) and ``left_total`` for left subtrees (strategy 5). Strategies
+6 and 7 are sound, so toggling them never changes the mined rule set, only
+the number of utility-lists constructed. Confidence gates no recursion: a
 low-confidence rule can still have high-confidence left descendants, because
 left expansions shrink the antecedent's support (see the counterexample in
 the test suite).
@@ -330,6 +330,8 @@ class _Search:
         ul = ctx.ul
         rule = ul.rule
         sup_rule = ul.support
+        self.stats.utility_lists_built += 1
+        self.stats.utility_list_rows += sup_rule
         sup_x = ctx.sids_x.bit_count()
         sup_y = ctx.sids_y.bit_count()
         utility = ul.utility
@@ -397,8 +399,6 @@ class _Search:
             if ul is None:
                 self.stats.pruned_child_bound += 1
                 continue
-            self.stats.utility_lists_built += 1
-            self.stats.utility_list_rows += len(ul.rows)
             if right:
                 child = RuleContext(ul, ctx.sids_x, new_side, ctx.sids_or_x, new_or)
             else:
@@ -448,8 +448,6 @@ def _mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     for a, b in kept:
         rule = Rule((a,), (b,))
         ul = rulecore.build_utility_list(rule, search.tables, sids=bitvectors[a] & bitvectors[b])
-        stats.utility_lists_built += 1
-        stats.utility_list_rows += len(ul.rows)
         search.handle(
             RuleContext(ul, bitvectors[a], bitvectors[b], bitvectors[a], bitvectors[b]),
             left_only=False,

@@ -21,20 +21,21 @@ consequent items the other way round. ``only_left`` / ``only_right`` /
 
 The utility-list of a rule has one row per supporting sequence::
 
-    (seq_index, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y, sums)
+    (seq_index, iutil, total, left_total, max_pos_x, min_pos_y)
 
 ``seq_index`` is the sequence's position ``k`` in the database (from 0, the
 bit ``k`` of every sequence mask and index ``k`` of every column of a
-:class:`SequenceTables`), ``iutil`` is the rule's utility in that sequence,
-``lutil``, ``rutil``, ``lrutil`` are the utility sums over the three classes
-and ``sums`` is the sequence's packed row table (below). Consequences used
-by the miner:
+:class:`SequenceTables`) and ``iutil`` is the rule's utility in that
+sequence. With ``lutil``, ``rutil``, ``lrutil`` the utility sums over the
+three classes, ``total = iutil + lutil + rutil + lrutil`` and
+``left_total = iutil + lutil + lrutil``; the search reads the class sums
+only through these two. Consequences used by the miner:
 
-* sum of ``iutil``          = rule utility; row count = rule support
-* sum of the four utilities >= utility of the rule and of every descendant
+* sum of ``iutil``      = rule utility; row count = rule support
+* sum of ``total``      >= utility of the rule and of every descendant
   reachable by further expansions (and is itself bounded by the rule's
   sequence-estimated utility)
-* sum minus ``rutil``       >= utility of every left-only descendant
+* sum of ``left_total`` >= utility of every left-only descendant
 * the same two sums, taken only over the rows in which an item ``i`` is
   right- (left-) feasible, bound the right (left) child by ``i`` and every
   canonical descendant of that child: the child occurs only in those rows,
@@ -67,13 +68,14 @@ and ``my = min_pos_y``, the class sums are rectangles::
     lrutil = T[max(rL, rR)][my - 1] - T[max(rL, rR)][mx]
     lutil  = L - lrutil,   rutil = R - lrutil
 
+so ``left_total = iutil + L`` and ``total = left_total + R - lrutil``.
 :meth:`SequenceTables.row` is the one place rows are derived. A child row
-needs only its parent row's ``mx``/``my`` and table: a right expansion by an
-item at position ``p`` sets ``my' = min(my, p)``, a left one
-``mx' = max(mx, p)``, so :meth:`UtilityList.expand` grows a rule by one item
-with a constant-time step per parent row, and :func:`build_utility_list`
-builds the 1*1 roots, the only lists made from scratch, through the same
-method.
+needs only its parent row's ``mx``/``my`` and its sequence's table: a right
+expansion by an item at position ``p`` sets ``my' = min(my, p)``, a left
+one ``mx' = max(mx, p)``, so :meth:`UtilityList.expand` grows a rule by one
+item with a constant-time step per parent row, and
+:func:`build_utility_list` builds the 1*1 roots, the only lists made from
+scratch, through the same method.
 The store also keeps, per position ``q`` of sequence ``k``, the items at or
 before ``q`` as a cumulative bit mask over the database's dense item ranks,
 in one list ``upto`` shared by all sequences: sequence ``k``'s ``l + 1``
@@ -84,8 +86,8 @@ candidate items (:meth:`UtilityList.candidates`) are the OR of one mask per
 row. ``masks[k]`` is ``u[l]``, the sequence's items, and ``lasts[k]`` is
 ``l``. The mask is the table's only item index: an item is in the sequence
 iff its bit is set, and as dense ranks follow item order, the set bits below
-it count its rank in the sequence, which gives its row's offset
-(:meth:`SequenceTables.offset`).
+it count its rank in the sequence, which gives its row's offset (the
+formula is in :class:`SequenceTables`).
 
 All utility amounts in this module are integers on the utility table's grid
 (see :attr:`cousr.seqdb.UtilityTable.scale`).
@@ -126,12 +128,10 @@ class UtilityListRow(NamedTuple):
 
     seq_index: int
     iutil: int
-    lutil: int
-    rutil: int
-    lrutil: int
+    total: int
+    left_total: int
     max_pos_x: int
     min_pos_y: int
-    sums: bytes | array | list[int]
 
 
 @dataclass(frozen=True)
@@ -149,11 +149,11 @@ class UtilityList:
 
     @property
     def total(self) -> int:
-        return sum(row.iutil + row.lutil + row.rutil + row.lrutil for row in self.rows)
+        return sum(row.total for row in self.rows)
 
     @property
     def left_total(self) -> int:
-        return sum(row.iutil + row.lutil + row.lrutil for row in self.rows)
+        return sum(row.left_total for row in self.rows)
 
     def candidates(self, right: bool, tables: SequenceTables) -> int:
         """Mask (over the dense item ranks of ``tables``) of the items
@@ -163,10 +163,10 @@ class UtilityList:
         mask = 0
         if right:
             masks = tables.masks
-            for seq_index, _, _, _, _, max_pos_x, _, _ in self.rows:
+            for seq_index, _, _, _, max_pos_x, _ in self.rows:
                 mask |= masks[seq_index] ^ upto[starts[seq_index] + seq_index + max_pos_x]
         else:
-            for seq_index, _, _, _, _, _, min_pos_y, _ in self.rows:
+            for seq_index, _, _, _, _, min_pos_y in self.rows:
                 mask |= upto[starts[seq_index] + seq_index + min_pos_y - 1]
         if mask:
             rule = self.rule
@@ -183,10 +183,10 @@ class UtilityList:
         ``tables`` holds the rows' tables.
 
         The bound sums, over the rows where ``item`` is feasible on that
-        side, ``iutil + lutil + rutil + lrutil`` for a right child and
-        ``iutil + lutil + lrutil`` for a left one; it bounds the utility of
-        the child and of every canonical descendant of it. A cut child costs
-        one mask test per row and derives no row.
+        side, the row's ``total`` for a right child and its ``left_total``
+        for a left one; it bounds the utility of the child and of every
+        canonical descendant of it. A cut child costs one mask test per row
+        and derives no row. Each row's table is ``tables.sums[seq_index]``.
 
         :class:`Rule` raises ``ValueError`` when the item breaks the canonical
         order constraint (it must exceed every item of the extended side) or
@@ -199,6 +199,7 @@ class UtilityList:
         else:
             rule, fixed = Rule(antecedent + (item,), consequent), consequent[-1]
         rank, masks, lasts, row_of = tables.rank, tables.masks, tables.lasts, tables.row
+        all_sums = tables.sums
         bit = 1 << rank[item]
         through = (bit << 1) - 1
         fixed_bit = 1 << rank[fixed]
@@ -207,28 +208,28 @@ class UtilityList:
         bound = 0
         for row in self.rows:
             seq_index = row[0]
-            # SequenceTables.offset, inlined: the sequence's items up to this one
+            # the item's row offset (see SequenceTables): its sequence's items up to it
             below = masks[seq_index] & through
             if below < bit:
                 continue
             width = lasts[seq_index] + 2
             base = below.bit_count() * width
-            pos = row[7][base + width - 1]
+            pos = all_sums[seq_index][base + width - 1]
             if right:
-                if pos > row[5]:
-                    bound += row[1] + row[2] + row[3] + row[4]
+                if pos > row[4]:
+                    bound += row[2]
                     feasible.append((row, base, pos))
-            elif pos < row[6]:
-                bound += row[1] + row[2] + row[4]
+            elif pos < row[5]:
+                bound += row[3]
                 feasible.append((row, base, pos))
         if bound < floor:
             return None
         rows = []
-        for (seq_index, iutil, _, _, _, max_pos_x, min_pos_y, sums), base, pos in feasible:
+        for (seq_index, iutil, _, _, max_pos_x, min_pos_y), base, pos in feasible:
             below = masks[seq_index] & fixed_through
             if below < fixed_bit:
                 raise ValueError(f"sequence {seq_index} lacks item {fixed} of rule {self.rule}")
-            last = lasts[seq_index]
+            last, sums = lasts[seq_index], all_sums[seq_index]
             fixed_base = below.bit_count() * (last + 2)
             iutil += sums[base - 2] - sums[base + last]
             if right:
@@ -267,6 +268,13 @@ class SequenceTables:
     :attr:`items` (the database's items, ascending) by position, so the
     lowest set bit is the smallest item; :attr:`rank` maps an item to its
     bit.
+
+    An item of sequence ``k`` has its table row at offset
+    ``base = (masks[k] & through).bit_count() * (last + 2)``, where
+    ``through = (2 << rank[item]) - 1`` masks the dense ranks up to the
+    item's: the set bits it keeps number the item's rank in the sequence
+    plus one. The item's position is ``sums[k][base + last + 1]`` and its
+    utility ``sums[k][base - 2] - sums[k][base + last]``.
     """
 
     def __init__(self, db: SequenceDatabase):
@@ -324,35 +332,22 @@ class SequenceTables:
         self.masks[index] = upto[at + last]
         return sums
 
-    def offset(self, index: int, through: int) -> int:
-        """Offset ``base`` in ``sums[index]`` of the table row of an item of
-        the sequence; ``through`` masks the dense ranks up to the item's, so
-        the set bits it keeps number the item's rank in the sequence plus
-        one. The item's position is ``sums[base + last + 1]`` and its
-        utility ``sums[base - 2] - sums[base + last]``."""
-        return (self.masks[index] & through).bit_count() * (self.lasts[index] + 2)
-
     def row(
         self, index: int, iutil: int, base_x: int, base_y: int, max_pos_x: int, min_pos_y: int
     ) -> UtilityListRow:
-        """A rule's row in the ``index``-th sequence, whose table is filled;
-        the row keeps the table's ``sums``.
+        """A rule's row in the ``index``-th sequence, whose table is filled.
 
-        ``base_x`` / ``base_y`` are the :meth:`offset` of the rule's last
-        antecedent / consequent item.
+        ``base_x`` / ``base_y`` are the table-row offsets (see the class
+        docstring) of the rule's last antecedent / consequent item; the
+        class sums are the rectangles of the module docstring.
         """
         sums = self.sums[index]
         both = base_x if base_x > base_y else base_y
         lrutil = sums[both + min_pos_y - 1] - sums[both + max_pos_x]
+        left_total = iutil + sums[base_x + min_pos_y - 1]
+        right = sums[base_y + self.lasts[index]] - sums[base_y + max_pos_x]
         return _new_tuple(UtilityListRow, (
-            index,
-            iutil,
-            sums[base_x + min_pos_y - 1] - lrutil,
-            sums[base_y + self.lasts[index]] - sums[base_y + max_pos_x] - lrutil,
-            lrutil,
-            max_pos_x,
-            min_pos_y,
-            sums,
+            index, iutil, left_total + right - lrutil, left_total, max_pos_x, min_pos_y,
         ))
 
     def items_of(self, mask: int) -> list[int]:
@@ -379,7 +374,7 @@ def build_utility_list(rule: Rule, tables: SequenceTables, sids: int) -> Utility
     rows: list[UtilityListRow] = []
     for index in _set_bits(sids):
         sums = table_of(index)
-        # SequenceTables.offset, inlined: the sequence's items up to a and up to b
+        # a's and b's row offsets (see SequenceTables): the sequence's items up to each
         mask, last = masks[index], lasts[index]
         below_x, below_y = mask & through_a, mask & through_b
         if below_x < bit_a or below_y < bit_b:
@@ -412,7 +407,6 @@ def scan_rule_pairs(db: SequenceDatabase) -> dict[tuple[int, int], int]:
     itemsets). It feeds both the initial 1*1 rules (strategy 2) and the
     rule-seu pruning table (strategy 7).
     """
-    db.require_utilities()
     items, set_starts, seq_starts = db.items, db.set_starts, db.seq_starts
     pairs: dict[tuple[int, int], int] = {}
     for index, su in enumerate(db.grid_sequence_utilities):

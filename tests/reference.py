@@ -73,6 +73,21 @@ def classify_expansion_items(rule: Rule, seq: Sequence) -> _ItemClasses:
     return _ItemClasses(frozenset(only_left), frozenset(only_right), frozenset(left_right))
 
 
+def class_sums(rule: Rule, seq: Sequence, db: SequenceDatabase) -> tuple[int, int, int]:
+    """The grid utilities of the rule's ``only_left``, ``only_right`` and
+    ``left_right`` items in the sequence: ``lutil``, ``rutil``, ``lrutil``."""
+    grid = grid_utilities(seq, db)
+    return tuple(sum(grid[item] for item in part) for part in classify_expansion_items(rule, seq))
+
+
+def row_offset(seq: Sequence, item: int) -> int:
+    """Offset of an item's row in its sequence's packed table, from the
+    itemsets: rows are ``len(seq.itemsets) + 2`` cells long, and the item of
+    rank ``r`` in the sequence (ascending item order, from 0) has row
+    ``r + 1``."""
+    return (sorted(positions(seq)).index(item) + 1) * (len(seq.itemsets) + 2)
+
+
 def rebuild_utility_list(rule: Rule, tables: SequenceTables) -> UtilityList:
     """A rule of any size's utility-list from scratch: positions and
     utilities read from every sequence's itemsets, each row derived by
@@ -87,9 +102,8 @@ def rebuild_utility_list(rule: Rule, tables: SequenceTables) -> UtilityList:
         if max_pos_x < min_pos_y:
             grid = grid_utilities(seq, db)
             tables.table(index)
-            last_x, last_y = rule.antecedent[-1], rule.consequent[-1]
-            base_x = tables.offset(index, (2 << tables.rank[last_x]) - 1)
-            base_y = tables.offset(index, (2 << tables.rank[last_y]) - 1)
+            base_x = row_offset(seq, rule.antecedent[-1])
+            base_y = row_offset(seq, rule.consequent[-1])
             iutil = sum(grid[item] for item in rule.items)
             rows.append(tables.row(index, iutil, base_x, base_y, max_pos_x, min_pos_y))
     return UtilityList(rule=rule, rows=tuple(rows))

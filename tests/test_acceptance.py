@@ -34,6 +34,7 @@ from cousr.synth import random_small_database, random_thresholds, synthesize_dat
 
 from conftest import A, B, C, D, E, G
 from reference import (
+    class_sums,
     descendant_keys,
     random_expansions,
     rebuild_utility_list,
@@ -98,9 +99,13 @@ def test_intermediate_example_values(example_db):
         assert itemset_dissup([A, C], bvs) == 5
         tables = SequenceTables(example_db)
         ul = rebuild_utility_list(Rule.of([A], [E]), tables)
-        assert tuple(ul.rows[0])[:7] == (0, 9, 5, 2, 0, 1, 2)
+        # (seq_index, iutil, total, left_total, max_pos_x, min_pos_y); the
+        # class sums (lutil, rutil, lrutil) are the paper's
+        assert ul.rows[0] == (0, 9, 16, 14, 1, 2)
+        assert class_sums(ul.rule, example_db.sequences[0], example_db) == (5, 2, 0)
         expanded = ul.expand(C, False, tables)
-        assert tuple(expanded.rows[0])[:7] == (1, 16, 9, 4, 0, 2, 4)
+        assert expanded.rows[0] == (1, 16, 29, 25, 2, 4)
+        assert class_sums(expanded.rule, example_db.sequences[1], example_db) == (9, 4, 0)
 
 
 # 3 ------------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from cousr.cli import (
     RULES_HEADER,
     _verify_random_seed,
     format_fraction,
-    format_threshold,
     main,
 )
 from cousr.measures import (
@@ -36,6 +35,7 @@ from cousr.measures import (
 )
 from cousr.miner import as_fraction
 from cousr.oracle import oracle_chusrs
+from cousr.seqdb import exact_text
 
 from conftest import EXAMPLE_DB, EXAMPLE_UT
 
@@ -278,7 +278,7 @@ def test_conflicting_long_utility_is_parse_error(tmp_path, capsys):
 
 def test_long_ratio_threshold_reads_back_unchanged():
     value = Fraction(10**4400, 3)
-    written = format_threshold(value)
+    written = exact_text(value)
     assert written == "1" + "0" * 4400 + "/3"
     assert as_fraction(written) == value
 

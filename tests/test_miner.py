@@ -18,6 +18,7 @@ from cousr import (
     oracle_chusrs,
     parse_database,
     parse_utility_table,
+    rulecore,
     with_utilities,
 )
 from cousr.measures import bond, build_item_bitvectors, itemset_support
@@ -30,11 +31,11 @@ from cousr.miner import (
     filter_unpromising_items,
 )
 from cousr.rulecore import SequenceTables, build_bond_matrix, build_utility_list, scan_rule_pairs
-from cousr.seqdb import SequenceDatabase
+from cousr.seqdb import Sequence, SequenceDatabase
 from cousr.synth import random_small_database, random_thresholds, synthesize_database
 
 from conftest import A, B, C, D, E, F, G, EXAMPLE_DB, EXAMPLE_UT
-from reference import positions, sids_mask, sids_of
+from reference import positions, reference_mine, sids_mask, sids_of
 
 GOLDEN_THRESHOLDS = dict(min_util=50, min_conf="0.7", min_bond="0.3", min_lift="1.1")
 
@@ -233,6 +234,8 @@ def test_mine_requires_utilities():
     db = parse_database("1:1 -1 2:1 -1 -2\n")
     with pytest.raises(ValueError):
         mine(db, MinerConfig())
+    with pytest.raises(ValueError):
+        scan_rule_pairs(db)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -392,6 +395,47 @@ def test_bond_passes_match_exact_bond(seed):
                 expected[a] = expected.get(a, 0) | 1 << rank[b]
                 expected[b] = expected.get(b, 0) | 1 << rank[a]
         assert search.s6_pass == expected
+
+
+# -- empty sequences (a ``-2`` line) ----------------------------------------------------------
+
+def test_empty_sequences_reach_the_search_and_count_in_lift(monkeypatch):
+    # s1, s3 and s6 are empty; at min_util 0 every item is in a kept pair,
+    # so the search's row tables are built over the caller's database
+    text = "-2\n1:2 -1 2:1 3:1 -1 -2\n-2\n2:1 -1 1:1 -1 3:2 -1 -2\n1:1 -1 3:1 -1 -2\n-2\n"
+    db = with_utilities(parse_database(text), parse_utility_table("1 1\n2 3\n3 2\n"))
+    assert [len(seq.itemsets) for seq in db.sequences] == [0, 2, 0, 3, 2, 0]
+    searched = []
+
+    def tables(filtered):
+        searched.append(filtered)
+        return SequenceTables(filtered)
+
+    monkeypatch.setattr(rulecore, "SequenceTables", tables)
+    config = MinerConfig()
+    result = mine(db, config)
+    assert len(searched) == 1 and searched[0] is db
+    assert result.rules == oracle_chusrs(db, config) == reference_mine(db, config)
+    # 1 => 3 holds in s2, s4 and s5, and 1 and 3 are each in those three:
+    # lift = 6 * 3 / (3 * 3) over all six sequences
+    one_to_three = next(m for m in result.rules if (m.antecedent, m.consequent) == ((1,), (3,)))
+    assert one_to_three.support == 3 and one_to_three.lift == 2
+
+
+def test_empty_sequences_mine_as_the_oracle_and_the_reference():
+    rng = random.Random(60_000)
+    for draw in range(60):
+        drawn = random_small_database(rng)
+        sequences = list(drawn.sequences)
+        for _ in range(rng.randint(1, 3)):
+            sequences.insert(rng.randint(0, len(sequences)), Sequence(()))
+        db = SequenceDatabase.from_sequences(sequences, drawn.utilities)
+        min_util, *ratios = random_thresholds(rng, db)
+        for util in (0, min_util):
+            config = MinerConfig(util, *ratios)
+            assert mine(db, config).rules == oracle_chusrs(db, config) == reference_mine(
+                db, config
+            ), f"draw {draw} at min_util {util}"
 
 
 # -- stats ------------------------------------------------------------------------------------

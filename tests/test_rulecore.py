@@ -14,6 +14,7 @@ from cousr.miner import filter_unpromising_items
 from cousr.rulecore import (
     SequenceTables,
     UtilityList,
+    UtilityListRow,
     build_bond_matrix,
     build_utility_list,
     scan_rule_pairs,
@@ -24,12 +25,14 @@ from cousr.synth import random_small_database
 from conftest import A, B, C, D, E, F, G
 from reference import (
     RuleAbsentError,
+    class_sums,
     classify_expansion_items,
     descendant_keys,
     grid_utilities,
     positions,
     random_expansions,
     rebuild_utility_list,
+    row_offset,
     seu_of_rule,
     sids_mask,
     sids_of,
@@ -73,15 +76,26 @@ def test_classify_rejects_non_occurring_rule(example_db):
 
 # -- utility-list construction -----------------------------------------------------
 
+def test_utility_list_row_fields():
+    assert UtilityListRow._fields == (
+        "seq_index", "iutil", "total", "left_total", "max_pos_x", "min_pos_y",
+    )
+
+
 def test_initial_utility_list_rows(example_db, tables):
     ul = rebuild_utility_list(AE, tables)
-    # (seq_index, iutil, lutil, rutil, lrutil, max_pos_x, min_pos_y), then the sums
-    assert [tuple(row)[:7] for row in ul.rows] == [
-        (0, 9, 5, 2, 0, 1, 2),
-        (1, 12, 18, 4, 0, 1, 4),
-        (2, 15, 10, 0, 3, 1, 4),
-        (3, 9, 7, 6, 0, 1, 2),
-        (4, 15, 5, 11, 0, 1, 2),
+    # (seq_index, iutil, total, left_total, max_pos_x, min_pos_y)
+    assert ul.rows == (
+        (0, 9, 16, 14, 1, 2),
+        (1, 12, 34, 30, 1, 4),
+        (2, 15, 28, 28, 1, 4),
+        (3, 9, 22, 16, 1, 2),
+        (4, 15, 31, 20, 1, 2),
+    )
+    # the worked example's (lutil, rutil, lrutil): total = iutil + all three,
+    # left_total = iutil + lutil + lrutil
+    assert [class_sums(AE, seq, example_db) for seq in example_db.sequences] == [
+        (5, 2, 0), (18, 4, 0), (10, 0, 3), (7, 6, 0), (5, 11, 0),
     ]
     assert ul.utility == rule_utility(AE, example_db) == 60
     assert ul.support == 5
@@ -125,7 +139,8 @@ def test_left_expansion_with_c_matches_worked_values(example_db, tables):
     parent = rebuild_utility_list(AE, tables)
     expanded = parent.expand(C, False, tables)
     assert expanded.rule == Rule.of([A, C], [E])
-    assert [tuple(row)[:7] for row in expanded.rows] == [(1, 16, 9, 4, 0, 2, 4)]
+    assert expanded.rows == ((1, 16, 29, 25, 2, 4),)
+    assert class_sums(expanded.rule, example_db.sequences[1], example_db) == (9, 4, 0)
     assert expanded.rows == rebuild_utility_list(expanded.rule, tables).rows
 
 
@@ -305,9 +320,10 @@ def _assert_table_layout(db):
         for item in tables.items:
             bit = 1 << tables.rank[item]
             assert bool(mask & bit) == (item in position)
-        for rank, item in enumerate(sorted(position)):
-            base = tables.offset(index, (2 << tables.rank[item]) - 1)
-            assert base == (rank + 1) * width  # table row rank + 1
+        for item in position:
+            base = row_offset(seq, item)
+            # the package's offset: the mask's set bits up to the item's rank
+            assert (mask & (2 << tables.rank[item]) - 1).bit_count() * width == base
             assert sums[base + last + 1] == position[item]
             # T[rank][last] - T[rank + 1][last]
             assert sums[base - width + last] - sums[base + last] == grid[item]
@@ -339,6 +355,13 @@ def test_table_layout_beyond_one_mask_word():
     _assert_table_layout(MANY_ITEMS_DB)
 
 
+def test_table_layout_with_empty_sequences():
+    # an empty sequence (a ``-2`` line) has a one-row table and one mask slot
+    db = tiny_db("-2\n1:1 -1 2:1 3:1 -1 -2\n-2\n3:2 -1 1:1 -1 -2\n-2\n")
+    assert [len(seq.itemsets) for seq in db.sequences] == [0, 2, 0, 2, 0]
+    _assert_table_layout(db)
+
+
 def test_tables_are_columns_with_no_object_per_sequence():
     db = MANY_ITEMS_DB
     tables = SequenceTables(db)
@@ -346,8 +369,8 @@ def test_tables_are_columns_with_no_object_per_sequence():
     for a, b in sorted(scan_rule_pairs(db))[:20]:
         ul = build_utility_list(Rule.of([a], [b]), tables, bitvectors[a] & bitvectors[b])
         for row in ul.rows:
-            assert type(row.sums) in (bytes, array, list)
-            assert row.sums is tables.sums[row.seq_index]
+            assert all(type(field) is int for field in row)  # the row holds no buffer
+            assert tables.sums[row.seq_index] is not None
     assert any(sums is not None for sums in tables.sums)
     for sums in tables.sums:
         assert sums is None or type(sums) in (bytes, array, list)
@@ -405,14 +428,14 @@ def _assert_rows_match_classification(ul, db, tables):
     """Rows and candidates agree with the item-by-item reference classification."""
     left, right = set(), set()
     for row in ul.rows:
-        assert row.sums is tables.table(row.seq_index)
+        assert tables.sums[row.seq_index] is not None  # filled before its rows
         seq = db.sequences[row.seq_index]
         position, grid = positions(seq), grid_utilities(seq, db)
         classes = classify_expansion_items(ul.rule, seq)
-        assert (row.lutil, row.rutil, row.lrutil) == tuple(
-            sum(grid[item] for item in part) for part in classes
-        )
+        lutil, rutil, lrutil = class_sums(ul.rule, seq, db)
         assert row.iutil == sum(grid[item] for item in ul.rule.items)
+        assert row.total == row.iutil + lutil + rutil + lrutil
+        assert row.left_total == row.iutil + lutil + lrutil
         assert row.max_pos_x == max(position[item] for item in ul.rule.antecedent)
         assert row.min_pos_y == min(position[item] for item in ul.rule.consequent)
         left |= classes.only_left | classes.left_right
@@ -454,7 +477,7 @@ def test_utility_list_totals_match_direct_measures(seed, long):
         assert ul.support == sids.bit_count()
         assert sids_mask(ul) == sids
         for row in ul.rows:
-            assert min(row.iutil, row.lutil, row.rutil, row.lrutil) >= 0
+            assert 0 <= row.iutil <= row.left_total <= row.total
 
 
 @pytest.mark.parametrize("seed", range(8))
