@@ -2,8 +2,8 @@
 
 Outputs are machine-readable and deterministic given the inputs and flags,
 except for timing and memory fields. Exit codes: 0 success, 1 verification
-mismatch, 2 input parse error, 3 configuration error, 4 oracle limits
-exceeded.
+mismatch, 2 input parse or I/O error (such as an unwritable ``--out``),
+3 configuration error, 4 oracle limits exceeded.
 """
 
 from __future__ import annotations
@@ -86,7 +86,9 @@ def _peak_rss_bytes() -> int | None:
         import resource
     except ImportError:
         return None
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # macOS reports ru_maxrss in bytes, Linux in KiB
+    return peak if sys.platform == "darwin" else peak * 1024
 
 
 def report_payload(config: MinerConfig, variant: str, result: MiningResult) -> dict:
@@ -227,34 +229,32 @@ def cmd_bench(args) -> int:
         db = _parse_synthetic(args.synthetic, _as_int(args.seed, "--seed"))
     else:
         db = _load(args)
-    if args.variant == "all":
-        variants = list(VARIANTS)
-    else:
-        variants = [v.strip() for v in args.variant.split(",")]
-        for v in variants:
-            if v not in VARIANTS:
-                raise ConfigError(f"unknown variant {v!r}")
+    variants = VARIANTS if args.variant == "all" else [v.strip() for v in args.variant.split(",")]
     min_utils = sorted(as_fraction(tok) for tok in str(args.min_util).split(","))
     fixed = {"min_conf": args.min_conf, "min_bond": args.min_bond, "min_lift": args.min_lift}
+    # every point's config is built, and so checked, before the first run
+    points = [
+        (variant, MinerConfig.for_variant(variant, min_util=min_util, **fixed))
+        for variant in variants
+        for min_util in min_utils
+    ]
     lines = [BENCH_HEADER]
-    for variant in variants:
-        for min_util in min_utils:
-            config = MinerConfig.for_variant(variant, min_util=min_util, **fixed)
-            result = mine(db, config)
-            stats = result.stats
-            lines.append(
-                ";".join(
-                    (
-                        variant,
-                        exact_text(min_util),
-                        str(len(result.rules)),
-                        str(stats.pruned_s6),
-                        str(stats.pruned_s7),
-                        str(stats.utility_lists_built),
-                        f"{stats.wall_ms:.1f}",
-                    )
+    for variant, config in points:
+        result = mine(db, config)
+        stats = result.stats
+        lines.append(
+            ";".join(
+                (
+                    variant,
+                    exact_text(config.min_util),
+                    str(len(result.rules)),
+                    str(stats.pruned_s6),
+                    str(stats.pruned_s7),
+                    str(stats.utility_lists_built),
+                    f"{stats.wall_ms:.1f}",
                 )
             )
+        )
     text = "\n".join(lines) + "\n"
     if args.out:
         _write_atomic(Path(args.out), text)

@@ -46,7 +46,8 @@ the filtered database), so they go when :func:`mine` returns.
 
 Threshold comparisons are exact: utilities are compared on the utility
 table's integer grid, against ``ceil(min_util * scale)`` computed once per
-run, and the ratio measures by integer cross-multiplication.
+run; bond is checked by integer cross-multiplication, and confidence and
+lift are compared as exact :class:`~fractions.Fraction` values.
 Lift is always computed against the sequence count of the database handed to
 :func:`mine`, not of the filtered one, since item filtering may drop
 sequences.
@@ -66,7 +67,7 @@ from math import ceil
 from . import measures, rulecore
 from .measures import MinedRule, Rule
 from .rulecore import UtilityList
-from .seqdb import SequenceDatabase, exact_decimal, exact_text, gc_paused, quote
+from .seqdb import SequenceDatabase, exact_decimal, exact_text, quote
 
 VARIANTS = {
     "base": (False, False),
@@ -276,12 +277,8 @@ class _Search:
         self.tables = rulecore.SequenceTables(db)
         self.stats = stats
         self.emitted: list[MinedRule] = []
-        self.conf_num = config.min_conf.numerator
-        self.conf_den = config.min_conf.denominator
         self.bond_num = config.min_bond.numerator
         self.bond_den = config.min_bond.denominator
-        self.lift_num = config.min_lift.numerator
-        self.lift_den = config.min_lift.denominator
         # pass masks, per anchor item: strategy 7 for right expansions keys
         # the antecedent's last item, for left ones the consequent's last;
         # strategy 6 keys the last item of the side that grows
@@ -313,14 +310,6 @@ class _Search:
                 passes[b] = passes.get(b, 0) | 1 << rank[a]
         self.s6_pass = passes
 
-    # -- threshold checks (exact integer arithmetic) --
-
-    def _conf_ok(self, sup_rule: int, sup_x: int) -> bool:
-        return sup_rule * self.conf_den >= self.conf_num * sup_x
-
-    def _lift_ok(self, sup_rule: int, sup_x: int, sup_y: int) -> bool:
-        return self.n * sup_rule * self.lift_den >= self.lift_num * sup_x * sup_y
-
     def _bond_ok(self, sup: int, dissup: int) -> bool:
         return sup * self.bond_den >= self.bond_num * dissup
 
@@ -332,43 +321,36 @@ class _Search:
         sup_rule = ul.support
         self.stats.utility_lists_built += 1
         self.stats.utility_list_rows += sup_rule
-        sup_x = ctx.sids_x.bit_count()
-        sup_y = ctx.sids_y.bit_count()
-        utility = ul.utility
-        if (
-            utility >= self.min_util_grid
-            and self._conf_ok(sup_rule, sup_x)
-            and self._lift_ok(sup_rule, sup_x, sup_y)
-        ):
-            self.emitted.append(
-                MinedRule(
-                    antecedent=rule.antecedent,
-                    consequent=rule.consequent,
-                    utility=Fraction(utility, self.scale),
-                    support=sup_rule,
-                    confidence=Fraction(sup_rule, sup_x),
-                    lift=Fraction(self.n * sup_rule, sup_x * sup_y),
-                    bond_antecedent=Fraction(sup_x, ctx.sids_or_x.bit_count()),
-                    bond_consequent=Fraction(sup_y, ctx.sids_or_y.bit_count()),
+        config = self.config
+        if ul.utility >= self.min_util_grid:
+            sup_x = ctx.sids_x.bit_count()
+            sup_y = ctx.sids_y.bit_count()
+            confidence = Fraction(sup_rule, sup_x)
+            lift = Fraction(self.n * sup_rule, sup_x * sup_y)
+            if confidence >= config.min_conf and lift >= config.min_lift:
+                self.emitted.append(
+                    MinedRule(
+                        antecedent=rule.antecedent,
+                        consequent=rule.consequent,
+                        utility=Fraction(ul.utility, self.scale),
+                        support=sup_rule,
+                        confidence=confidence,
+                        lift=lift,
+                        bond_antecedent=Fraction(sup_x, ctx.sids_or_x.bit_count()),
+                        bond_consequent=Fraction(sup_y, ctx.sids_or_y.bit_count()),
+                    )
                 )
-            )
-        cap = self.config.max_rule_side
-        want_right = False
+        cap = config.max_rule_side
         if not left_only and (cap is None or len(rule.consequent) < cap):
             if ul.total < self.min_util_grid:
                 self.stats.pruned_s4 += 1
             else:
-                want_right = True
-        want_left = False
+                self.expand(ctx, right=True)
         if cap is None or len(rule.antecedent) < cap:
             if ul.left_total < self.min_util_grid:
                 self.stats.pruned_s5 += 1
             else:
-                want_left = True
-        if want_right:
-            self.expand(ctx, right=True)
-        if want_left:
-            self.expand(ctx, right=False)
+                self.expand(ctx, right=False)
 
     def expand(self, ctx: RuleContext, right: bool) -> None:
         parent = ctx.ul
@@ -410,14 +392,7 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     """Mine the complete set of correlated high-utility sequential rules.
 
     The result is independent of the strategy-6/7 toggles; the stats are not.
-    The cyclic garbage collector is paused while mining and restored to the
-    caller's state on return or error (see :func:`cousr.seqdb.gc_paused`).
     """
-    with gc_paused():
-        return _mine(db, config)
-
-
-def _mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     if not isinstance(config, MinerConfig):
         raise ConfigError(f"expected a MinerConfig, got {type(config).__name__}")
     min_util_grid = ceil(config.min_util * db.require_utilities().scale)
@@ -430,7 +405,7 @@ def _mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     stats.pruned_s1 = len(db.item_universe) - len(promising)
 
     pair_seu = rulecore.scan_rule_pairs(filtered)
-    kept = [p for p in sorted(pair_seu) if pair_seu[p] >= min_util_grid]
+    kept = sorted(pair for pair, seu in pair_seu.items() if seu >= min_util_grid)
     stats.pruned_s2 = len(pair_seu) - len(kept)
     stats.initial_rules_kept = len(kept)
     del pair_seu  # the search needs only the kept pairs; free the table first

@@ -37,10 +37,8 @@ so that every item utility in the database is an integer count of grid units.
 
 from __future__ import annotations
 
-import gc
 import sys
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -445,22 +443,6 @@ def with_utilities(db: SequenceDatabase, table: UtilityTable) -> SequenceDatabas
     return replace(db, utilities=table)
 
 
-@contextmanager
-def gc_paused():
-    """Pause the cyclic garbage collector, restoring the caller's state on exit.
-
-    Parsing and mining allocate millions of acyclic tuples; with the
-    collector on, they trigger repeated full collections that free nothing.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def _read_utf8(path: str | Path) -> str:
     """The text of a UTF-8 file; :class:`ParseError` names the file and the
     line and byte column of the first byte that is not UTF-8."""
@@ -476,14 +458,10 @@ def _read_utf8(path: str | Path) -> str:
 
 
 def load_database(db_path: str | Path, utils_path: str | Path) -> SequenceDatabase:
-    """Read and cross-validate a database file and its utility file.
-
-    The cyclic garbage collector is paused while parsing (see :func:`gc_paused`).
-    """
-    with gc_paused():
-        db = parse_database(_read_utf8(db_path))
-        table = parse_utility_table(_read_utf8(utils_path))
-        return with_utilities(db, table)
+    """Read and cross-validate a database file and its utility file."""
+    db = parse_database(_read_utf8(db_path))
+    table = parse_utility_table(_read_utf8(utils_path))
+    return with_utilities(db, table)
 
 
 def serialize_database(db: SequenceDatabase) -> str:

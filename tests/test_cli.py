@@ -9,11 +9,12 @@ from fractions import Fraction
 from functools import reduce
 from operator import and_
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import cousr
-from cousr import Rule, load_database
+from cousr import Rule, cli, load_database
 from cousr.cli import (
     BENCH_HEADER,
     EXIT_CONFIG,
@@ -33,7 +34,7 @@ from cousr.measures import (
     rule_sids,
     rule_utility,
 )
-from cousr.miner import as_fraction
+from cousr.miner import VARIANTS, as_fraction
 from cousr.oracle import oracle_chusrs
 from cousr.seqdb import exact_text
 
@@ -440,6 +441,19 @@ def test_bench_variant_subset(tmp_path):
     assert variants == ["s6", "s7"]
 
 
+def test_bench_unknown_variant_is_config_error_before_any_run(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "bench.csv"
+    monkeypatch.setattr(cli, "mine", lambda *args: pytest.fail("mined before the variants were checked"))
+    code = main(
+        ["bench", "--db", str(EXAMPLE_DB), "--utils", str(EXAMPLE_UT),
+         "--min-util", "50", "--variant", "s6,bogus", "--out", str(out)]
+    )
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and ", ".join(VARIANTS) in err
+
+
 def test_mine_max_side_flag(tmp_path):
     out = tmp_path / "rules.csv"
     code = main(
@@ -489,3 +503,17 @@ def test_report_peak_rss_is_the_childs_own(tmp_path):
     del ballast
     assert proc.returncode == EXIT_OK
     assert json.loads(report.read_text())["peak_rss_bytes"] < 128 << 20
+
+
+@pytest.mark.parametrize("platform, ru_maxrss", [("linux", 3 << 10), ("darwin", 3 << 20)])
+def test_peak_rss_fallback_reads_ru_maxrss_in_the_platforms_unit(monkeypatch, platform, ru_maxrss):
+    # without /proc the report falls back to ru_maxrss: KiB on Linux, bytes on macOS
+    resource = pytest.importorskip("resource")
+
+    def no_proc(*args, **kwargs):
+        raise OSError("no /proc")
+
+    monkeypatch.setattr(cli, "open", no_proc, raising=False)
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=ru_maxrss))
+    assert cli._peak_rss_bytes() == 3 << 20

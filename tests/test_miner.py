@@ -238,24 +238,18 @@ def test_mine_requires_utilities():
         scan_rule_pairs(db)
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_mine_restores_callers_gc_state(example_db, enabled):
-    was_enabled = gc.isenabled()
-    try:
-        if enabled:
-            gc.enable()
-        else:
-            gc.disable()
-        mine(example_db, MinerConfig(**GOLDEN_THRESHOLDS))
-        assert gc.isenabled() is enabled
-        with pytest.raises(ValueError):
-            mine(parse_database("1:1 -1 2:1 -1 -2\n"), MinerConfig())
-        assert gc.isenabled() is enabled
-    finally:
-        if was_enabled:
-            gc.enable()
-        else:
-            gc.disable()
+def test_loading_and_mining_leave_the_collector_alone(example_db, monkeypatch):
+    # the collector is process-wide: pausing it would pause it for every thread
+    config = MinerConfig(**GOLDEN_THRESHOLDS)
+    expected = mine(example_db, config).rules
+
+    def toggled():
+        raise AssertionError("the cyclic garbage collector was toggled")
+
+    monkeypatch.setattr(gc, "disable", toggled)
+    monkeypatch.setattr(gc, "enable", toggled)
+    db = load_database(EXAMPLE_DB, EXAMPLE_UT)
+    assert mine(db, config).rules == expected != ()
 
 
 def test_load_and_mine_fill_no_per_sequence_cache(monkeypatch):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import gc
 import hashlib
 import random
 import time
@@ -194,30 +193,6 @@ def test_parse_errors_name_line_and_column(text, kind, column):
     assert err.value.kind == kind
     assert err.value.line == 1
     assert err.value.column == column
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_load_database_restores_callers_gc_state(tmp_path, enabled):
-    good, bad, utils = tmp_path / "good.db", tmp_path / "bad.db", tmp_path / "db.ut"
-    good.write_text("1:1 -1 2:1 -1 -2\n")
-    bad.write_text("1:1 -1 2:1 -1 -2\n1:1 -1\n")
-    utils.write_text("1 1\n2 1\n")
-    was_enabled = gc.isenabled()
-    try:
-        if enabled:
-            gc.enable()
-        else:
-            gc.disable()
-        assert load_database(good, utils).sequence_count == 1
-        assert gc.isenabled() is enabled
-        with pytest.raises(ParseError):
-            load_database(bad, utils)
-        assert gc.isenabled() is enabled
-    finally:
-        if was_enabled:
-            gc.enable()
-        else:
-            gc.disable()
 
 
 def test_parse_error_reports_correct_line_number():
