@@ -211,14 +211,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not problems else EXIT_MISMATCH
 
 
-def _parse_synthetic(spec: str, default_seed: int) -> SequenceDatabase:
+def _parse_synthetic(spec: str) -> SequenceDatabase:
     parts = spec.split(",")
     if len(parts) not in (3, 4):
         raise ConfigError("--synthetic expects n_seq,n_items,avg_len[,seed]")
     try:
         n_seq, n_items = int(parts[0]), int(parts[1])
         avg_len = float(parts[2])
-        seed = int(parts[3]) if len(parts) == 4 else default_seed
+        seed = int(parts[3]) if len(parts) == 4 else 0
         return synth.synthesize_database(n_seq, n_items, avg_len, seed)
     except ValueError as exc:
         raise ConfigError(f"bad --synthetic spec {spec!r}: {exc}") from None
@@ -226,7 +226,7 @@ def _parse_synthetic(spec: str, default_seed: int) -> SequenceDatabase:
 
 def cmd_bench(args) -> int:
     if args.synthetic:
-        db = _parse_synthetic(args.synthetic, _as_int(args.seed, "--seed"))
+        db = _parse_synthetic(args.synthetic)
     else:
         db = _load(args)
     variants = VARIANTS if args.variant == "all" else [v.strip() for v in args.variant.split(",")]
@@ -299,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="sweep thresholds/variants and emit a CSV of counters")
     p_bench.add_argument("--db", help="sequence database file")
     p_bench.add_argument("--utils", help="unit utility file")
-    p_bench.add_argument("--synthetic", help="n_seq,n_items,avg_len[,seed] synthetic database")
-    p_bench.add_argument("--seed", default="0", help="seed for --synthetic")
+    p_bench.add_argument("--synthetic", help="n_seq,n_items,avg_len[,seed=0] synthetic database")
     _add_threshold_flags(p_bench, multi_util=True)
     p_bench.add_argument("--variant", default="all", help="comma-separated variants or 'all'")
     p_bench.add_argument("--out", help="bench CSV path (stdout if omitted)")

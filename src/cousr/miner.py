@@ -15,22 +15,23 @@ and lift (``min_lift``). The search:
    right (consequent) expansions first, then left; a left expansion is never
    followed by a right one, which makes the enumeration canonical.
 
-Candidate expansions are filtered, in order, by the rule-seu table
-(strategy 7, toggleable), the pairwise bond matrix (strategy 6, toggleable),
-the exact bond of the extended side (strategy 3) and the child's expansion
-bound (the child bound). A node's candidates are one item mask
+Candidate expansions are filtered, in order, by the rule-seu table (strategy
+7, toggleable), the pairwise bond matrix (strategy 6, toggleable), the exact
+bond of the extended side (strategy 3) and the child's expansion bound (the
+child bound). A node's candidates are one item mask
 (:meth:`cousr.rulecore.UtilityList.candidates`); strategies 7 and 6
-intersect it with per-item pass masks taken from their tables once, before
-the search. :meth:`~cousr.rulecore.UtilityList.expand` sums the child
-bound over the parent's rows and builds the utility-list, in ascending item
-order, only when the bound reaches ``min_util``. Recursion is gated by the
-utility-list bounds: the rows' summed ``total`` for right subtrees
-(strategy 4) and ``left_total`` for left subtrees (strategy 5). Strategies
-6 and 7 are sound, so toggling them never changes the mined rule set, only
-the number of utility-lists constructed. Confidence gates no recursion: a
-low-confidence rule can still have high-confidence left descendants, because
-left expansions shrink the antecedent's support (see the counterexample in
-the test suite).
+intersect it with per-item pass masks that :func:`mine` takes from their
+tables once, before the search. :meth:`~cousr.rulecore.UtilityList.expand`
+sums the child bound over the parent's rows and builds the utility-list, in
+ascending item order, only when the bound reaches ``min_util``. Recursion is
+gated by the utility-list bounds: the rows' summed ``total`` for right
+subtrees (strategy 4) and ``left_total`` for left subtrees (strategy 5).
+Strategies 6 and 7 are sound, so toggling them never changes the mined rule
+set, only the stats: which check cuts a candidate and, where no later check
+would, how many utility-lists are built. Confidence gates no recursion: a low-confidence
+rule can still have high-confidence left descendants, because left
+expansions shrink the antecedent's support (see the counterexample in the
+test suite).
 
 The pair reduction and the child bound are sound additions outside the
 paper's seven strategies, and neither can be toggled; the four variants
@@ -41,8 +42,8 @@ bound follows the left/right expansion-estimated utilities (LEEU/REEU) of
 US-Rule (Huang, Gan et al., arXiv 2111.15020); see
 :meth:`~cousr.rulecore.UtilityList.expand`.
 
-The search owns its row tables (:class:`cousr.rulecore.SequenceTables` of
-the filtered database), so they go when :func:`mine` returns.
+:func:`mine` holds the row tables (:class:`cousr.rulecore.SequenceTables`
+of the filtered database) for its search alone, so they go when it returns.
 
 Threshold comparisons are exact: utilities are compared on the utility
 table's integer grid, against ``ceil(min_util * scale)`` computed once per
@@ -203,22 +204,6 @@ class MiningResult:
     stats: MiningStats
 
 
-@dataclass
-class RuleContext:
-    """A search node: its rule's utility-list and side bit vectors.
-
-    ``sids_x``/``sids_y`` are the intersection masks (itemset support) of the
-    antecedent/consequent items; ``sids_or_x``/``sids_or_y`` the union masks
-    (disjunctive support).
-    """
-
-    ul: UtilityList
-    sids_x: int
-    sids_y: int
-    sids_or_x: int
-    sids_or_y: int
-
-
 def filter_unpromising_items(
     db: SequenceDatabase, min_util_grid: int
 ) -> tuple[frozenset[int], SequenceDatabase]:
@@ -264,67 +249,74 @@ def keep_items(db: SequenceDatabase, kept: frozenset[int]) -> SequenceDatabase:
     )
 
 
-class _Search:
-    """Mutable search state shared across one mine() run."""
+def _bond_test(min_bond: Fraction):
+    """The bond test of strategies 3 and 6: ``sup / dissup >= min_bond``, by
+    integer cross-multiplication."""
+    num, den = min_bond.numerator, min_bond.denominator
+    return lambda sup, dissup: sup * den >= num * dissup
 
-    def __init__(self, db: SequenceDatabase, config: MinerConfig, min_util_grid: int,
-                 sequence_count: int, bitvectors, stats: MiningStats):
+
+def _pass_masks(pairs, rank: dict[int, int]) -> dict[int, int]:
+    """Per first item ``a`` of the pairs ``(a, b)``, the mask over ``rank`` of its ``b``."""
+    masks: dict[int, int] = {}
+    for a, b in pairs:
+        masks[a] = masks.get(a, 0) | 1 << rank[b]
+    return masks
+
+
+def _bond_passes(co_counts, bitvectors, min_bond: Fraction, rank) -> dict[int, int]:
+    """Strategy 6's pass masks: per item, the items whose pair with it has a
+    bond of at least ``min_bond``. ``co_counts`` is
+    :func:`cousr.rulecore.build_bond_matrix`; a pair's disjunctive support
+    is ``sup_a + sup_b - co``."""
+    bond_ok = _bond_test(min_bond)
+    support = {item: vector.bit_count() for item, vector in bitvectors.items()}
+    return _pass_masks(chain.from_iterable(
+        ((a, b), (b, a)) for (a, b), co in co_counts.items()
+        if bond_ok(co, support[a] + support[b] - co)
+    ), rank)
+
+
+class _Search:
+    """Search state of one mine() run; only the stats and the emitted rules change.
+
+    :func:`mine` builds every input before the search: the row tables and
+    item bit vectors of the reduced database, and the pass masks of
+    :func:`_pass_masks`. Strategy 7 keys right expansions by the
+    antecedent's last item (``s7_right``, the kept pairs ``a => b``) and
+    left ones by the consequent's last (``s7_left``, the kept pairs
+    reversed); strategy 6 (``s6_pass``, :func:`_bond_passes`) keys the last
+    item of the side that grows. ``None`` turns a strategy off.
+    """
+
+    def __init__(self, config: MinerConfig, min_util_grid: int, sequence_count: int,
+                 tables: rulecore.SequenceTables, bitvectors, stats: MiningStats,
+                 s6_pass: dict[int, int] | None, s7_right: dict[int, int] | None,
+                 s7_left: dict[int, int] | None):
         self.config = config
         self.min_util_grid = min_util_grid
         self.n = sequence_count
-        self.scale = db.require_utilities().scale
+        self.scale = tables.db.require_utilities().scale
+        self.tables = tables
         self.bitvectors = bitvectors
-        self.tables = rulecore.SequenceTables(db)
         self.stats = stats
+        self.s6_pass, self.s7_right, self.s7_left = s6_pass, s7_right, s7_left
+        self.bond_ok = _bond_test(config.min_bond)
         self.emitted: list[MinedRule] = []
-        self.bond_num = config.min_bond.numerator
-        self.bond_den = config.min_bond.denominator
-        # pass masks, per anchor item: strategy 7 for right expansions keys
-        # the antecedent's last item, for left ones the consequent's last;
-        # strategy 6 keys the last item of the side that grows
-        self.s7_right: dict[int, int] | None = None
-        self.s7_left: dict[int, int] | None = None
-        self.s6_pass: dict[int, int] | None = None
 
-    def set_rule_seu_passes(self, kept_pairs) -> None:
-        """Strategy 7: the pairs whose rule SEU reaches ``min_util``."""
-        rank = self.tables.rank
-        self.s7_right, self.s7_left = {}, {}
-        for a, b in kept_pairs:
-            self.s7_right[a] = self.s7_right.get(a, 0) | 1 << rank[b]
-            self.s7_left[b] = self.s7_left.get(b, 0) | 1 << rank[a]
+    # -- node processing: a rule's utility-list with the intersection (``sids_*``,
+    # itemset support) and union (``or_*``, disjunctive support) masks of its sides --
 
-    def set_bond_passes(self, co_counts) -> None:
-        """Strategy 6: the unordered pairs whose bond reaches ``min_bond``.
-
-        ``co_counts`` maps each co-occurring pair to the number of sequences
-        holding both items; the pair's disjunctive support is
-        ``sup_a + sup_b - co``.
-        """
-        rank = self.tables.rank
-        support = {item: vector.bit_count() for item, vector in self.bitvectors.items()}
-        passes: dict[int, int] = {}
-        for (a, b), co in co_counts.items():
-            if self._bond_ok(co, support[a] + support[b] - co):
-                passes[a] = passes.get(a, 0) | 1 << rank[b]
-                passes[b] = passes.get(b, 0) | 1 << rank[a]
-        self.s6_pass = passes
-
-    def _bond_ok(self, sup: int, dissup: int) -> bool:
-        return sup * self.bond_den >= self.bond_num * dissup
-
-    # -- node processing --
-
-    def handle(self, ctx: RuleContext, left_only: bool) -> None:
-        ul = ctx.ul
+    def handle(self, ul: UtilityList, sids_x: int, sids_y: int, or_x: int, or_y: int,
+               left_only: bool) -> None:
         rule = ul.rule
         sup_rule = ul.support
         self.stats.utility_lists_built += 1
         self.stats.utility_list_rows += sup_rule
         config = self.config
         if ul.utility >= self.min_util_grid:
-            sup_x = ctx.sids_x.bit_count()
-            sup_y = ctx.sids_y.bit_count()
+            sup_x = sids_x.bit_count()
+            sup_y = sids_y.bit_count()
             confidence = Fraction(sup_rule, sup_x)
             lift = Fraction(self.n * sup_rule, sup_x * sup_y)
             if confidence >= config.min_conf and lift >= config.min_lift:
@@ -336,8 +328,8 @@ class _Search:
                         support=sup_rule,
                         confidence=confidence,
                         lift=lift,
-                        bond_antecedent=Fraction(sup_x, ctx.sids_or_x.bit_count()),
-                        bond_consequent=Fraction(sup_y, ctx.sids_or_y.bit_count()),
+                        bond_antecedent=Fraction(sup_x, or_x.bit_count()),
+                        bond_consequent=Fraction(sup_y, or_y.bit_count()),
                     )
                 )
         cap = config.max_rule_side
@@ -345,15 +337,15 @@ class _Search:
             if ul.total < self.min_util_grid:
                 self.stats.pruned_s4 += 1
             else:
-                self.expand(ctx, right=True)
+                self.expand(ul, sids_x, sids_y, or_x, or_y, right=True)
         if cap is None or len(rule.antecedent) < cap:
             if ul.left_total < self.min_util_grid:
                 self.stats.pruned_s5 += 1
             else:
-                self.expand(ctx, right=False)
+                self.expand(ul, sids_x, sids_y, or_x, or_y, right=False)
 
-    def expand(self, ctx: RuleContext, right: bool) -> None:
-        parent = ctx.ul
+    def expand(self, parent: UtilityList, sids_x: int, sids_y: int, or_x: int, or_y: int,
+               right: bool) -> None:
         tables = self.tables
         candidates = parent.candidates(right, tables)
         last_x = parent.rule.antecedent[-1]
@@ -369,12 +361,12 @@ class _Search:
         for item in tables.items_of(candidates):
             vector = self.bitvectors[item]
             if right:
-                new_side = ctx.sids_y & vector
-                new_or = ctx.sids_or_y | vector
+                new_side = sids_y & vector
+                new_or = or_y | vector
             else:
-                new_side = ctx.sids_x & vector
-                new_or = ctx.sids_or_x | vector
-            if not self._bond_ok(new_side.bit_count(), new_or.bit_count()):
+                new_side = sids_x & vector
+                new_or = or_x | vector
+            if not self.bond_ok(new_side.bit_count(), new_or.bit_count()):
                 self.stats.pruned_s3 += 1
                 continue
             ul = parent.expand(item, right, tables, self.min_util_grid)
@@ -382,10 +374,9 @@ class _Search:
                 self.stats.pruned_child_bound += 1
                 continue
             if right:
-                child = RuleContext(ul, ctx.sids_x, new_side, ctx.sids_or_x, new_or)
+                self.handle(ul, sids_x, new_side, or_x, new_or, left_only=False)
             else:
-                child = RuleContext(ul, new_side, ctx.sids_y, new_or, ctx.sids_or_y)
-            self.handle(child, left_only=not right)
+                self.handle(ul, new_side, sids_y, new_or, or_y, left_only=True)
 
 
 def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
@@ -413,22 +404,26 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     stats.pruned_unpaired = len(promising) - len(paired)
     filtered = keep_items(filtered, paired)
 
+    tables = rulecore.SequenceTables(filtered)
     bitvectors = measures.build_item_bitvectors(filtered)
-    search = _Search(filtered, config, min_util_grid, sequence_count, bitvectors, stats)
+    rank = tables.rank
+    s6_pass = s7_right = s7_left = None
     if config.bond_matrix_prune:
-        search.set_bond_passes(rulecore.build_bond_matrix(filtered))
+        s6_pass = _bond_passes(rulecore.build_bond_matrix(filtered), bitvectors,
+                               config.min_bond, rank)
     if config.esucs_prune:
-        search.set_rule_seu_passes(kept)
+        s7_right = _pass_masks(kept, rank)
+        s7_left = _pass_masks(((b, a) for a, b in kept), rank)
+    search = _Search(config, min_util_grid, sequence_count, tables, bitvectors, stats,
+                     s6_pass, s7_right, s7_left)
 
     for a, b in kept:
         rule = Rule((a,), (b,))
-        ul = rulecore.build_utility_list(rule, search.tables, sids=bitvectors[a] & bitvectors[b])
-        search.handle(
-            RuleContext(ul, bitvectors[a], bitvectors[b], bitvectors[a], bitvectors[b]),
-            left_only=False,
-        )
+        ul = rulecore.build_utility_list(rule, tables, sids=bitvectors[a] & bitvectors[b])
+        search.handle(ul, bitvectors[a], bitvectors[b], bitvectors[a], bitvectors[b],
+                      left_only=False)
 
-    stats.row_tables = sum(sums is not None for sums in search.tables.sums)
+    stats.row_tables = sum(sums is not None for sums in tables.sums)
     rules = tuple(sorted(search.emitted))
     if len({(m.antecedent, m.consequent) for m in rules}) != len(rules):
         raise AssertionError("canonical enumeration produced a duplicate rule")

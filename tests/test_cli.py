@@ -419,6 +419,14 @@ def test_bench_single_point_synthetic(tmp_path, capsys):
     assert lines[1].startswith("s6s7;30;")
 
 
+def test_bench_seed_flag_is_gone(capsys):
+    # the seed is the spec's optional fourth field
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--synthetic", "60,12,5", "--seed", "9", "--min-util", "30"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+
+
 def test_bench_bad_synthetic_spec():
     assert main(["bench", "--synthetic", "10,5"]) == EXIT_CONFIG
 

@@ -25,8 +25,7 @@ from cousr.measures import bond, build_item_bitvectors, itemset_support
 from cousr.miner import (
     VARIANTS,
     ConfigError,
-    MiningStats,
-    _Search,
+    _bond_passes,
     as_fraction,
     filter_unpromising_items,
 )
@@ -378,17 +377,14 @@ def test_bond_passes_match_exact_bond(seed):
     co_pairs = sorted(counts)
     drawn = rng.sample(co_pairs, min(3, len(co_pairs)))
     boundaries = [bond(pair, bitvectors).value for pair in drawn]
+    rank = SequenceTables(db).rank
     for min_bond in [Fraction(0), Fraction(1), *boundaries]:
-        search = _Search(db, MinerConfig(min_bond=min_bond), 0, db.sequence_count, bitvectors,
-                         MiningStats())
-        search.set_bond_passes(counts)
-        rank = search.tables.rank
         expected = {}
         for a, b in co_pairs:
             if bond((a, b), bitvectors).value >= min_bond:
                 expected[a] = expected.get(a, 0) | 1 << rank[b]
                 expected[b] = expected.get(b, 0) | 1 << rank[a]
-        assert search.s6_pass == expected
+        assert _bond_passes(counts, bitvectors, min_bond, rank) == expected
 
 
 # -- empty sequences (a ``-2`` line) ----------------------------------------------------------
@@ -452,33 +448,50 @@ def test_stats_counters(example_db):
     ]
 
 
-def test_search_counters_are_pinned():
+def search_counters(variant):
     # the search order fixes every counter; these are the values of the
     # search over the items of the kept pairs, with the child bound
     db = synthesize_database(2000, 200, 8, seed=3)
     config = MinerConfig.for_variant(
-        "s6s7", min_util=800, min_conf="0.3", min_bond="0.1", min_lift="0"
+        variant, min_util=800, min_conf="0.3", min_bond="0.1", min_lift="0"
     )
     result = mine(db, config)
     assert len(result.rules) == 26
     stats = result.stats.as_dict()
-    assert {key: stats[key] for key in (
-        "initial_rules_kept", "pruned_s2", "pruned_s3", "pruned_s4", "pruned_s5",
-        "pruned_s6", "pruned_s7", "pruned_unpaired", "pruned_child_bound",
-        "utility_lists_built", "utility_list_rows", "row_tables",
-    )} == {
-        "initial_rules_kept": 1822,
-        "pruned_s2": 12959,
-        "pruned_s3": 4236,
-        "pruned_s4": 774,
-        "pruned_s5": 1553,
-        "pruned_s6": 66996,
-        "pruned_s7": 82499,
-        "pruned_unpaired": 8,
-        "pruned_child_bound": 5175,
-        "utility_lists_built": 3396,
-        "utility_list_rows": 53583,
-        "row_tables": 1972,
+    return {key: stats[key] for key in S6S7_PINS}
+
+
+S6S7_PINS = {
+    "initial_rules_kept": 1822,
+    "pruned_s2": 12959,
+    "pruned_s3": 4236,
+    "pruned_s4": 774,
+    "pruned_s5": 1553,
+    "pruned_s6": 66996,
+    "pruned_s7": 82499,
+    "pruned_unpaired": 8,
+    "pruned_child_bound": 5175,
+    "utility_lists_built": 3396,
+    "utility_list_rows": 53583,
+    "row_tables": 1972,
+}
+
+
+def test_search_counters_are_pinned():
+    assert search_counters("s6s7") == S6S7_PINS
+
+
+# every variant builds the same lists, so these per-strategy counters are
+# what shows a strategy's masks keyed in the wrong direction
+@pytest.mark.parametrize("variant, s3, s6, s7, child_bound", [
+    ("base", 150647, 0, 0, 8259),
+    ("s6", 4757, 145890, 0, 8259),
+    ("s7", 71232, 0, 82499, 5175),
+])
+def test_search_counters_of_each_variant_are_pinned(variant, s3, s6, s7, child_bound):
+    assert search_counters(variant) == {
+        **S6S7_PINS, "pruned_s3": s3, "pruned_s6": s6, "pruned_s7": s7,
+        "pruned_child_bound": child_bound,
     }
 
 
