@@ -15,17 +15,20 @@ and lift (``min_lift``). The search:
    right (consequent) expansions first, then left; a left expansion is never
    followed by a right one, which makes the enumeration canonical.
 
-Candidate expansions are filtered, in order, by the rule-seu table (strategy
-7, toggleable), the pairwise bond matrix (strategy 6, toggleable), the exact
-bond of the extended side (strategy 3) and the child's expansion bound (the
-child bound). A node's candidates are one item mask
-(:meth:`cousr.rulecore.UtilityList.candidates`); strategies 7 and 6
-intersect it with per-item pass masks that :func:`mine` takes from their
-tables once, before the search. :meth:`~cousr.rulecore.UtilityList.expand`
-sums the child bound over the parent's rows and builds the utility-list, in
-ascending item order, only when the bound reaches ``min_util``. Recursion is
-gated by the utility-list bounds: the rows' summed ``total`` for right
-subtrees (strategy 4) and ``left_total`` for left subtrees (strategy 5).
+The search is one recursive step per node, nested in :func:`mine`; its
+cuts (s3 to s7 and the child bound) are made and counted there. The step
+counts the node, emits its rule if it qualifies, then grows it right (unless
+it came from a left expansion) and left. A direction is gated by
+``max_rule_side``, then by the utility-list bounds: the rows' summed
+``total`` for right subtrees (strategy 4), ``left_total`` for left ones
+(strategy 5). Its candidates are one item mask
+(:meth:`cousr.rulecore.UtilityList.candidates`) cut by the pass masks of the
+rule-seu table (strategy 7, toggleable) and of the pairwise bond matrix
+(strategy 6, toggleable), taken from the tables once before the search;
+then, item by item in ascending order, by the exact bond of the extended
+side (strategy 3) and the child bound, which
+:meth:`~cousr.rulecore.UtilityList.expand` sums over the parent's rows,
+building the child's utility-list only when it reaches ``min_util``.
 Strategies 6 and 7 are sound, so toggling them never changes the mined rule
 set, only the stats: which check cuts a candidate and, where no later check
 would, how many utility-lists are built. Confidence gates no recursion: a low-confidence
@@ -277,119 +280,25 @@ def _bond_passes(co_counts, bitvectors, min_bond: Fraction, rank) -> dict[int, i
     ), rank)
 
 
-class _Search:
-    """Search state of one mine() run; only the stats and the emitted rules change.
+def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
+    """Mine the complete set of correlated high-utility sequential rules.
 
-    :func:`mine` builds every input before the search: the row tables and
-    item bit vectors of the reduced database, and the pass masks of
-    :func:`_pass_masks`. Strategy 7 keys right expansions by the
+    The result is independent of the strategy-6/7 toggles; the stats are not.
+
+    Every input of the search, the recursive step ``grow``, is built first:
+    the row tables and item bit vectors of the reduced database, and the pass
+    masks of :func:`_pass_masks`. Strategy 7 keys right expansions by the
     antecedent's last item (``s7_right``, the kept pairs ``a => b``) and
     left ones by the consequent's last (``s7_left``, the kept pairs
     reversed); strategy 6 (``s6_pass``, :func:`_bond_passes`) keys the last
     item of the side that grows. ``None`` turns a strategy off.
     """
-
-    def __init__(self, config: MinerConfig, min_util_grid: int, sequence_count: int,
-                 tables: rulecore.SequenceTables, bitvectors, stats: MiningStats,
-                 s6_pass: dict[int, int] | None, s7_right: dict[int, int] | None,
-                 s7_left: dict[int, int] | None):
-        self.config = config
-        self.min_util_grid = min_util_grid
-        self.n = sequence_count
-        self.scale = tables.db.require_utilities().scale
-        self.tables = tables
-        self.bitvectors = bitvectors
-        self.stats = stats
-        self.s6_pass, self.s7_right, self.s7_left = s6_pass, s7_right, s7_left
-        self.bond_ok = _bond_test(config.min_bond)
-        self.emitted: list[MinedRule] = []
-
-    # -- node processing: a rule's utility-list with the intersection (``sids_*``,
-    # itemset support) and union (``or_*``, disjunctive support) masks of its sides --
-
-    def handle(self, ul: UtilityList, sids_x: int, sids_y: int, or_x: int, or_y: int,
-               left_only: bool) -> None:
-        rule = ul.rule
-        sup_rule = ul.support
-        self.stats.utility_lists_built += 1
-        self.stats.utility_list_rows += sup_rule
-        config = self.config
-        if ul.utility >= self.min_util_grid:
-            sup_x = sids_x.bit_count()
-            sup_y = sids_y.bit_count()
-            confidence = Fraction(sup_rule, sup_x)
-            lift = Fraction(self.n * sup_rule, sup_x * sup_y)
-            if confidence >= config.min_conf and lift >= config.min_lift:
-                self.emitted.append(
-                    MinedRule(
-                        antecedent=rule.antecedent,
-                        consequent=rule.consequent,
-                        utility=Fraction(ul.utility, self.scale),
-                        support=sup_rule,
-                        confidence=confidence,
-                        lift=lift,
-                        bond_antecedent=Fraction(sup_x, or_x.bit_count()),
-                        bond_consequent=Fraction(sup_y, or_y.bit_count()),
-                    )
-                )
-        cap = config.max_rule_side
-        if not left_only and (cap is None or len(rule.consequent) < cap):
-            if ul.total < self.min_util_grid:
-                self.stats.pruned_s4 += 1
-            else:
-                self.expand(ul, sids_x, sids_y, or_x, or_y, right=True)
-        if cap is None or len(rule.antecedent) < cap:
-            if ul.left_total < self.min_util_grid:
-                self.stats.pruned_s5 += 1
-            else:
-                self.expand(ul, sids_x, sids_y, or_x, or_y, right=False)
-
-    def expand(self, parent: UtilityList, sids_x: int, sids_y: int, or_x: int, or_y: int,
-               right: bool) -> None:
-        tables = self.tables
-        candidates = parent.candidates(right, tables)
-        last_x = parent.rule.antecedent[-1]
-        last_y = parent.rule.consequent[-1]
-        if candidates and self.s7_right is not None:
-            passes = self.s7_right.get(last_x, 0) if right else self.s7_left.get(last_y, 0)
-            self.stats.pruned_s7 += (candidates & ~passes).bit_count()
-            candidates &= passes
-        if candidates and self.s6_pass is not None:
-            passes = self.s6_pass.get(last_y if right else last_x, 0)
-            self.stats.pruned_s6 += (candidates & ~passes).bit_count()
-            candidates &= passes
-        for item in tables.items_of(candidates):
-            vector = self.bitvectors[item]
-            if right:
-                new_side = sids_y & vector
-                new_or = or_y | vector
-            else:
-                new_side = sids_x & vector
-                new_or = or_x | vector
-            if not self.bond_ok(new_side.bit_count(), new_or.bit_count()):
-                self.stats.pruned_s3 += 1
-                continue
-            ul = parent.expand(item, right, tables, self.min_util_grid)
-            if ul is None:
-                self.stats.pruned_child_bound += 1
-                continue
-            if right:
-                self.handle(ul, sids_x, new_side, or_x, new_or, left_only=False)
-            else:
-                self.handle(ul, new_side, sids_y, new_or, or_y, left_only=True)
-
-
-def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
-    """Mine the complete set of correlated high-utility sequential rules.
-
-    The result is independent of the strategy-6/7 toggles; the stats are not.
-    """
     if not isinstance(config, MinerConfig):
         raise ConfigError(f"expected a MinerConfig, got {type(config).__name__}")
-    min_util_grid = ceil(config.min_util * db.require_utilities().scale)
+    scale = db.require_utilities().scale
+    min_util_grid = ceil(config.min_util * scale)
     started = time.perf_counter()
     stats = MiningStats()
-    sequence_count = db.sequence_count
 
     promising, filtered = filter_unpromising_items(db, min_util_grid)
     stats.promising_items = len(promising)
@@ -414,17 +323,69 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     if config.esucs_prune:
         s7_right = _pass_masks(kept, rank)
         s7_left = _pass_masks(((b, a) for a, b in kept), rank)
-    search = _Search(config, min_util_grid, sequence_count, tables, bitvectors, stats,
-                     s6_pass, s7_right, s7_left)
+    bond_ok = _bond_test(config.min_bond)
+    cap = config.max_rule_side
+    emitted: list[MinedRule] = []
+
+    def grow(ul: UtilityList, sids_x: int, sids_y: int, or_x: int, or_y: int,
+             left_only: bool) -> None:
+        """Count the node ``ul``, emit its rule if it qualifies, then grow it right
+        (unless ``left_only``) and left. ``sids_*``/``or_*`` are the
+        intersection/union masks of the sides (support/disjunctive support)."""
+        x, y = ul.rule.antecedent, ul.rule.consequent
+        sup_rule = ul.support
+        stats.utility_lists_built += 1
+        stats.utility_list_rows += sup_rule
+        if ul.utility >= min_util_grid:
+            sup_x, sup_y = sids_x.bit_count(), sids_y.bit_count()
+            confidence = Fraction(sup_rule, sup_x)
+            lift = Fraction(db.sequence_count * sup_rule, sup_x * sup_y)
+            if confidence >= config.min_conf and lift >= config.min_lift:
+                emitted.append(MinedRule(
+                    x, y, Fraction(ul.utility, scale), sup_rule, confidence, lift,
+                    Fraction(sup_x, or_x.bit_count()), Fraction(sup_y, or_y.bit_count()),
+                ))
+        for right in (False,) if left_only else (True, False):
+            grown, fixed = (y, x) if right else (x, y)
+            if cap is not None and len(grown) >= cap:
+                continue
+            if right and ul.total < min_util_grid:
+                stats.pruned_s4 += 1
+                continue
+            if not right and ul.left_total < min_util_grid:
+                stats.pruned_s5 += 1
+                continue
+            candidates = ul.candidates(right, tables)
+            if candidates and s7_right is not None:
+                passes = (s7_right if right else s7_left).get(fixed[-1], 0)
+                stats.pruned_s7 += (candidates & ~passes).bit_count()
+                candidates &= passes
+            if candidates and s6_pass is not None:
+                passes = s6_pass.get(grown[-1], 0)
+                stats.pruned_s6 += (candidates & ~passes).bit_count()
+                candidates &= passes
+            sids, union = (sids_y, or_y) if right else (sids_x, or_x)
+            for item in tables.items_of(candidates):
+                vector = bitvectors[item]
+                new_sids, new_union = sids & vector, union | vector
+                if not bond_ok(new_sids.bit_count(), new_union.bit_count()):
+                    stats.pruned_s3 += 1
+                    continue
+                child = ul.expand(item, right, tables, min_util_grid)
+                if child is None:
+                    stats.pruned_child_bound += 1
+                elif right:
+                    grow(child, sids_x, new_sids, or_x, new_union, left_only=False)
+                else:
+                    grow(child, new_sids, sids_y, new_union, or_y, left_only=True)
 
     for a, b in kept:
-        rule = Rule((a,), (b,))
-        ul = rulecore.build_utility_list(rule, tables, sids=bitvectors[a] & bitvectors[b])
-        search.handle(ul, bitvectors[a], bitvectors[b], bitvectors[a], bitvectors[b],
-                      left_only=False)
+        ul = rulecore.build_utility_list(Rule((a,), (b,)), tables,
+                                         sids=bitvectors[a] & bitvectors[b])
+        grow(ul, bitvectors[a], bitvectors[b], bitvectors[a], bitvectors[b], left_only=False)
 
     stats.row_tables = sum(sums is not None for sums in tables.sums)
-    rules = tuple(sorted(search.emitted))
+    rules = tuple(sorted(emitted))
     if len({(m.antecedent, m.consequent) for m in rules}) != len(rules):
         raise AssertionError("canonical enumeration produced a duplicate rule")
     stats.wall_ms = (time.perf_counter() - started) * 1000.0

@@ -16,8 +16,9 @@ for people count sequences from 1. :class:`Sequence` records
 (``Sequence(itemsets)``, with no cached views) are the reference view of the
 same data, built only when :attr:`SequenceDatabase.sequences` is read.
 
-On-disk formats (UTF-8; lines whose first non-blank character is ``#`` are
-comments; blank lines are skipped):
+On-disk formats (UTF-8; a line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only; lines
+whose first non-blank character is ``#`` are comments; blank lines are
+skipped):
 
 * Database file, one sequence per line::
 
@@ -292,6 +293,12 @@ def _column(line: str, index: int) -> int:
     return start + 1
 
 
+def _lines(text: str) -> list[str]:
+    r"""The lines of ``text``, ended by ``\n``, ``\r\n`` or ``\r`` only (not ``\f``, ``\x85``...)."""
+    # replace() returns ``text`` itself when it finds nothing: no copy without \r
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _is_comment(tokens: list[str]) -> bool:
     """A line's tokens are blank or start with ``#``."""
     return not tokens or tokens[0].startswith("#")
@@ -307,7 +314,7 @@ def parse_database(text: str) -> SequenceDatabase:
     items, qtys = array("i"), array("i")
     seq_starts, set_starts = array("i", [0]), array("i", [0])
     pairs: dict[str, tuple[int, int]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         tokens = line.split()
         if _is_comment(tokens):
             continue
@@ -387,7 +394,7 @@ def _parse_pair(token: str, lineno: int, line: str, index: int) -> tuple[int, in
 def parse_utility_table(text: str) -> UtilityTable:
     """Parse ``item utility`` lines into a utility table."""
     entries: dict[int, Fraction] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         tokens = line.split()
         if _is_comment(tokens):
             continue
@@ -450,10 +457,11 @@ def _read_utf8(path: str | Path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        # lines as _lines() reads them
+        head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         raise ParseError(
             ParseError.NOT_UTF8, f"{path}: byte 0x{data[exc.start]:02x} is not UTF-8 text",
-            data.count(b"\n", 0, exc.start) + 1, exc.start - line_start + 1,
+            head.count(b"\n") + 1, len(head) - head.rfind(b"\n"),
         ) from None
 
 

@@ -448,12 +448,13 @@ def test_stats_counters(example_db):
     ]
 
 
-def search_counters(variant):
+def search_counters(variant, max_rule_side=None):
     # the search order fixes every counter; these are the values of the
     # search over the items of the kept pairs, with the child bound
     db = synthesize_database(2000, 200, 8, seed=3)
     config = MinerConfig.for_variant(
-        variant, min_util=800, min_conf="0.3", min_bond="0.1", min_lift="0"
+        variant, min_util=800, min_conf="0.3", min_bond="0.1", min_lift="0",
+        max_rule_side=max_rule_side,
     )
     result = mine(db, config)
     assert len(result.rules) == 26
@@ -492,6 +493,21 @@ def test_search_counters_of_each_variant_are_pinned(variant, s3, s6, s7, child_b
     assert search_counters(variant) == {
         **S6S7_PINS, "pruned_s3": s3, "pruned_s6": s6, "pruned_s7": s7,
         "pruned_child_bound": child_bound,
+    }
+
+
+# the side cap comes before strategies 4 and 5: at cap 1 no root is expanded
+# or counted as cut, and at cap 2 only the nodes with a side below 2 items are
+@pytest.mark.parametrize("cap, s4, s5, s6, s7, child_bound, lists, rows", [
+    (1, 0, 0, 0, 0, 0, 1822, 30273),
+    (2, 695, 1408, 37246, 56682, 4635, 3258, 52109),
+])
+def test_search_counters_under_a_side_cap_are_pinned(cap, s4, s5, s6, s7, child_bound,
+                                                      lists, rows):
+    assert search_counters("s6s7", max_rule_side=cap) == {
+        **S6S7_PINS, "pruned_s3": 0, "pruned_s4": s4, "pruned_s5": s5, "pruned_s6": s6,
+        "pruned_s7": s7, "pruned_child_bound": child_bound, "utility_lists_built": lists,
+        "utility_list_rows": rows,
     }
 
 

@@ -201,6 +201,51 @@ def test_parse_error_reports_correct_line_number():
     assert err.value.line == 3
 
 
+# characters that str.splitlines() breaks a line at but str.split() reads as whitespace
+INLINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", INLINE_BREAKS)
+def test_parse_comment_ends_only_at_a_newline(char):
+    db = parse_database(f"# note{char}more\n1:1 -1 -2\n")
+    assert db.sequences == (Sequence((((1, 1),),)),)
+
+
+@pytest.mark.parametrize("char", INLINE_BREAKS)
+def test_parse_inline_break_character_separates_tokens(char):
+    db = parse_database(f"1:1 -1{char}2:1 -1 -2\n")
+    assert db.sequences == (Sequence((((1, 1),), ((2, 1),))),)
+    assert parse_utility_table(f"1{char}3\n").entries == {1: 3}
+
+
+def test_parse_error_line_counts_only_newlines():
+    with pytest.raises(ParseError) as err:
+        parse_database("1:1 -1 2:1 -1 -2\n\x85bad -2\n")
+    assert err.value.kind == ParseError.MALFORMED_TOKEN
+    assert (err.value.line, err.value.column) == (2, 2)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_parse_crlf_and_cr_only_files(newline):
+    db = parse_database(newline.join(["# two sequences", "1:1 -1 -2", "", "2:1 -1 -2", ""]))
+    assert db.sequences == (Sequence((((1, 1),),)), Sequence((((2, 1),),)))
+    assert parse_utility_table(f"1 3{newline}2 0.5{newline}").entries == {1: 3, 2: Fraction(1, 2)}
+    with pytest.raises(ParseError) as err:
+        parse_database(newline.join(["1:1 -1 -2", "bogus -2", ""]))
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_not_utf8_error_counts_lines_as_the_parser_does(tmp_path, newline):
+    bad = tmp_path / "bad.db"
+    # byte 0xff, which no UTF-8 text holds, is the fifth byte of line 3
+    bad.write_bytes(newline.join([b"# first", b"# second\xe2\x80\xa8", b"# ab\xff", b""]))
+    with pytest.raises(ParseError) as err:
+        load_database(bad, EXAMPLE_UT)
+    assert err.value.kind == ParseError.NOT_UTF8
+    assert (err.value.line, err.value.column) == (3, 5)
+
+
 def test_parse_utility_table_example():
     table = parse_utility_table(EXAMPLE_UT.read_text())
     assert table.entries == {
