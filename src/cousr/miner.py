@@ -270,12 +270,16 @@ def _pass_masks(pairs, rank: dict[int, int]) -> dict[int, int]:
 def _bond_passes(co_counts, bitvectors, min_bond: Fraction, rank) -> dict[int, int]:
     """Strategy 6's pass masks: per item, the items whose pair with it has a
     bond of at least ``min_bond``. ``co_counts`` is
-    :func:`cousr.rulecore.build_bond_matrix`; a pair's disjunctive support
+    :func:`cousr.rulecore.build_bond_matrix`: a
+    :class:`~cousr.rulecore.PairTable` whose int key ``ra * R + rb`` counts
+    the sequences holding items ``a < b``; a count is never 0, so its keys
+    are exactly the co-occurring pairs, read in bulk by
+    :meth:`~cousr.rulecore.PairTable.entries`. A pair's disjunctive support
     is ``sup_a + sup_b - co``."""
     bond_ok = _bond_test(min_bond)
     support = {item: vector.bit_count() for item, vector in bitvectors.items()}
     return _pass_masks(chain.from_iterable(
-        ((a, b), (b, a)) for (a, b), co in co_counts.items()
+        ((a, b), (b, a)) for a, b, co in co_counts.entries()
         if bond_ok(co, support[a] + support[b] - co)
     ), rank)
 
@@ -305,7 +309,7 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     stats.pruned_s1 = len(db.item_universe) - len(promising)
 
     pair_seu = rulecore.scan_rule_pairs(filtered)
-    kept = sorted(pair for pair, seu in pair_seu.items() if seu >= min_util_grid)
+    kept = [(a, b) for a, b, _ in pair_seu.entries(min_util_grid)]
     stats.pruned_s2 = len(pair_seu) - len(kept)
     stats.initial_rules_kept = len(kept)
     del pair_seu  # the search needs only the kept pairs; free the table first

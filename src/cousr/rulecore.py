@@ -92,24 +92,31 @@ formula is in :class:`SequenceTables`).
 All utility amounts in this module are integers on the utility table's grid
 (see :attr:`cousr.seqdb.UtilityTable.scale`).
 
-Two sparse pruning tables summarize item pairs:
+Two pruning tables summarize item pairs, each a :class:`PairTable`: a
+read-only mapping keyed ``(a, b)`` that holds exactly the pairs that occur,
+stored in an int-keyed dict under ``ra * R + rb``, where ``ra``, ``rb`` are
+the items' dense ranks among the database's ``R`` items. A pair occurs when
+some sequence holds it, so its key is present even if every such sequence
+adds 0.
 
-* bond matrix: unordered pair -> co-occurrence count ``co`` (the number of
-  sequences holding both items); absent pair means the items never
-  co-occur. The bond of the two-item itemset is derived from it and the
-  items' supports as ``co / (sup_a + sup_b - co)``, so the miner tests
-  ``bond >= min_bond`` by integer cross-multiplication.
+* bond matrix (:func:`build_bond_matrix`): unordered pair -> co-occurrence
+  count ``co`` (the number of sequences holding both items), keyed
+  (smaller, larger); absent pair means the items never co-occur. The bond
+  of the two-item itemset is derived from it and the items' supports as
+  ``co / (sup_a + sup_b - co)``, so the miner tests ``bond >= min_bond`` by
+  integer cross-multiplication.
 * rule-seu table ("ESUCS", :func:`scan_rule_pairs`): ordered pair (a, b) ->
   sequence-estimated utility of the rule a => b; absent means the rule never
-  occurs. The table is asymmetric because occurrence is order-sensitive.
+  occurs. The table is asymmetric because occurrence is order-sensitive. A
+  sequence of utility 0 adds 0, so a pair can occur with SEU 0: it is kept
+  at ``min_util`` 0 and counted in ``pruned_s2`` above it.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from itertools import chain, combinations
 from typing import NamedTuple
 
 from .measures import Rule
@@ -388,38 +395,100 @@ def build_utility_list(rule: Rule, tables: SequenceTables, sids: int) -> Utility
     return UtilityList(rule=rule, rows=tuple(rows))
 
 
-def build_bond_matrix(db: SequenceDatabase) -> dict[tuple[int, int], int]:
+class PairTable(Mapping):
+    """Item pair ``(a, b)`` -> an integer summed over the sequences holding
+    the pair, read-only.
+
+    The table is indexed by the dense ranks of its database's items
+    (:attr:`ranked`, ascending): pair ``(a, b)`` is key ``ra * R + rb`` of
+    :attr:`cells`, an int-keyed dict, where ``ra``, ``rb`` are the items'
+    ranks and ``R`` is the item count. A key is present exactly when the
+    pair occurs, that is, when some sequence holds it, even if every such
+    sequence adds 0 (a rule-SEU sequence of utility 0): a present cell may
+    hold 0. ``len()`` counts the occurring pairs.
+    """
+
+    def __init__(self, ranked: tuple[int, ...], rank: dict[int, int], cells: dict[int, int]):
+        self.ranked = ranked
+        self.rank = rank
+        self.cells = cells
+
+    def __getitem__(self, pair: tuple[int, int]) -> int:
+        try:
+            a, b = pair
+            return self.cells[self.rank[a] * len(self.ranked) + self.rank[b]]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(pair) from None
+
+    def __iter__(self):
+        return ((a, b) for a, b, _ in self.entries())
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def entries(self, floor: int = 0) -> Iterator[tuple[int, int, int]]:
+        """``(a, b, value)`` of each occurring pair whose value is at least
+        ``floor``, ascending by ``(a, b)``; the cells are filtered and sorted
+        in bulk, then yielded one at a time."""
+        cells, items, size = self.cells, self.ranked, len(self.ranked)
+        found = sorted(index for index, value in cells.items() if value >= floor)
+        return ((items[index // size], items[index % size], cells[index]) for index in found)
+
+
+def _ranked(db: SequenceDatabase) -> tuple[tuple[int, ...], dict[int, int], array, list[int]]:
+    """The database's items ascending, item -> rank, each occurrence's rank,
+    and rank -> ``rank * R``: the parts of a :class:`PairTable` key."""
+    items = tuple(sorted(db.item_universe))
+    rank = {item: rank for rank, item in enumerate(items)}
+    scaled = [r * len(items) for r in range(len(items))]
+    return items, rank, array("i", map(rank.__getitem__, db.items)), scaled
+
+
+def build_bond_matrix(db: SequenceDatabase) -> PairTable:
     """Co-occurrence count per co-occurring unordered item pair, keyed (smaller, larger).
 
     The bond of the pair is ``co / (sup_a + sup_b - co)``, where the supports
-    are the popcounts of the items' bit vectors.
+    are the popcounts of the items' bit vectors. Each sequence adds 1 under
+    the key ``ra * R + rb`` (``ra < rb``) of each pair of its items, so a
+    count is never 0.
     """
-    items = db.items
-    return Counter(chain.from_iterable(
-        combinations(sorted(items[start:end]), 2) for start, end in db.occurrence_spans()
-    ))
+    items, rank, ranks, scaled = _ranked(db)
+    cells: dict[int, int] = {}
+    get = cells.get
+    for start, end in db.occurrence_spans():
+        earlier: list[int] = []  # ra * R of the lower ranks of the sequence
+        for b in sorted(ranks[start:end]):
+            for a in earlier:
+                key = a + b
+                cells[key] = get(key, 0) + 1
+            earlier.append(scaled[b])
+    return PairTable(items, rank, cells)
 
 
-def scan_rule_pairs(db: SequenceDatabase) -> dict[tuple[int, int], int]:
+def scan_rule_pairs(db: SequenceDatabase) -> PairTable:
     """Ordered pair (a, b) -> SEU of the rule a => b, in grid units.
 
     One database scan over all ordered pairs (a before b, distinct
     itemsets). It feeds both the initial 1*1 rules (strategy 2) and the
-    rule-seu pruning table (strategy 7).
+    rule-seu pruning table (strategy 7). Each sequence adds its utility
+    under the key ``ra * R + rb`` of each of its ordered pairs. A sequence
+    of utility 0 stores 0, so a pair held only by such sequences occurs with
+    SEU 0.
     """
-    items, set_starts, seq_starts = db.items, db.set_starts, db.seq_starts
-    pairs: dict[tuple[int, int], int] = {}
-    for index, su in enumerate(db.grid_sequence_utilities):
-        earlier: list[int] = []
-        stops = set_starts[seq_starts[index]:seq_starts[index + 1] + 1]
+    items, rank, ranks, scaled = _ranked(db)
+    set_starts, seq_starts = db.set_starts, db.seq_starts
+    cells: dict[int, int] = {}
+    get = cells.get
+    for first, end, su in zip(seq_starts, seq_starts[1:], db.grid_sequence_utilities):
+        earlier: list[int] = []  # ra * R of the earlier itemsets' items
+        stops = set_starts[first:end + 1]
         start = stops[0]
         for stop in stops[1:]:
-            current = items[start:stop]
+            current = ranks[start:stop]
             for b in current:
                 for a in earlier:
-                    key = (a, b)
-                    pairs[key] = pairs.get(key, 0) + su
-            earlier.extend(current)
+                    key = a + b
+                    cells[key] = get(key, 0) + su
+            earlier += map(scaled.__getitem__, current)
             start = stop
-    return pairs
-
+    return PairTable(items, rank, cells)

@@ -76,7 +76,9 @@ def random_small_database(
     """A tiny random database within the exhaustive oracle's comfort zone.
 
     One run in four uses decimal unit utilities to exercise the non-integer
-    utility grid.
+    utility grid. Independently, one run in four gives each item a unit
+    utility of 0 with probability one half, so that some sequences are worth
+    0 and their pairs occur with a rule SEU of 0.
     """
     n_items = rng.randint(3, max_items)
     population = list(range(1, n_items + 1))
@@ -90,6 +92,8 @@ def random_small_database(
         entries = {item: Fraction(rng.randint(1, 40), 10) for item in population}
     else:
         entries = {item: Fraction(rng.randint(1, 10)) for item in population}
+    if rng.random() < 0.25:
+        entries.update((item, Fraction(0)) for item in population if rng.random() < 0.5)
     return SequenceDatabase.from_sequences(sequences, UtilityTable(entries=entries))
 
 

@@ -7,7 +7,7 @@ rows, so the tests can hold the package's fast paths against them.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import chain, combinations
 from math import ceil
@@ -131,6 +131,36 @@ def sids_of(mask: int) -> set[int]:
     """Decode a bit vector into the 1-based numbers of its sequences (the
     worked example's s1..s5)."""
     return {bit + 1 for bit in range(mask.bit_length()) if mask >> bit & 1}
+
+
+def rule_pair_seus(db: SequenceDatabase) -> dict[tuple[int, int], int]:
+    """Ordered pair (a, b) -> SEU of the rule a => b, in grid units, as a
+    tuple-keyed dict: one scan over all ordered pairs (a before b, distinct
+    itemsets). :func:`cousr.rulecore.scan_rule_pairs` must equal it."""
+    items, set_starts, seq_starts = db.items, db.set_starts, db.seq_starts
+    pairs: dict[tuple[int, int], int] = {}
+    for index, su in enumerate(db.grid_sequence_utilities):
+        earlier: list[int] = []
+        stops = set_starts[seq_starts[index]:seq_starts[index + 1] + 1]
+        start = stops[0]
+        for stop in stops[1:]:
+            current = items[start:stop]
+            for b in current:
+                for a in earlier:
+                    key = (a, b)
+                    pairs[key] = pairs.get(key, 0) + su
+            earlier.extend(current)
+            start = stop
+    return pairs
+
+
+def co_occurrence_counts(db: SequenceDatabase) -> Counter:
+    """Unordered pair (smaller, larger) -> the number of sequences holding
+    both items. :func:`cousr.rulecore.build_bond_matrix` must equal it."""
+    items = db.items
+    return Counter(chain.from_iterable(
+        combinations(sorted(items[start:end]), 2) for start, end in db.occurrence_spans()
+    ))
 
 
 def seu_of_item(item: int, db: SequenceDatabase) -> Fraction:

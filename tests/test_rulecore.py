@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from array import array
 from fractions import Fraction
 
@@ -27,12 +28,14 @@ from reference import (
     RuleAbsentError,
     class_sums,
     classify_expansion_items,
+    co_occurrence_counts,
     descendant_keys,
     grid_utilities,
     positions,
     random_expansions,
     rebuild_utility_list,
     row_offset,
+    rule_pair_seus,
     seu_of_rule,
     sids_mask,
     sids_of,
@@ -246,6 +249,83 @@ def test_scan_rule_pairs_agrees_with_direct_measures(example_db, tables):
         root = build_utility_list(rule, tables, sids=bitvectors[a] & bitvectors[b])
         assert sids_mask(root) == sids
     assert (B, A) not in pairs
+
+
+def random_sparse_database(rng) -> SequenceDatabase:
+    """A few short sequences over 1,000 items, some of unit utility 0."""
+    sequences = []
+    for _ in range(rng.randint(1, 12)):
+        items = rng.sample(range(1, 1001), rng.randint(1, 4))
+        cuts = sorted(rng.sample(range(1, len(items)), rng.randint(0, len(items) - 1)))
+        sequences.append(Sequence(tuple(
+            tuple(sorted((item, rng.randint(1, 3)) for item in items[start:stop]))
+            for start, stop in zip([0] + cuts, cuts + [len(items)])
+        )))
+    units = {item: Fraction(rng.choice((0, 0, 1, 5))) for item in range(1, 1001)}
+    return SequenceDatabase.from_sequences(sequences, UtilityTable(units))
+
+
+def assert_table_equals(table, reference):
+    """``table`` holds exactly the reference's pairs and values, in ascending
+    order, with the same strategy-2 count at every cut."""
+    assert dict(table.items()) == reference
+    assert len(table) == len(reference)
+    assert list(table) == sorted(reference)
+    assert all(((b, a) in table) == ((b, a) in reference) for a, b in reference)
+    values = set(reference.values())
+    for floor in sorted(values | {value + 1 for value in values} | {0, 1}):
+        kept = sorted((a, b, value) for (a, b), value in reference.items() if value >= floor)
+        entries = list(table.entries(floor))
+        assert entries == kept
+        # pruned_s2 as mine() counts it: the occurring pairs minus the kept ones
+        assert len(table) - len(entries) == len(reference) - len(kept)
+
+
+def test_pair_tables_match_the_reference():
+    # the small oracle databases and sparse ones over 1,000 items; both meet
+    # sequences of utility 0, whose pairs occur with an SEU of 0
+    zero_seu = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        db = random_small_database(rng) if seed % 2 else random_sparse_database(rng)
+        seus = rule_pair_seus(db)
+        zero_seu += 0 in seus.values()
+        assert_table_equals(scan_rule_pairs(db), seus)
+        assert_table_equals(build_bond_matrix(db), co_occurrence_counts(db))
+    assert zero_seu >= 5
+
+
+@pytest.mark.parametrize("unit", [2**63 - 1, 2**63, 2**64, 2**70])
+def test_rule_seu_cells_past_64_bits(unit):
+    # only item 2 has a unit utility, so rule 1 => 3 has the SEU ``unit``,
+    # which a signed 64-bit cell could not hold from 2**63 on
+    units = "".join(f"{item} {unit if item == 2 else 0}\n" for item in range(1, 5))
+    db = with_utilities(parse_database("1:1 -1 2:1 -1 3:1 -1 -2\n4:1 -1 -2\n"),
+                        parse_utility_table(units))
+    table = scan_rule_pairs(db)
+    assert_table_equals(table, rule_pair_seus(db))
+    assert table[(1, 3)] == unit
+    assert list(table.entries(unit)) == [(1, 2, unit), (1, 3, unit), (2, 3, unit)]
+
+
+def test_pair_tables_stay_small_on_many_items():
+    # 5,000 two-itemset sequences over 10,000 distinct items: both tables
+    # keep only their 5,000 pairs, where an R x R table would take 10**8 cells
+    db = SequenceDatabase.from_sequences(
+        (Sequence((((item, 1),), ((item + 1, 1),))) for item in range(1, 10_001, 2)),
+        UtilityTable({item: Fraction(1) for item in range(1, 10_001)}),
+    )
+    assert db.grid_sequence_utilities and db.item_universe  # cached before tracing
+    tracemalloc.start()
+    try:
+        seus = scan_rule_pairs(db)
+        co = build_bond_matrix(db)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(seus) == len(co) == 5_000
+    assert seus[(1, 2)] == 2 and co[(1, 2)] == 1 and (2, 3) not in co
+    assert peak < 4 * 2**20, peak
 
 
 # -- randomized invariants ----------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cousr.rulecore import scan_rule_pairs
 from cousr.synth import random_small_database, random_thresholds, synthesize_database
 
 from reference import positions
@@ -59,6 +60,18 @@ def test_random_small_database_sometimes_uses_decimal_utilities():
     }
     assert 1 in scales
     assert any(s > 1 for s in scales)
+
+
+def test_random_small_database_sometimes_has_pairs_of_rule_seu_0():
+    # items of unit utility 0 make some sequences worth 0, and a pair that
+    # only such sequences hold occurs with a rule SEU of 0
+    zero_units = zero_pairs = 0
+    for seed in range(300):
+        db = random_small_database(random.Random(seed))
+        zero_units += 0 in db.utilities.entries.values()
+        zero_pairs += 0 in scan_rule_pairs(db).values()
+    assert 40 <= zero_units <= 110
+    assert zero_pairs >= 5
 
 
 def test_random_thresholds_are_exact_and_in_range():
