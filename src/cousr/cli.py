@@ -13,6 +13,7 @@ import json
 import os
 import random
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -91,7 +92,15 @@ def _peak_rss_bytes() -> int | None:
     return peak if sys.platform == "darwin" else peak * 1024
 
 
-def report_payload(config: MinerConfig, variant: str, result: MiningResult) -> dict:
+def _timed_mine(db: SequenceDatabase, config: MinerConfig) -> tuple[MiningResult, float]:
+    """``mine(db, config)`` and its wall time in milliseconds."""
+    started = time.perf_counter()
+    result = mine(db, config)
+    return result, (time.perf_counter() - started) * 1000.0
+
+
+def report_payload(config: MinerConfig, variant: str, result: MiningResult, wall_ms: float) -> dict:
+    """The ``--report`` JSON; all but ``timing`` and ``peak_rss_bytes`` is deterministic."""
     return {
         "config": {
             "min_util": exact_text(config.min_util),
@@ -103,6 +112,7 @@ def report_payload(config: MinerConfig, variant: str, result: MiningResult) -> d
         },
         "rule_count": len(result.rules),
         "stats": result.stats.as_dict(),
+        "timing": {"wall_ms": wall_ms},
         "peak_rss_bytes": _peak_rss_bytes(),
     }
 
@@ -131,17 +141,17 @@ def cmd_mine(args) -> int:
         min_lift=args.min_lift,
         max_rule_side=None if args.max_side is None else _as_int(args.max_side, "--max-side"),
     )
-    result = mine(db, config)
+    result, wall_ms = _timed_mine(db, config)
     text = rules_csv_text(result)
     if args.out:
         _write_atomic(Path(args.out), text)
     else:
         sys.stdout.write(text)
     if args.report:
-        payload = report_payload(config, variant, result)
+        payload = report_payload(config, variant, result, wall_ms)
         _write_atomic(Path(args.report), json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(
-        f"mined {len(result.rules)} rules in {result.stats.wall_ms:.1f} ms"
+        f"mined {len(result.rules)} rules in {wall_ms:.1f} ms"
         f" (variant {variant})",
         file=sys.stderr,
     )
@@ -240,7 +250,7 @@ def cmd_bench(args) -> int:
     ]
     lines = [BENCH_HEADER]
     for variant, config in points:
-        result = mine(db, config)
+        result, wall_ms = _timed_mine(db, config)
         stats = result.stats
         lines.append(
             ";".join(
@@ -251,7 +261,7 @@ def cmd_bench(args) -> int:
                     str(stats.pruned_s6),
                     str(stats.pruned_s7),
                     str(stats.utility_lists_built),
-                    f"{stats.wall_ms:.1f}",
+                    f"{wall_ms:.1f}",
                 )
             )
         )

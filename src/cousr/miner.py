@@ -60,7 +60,6 @@ sequences.
 from __future__ import annotations
 
 import re
-import time
 from array import array
 from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
@@ -170,7 +169,8 @@ class MinerConfig:
 
 @dataclass
 class MiningStats:
-    """Counters mirroring the pruning strategies (s1..s7) plus build totals.
+    """Counters mirroring the pruning strategies (s1..s7) plus build totals,
+    each an integer that the inputs and config fix (the caller times a run).
 
     ``pruned_unpaired`` counts the s1-promising items that the pair
     reduction drops and ``pruned_child_bound`` the candidates the child
@@ -195,7 +195,6 @@ class MiningStats:
     utility_lists_built: int = 0
     utility_list_rows: int = 0
     row_tables: int = 0
-    wall_ms: float = 0.0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -270,11 +269,10 @@ def _pass_masks(pairs, rank: dict[int, int]) -> dict[int, int]:
 def _bond_passes(co_counts, bitvectors, min_bond: Fraction, rank) -> dict[int, int]:
     """Strategy 6's pass masks: per item, the items whose pair with it has a
     bond of at least ``min_bond``. ``co_counts`` is
-    :func:`cousr.rulecore.build_bond_matrix`: a
-    :class:`~cousr.rulecore.PairTable` whose int key ``ra * R + rb`` counts
-    the sequences holding items ``a < b``; a count is never 0, so its keys
-    are exactly the co-occurring pairs, read in bulk by
-    :meth:`~cousr.rulecore.PairTable.entries`. A pair's disjunctive support
+    :func:`cousr.rulecore.build_bond_matrix`, read through
+    :meth:`~cousr.rulecore.PairTable.entries`: ``(a, b, co)`` with ``a < b``
+    and ``co`` the number of sequences holding both, for exactly the
+    co-occurring pairs (a count is never 0). A pair's disjunctive support
     is ``sup_a + sup_b - co``."""
     bond_ok = _bond_test(min_bond)
     support = {item: vector.bit_count() for item, vector in bitvectors.items()}
@@ -301,7 +299,6 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
         raise ConfigError(f"expected a MinerConfig, got {type(config).__name__}")
     scale = db.require_utilities().scale
     min_util_grid = ceil(config.min_util * scale)
-    started = time.perf_counter()
     stats = MiningStats()
 
     promising, filtered = filter_unpromising_items(db, min_util_grid)
@@ -392,5 +389,4 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     rules = tuple(sorted(emitted))
     if len({(m.antecedent, m.consequent) for m in rules}) != len(rules):
         raise AssertionError("canonical enumeration produced a duplicate rule")
-    stats.wall_ms = (time.perf_counter() - started) * 1000.0
     return MiningResult(rules=rules, stats=stats)

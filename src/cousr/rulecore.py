@@ -92,12 +92,12 @@ formula is in :class:`SequenceTables`).
 All utility amounts in this module are integers on the utility table's grid
 (see :attr:`cousr.seqdb.UtilityTable.scale`).
 
-Two pruning tables summarize item pairs, each a :class:`PairTable`: a
-read-only mapping keyed ``(a, b)`` that holds exactly the pairs that occur,
-stored in an int-keyed dict under ``ra * R + rb``, where ``ra``, ``rb`` are
-the items' dense ranks among the database's ``R`` items. A pair occurs when
-some sequence holds it, so its key is present even if every such sequence
-adds 0.
+Two pruning tables summarize item pairs, each a :class:`PairTable` that
+holds exactly the pairs that occur, in an int-keyed dict under
+``ra * R + rb``, where ``ra``, ``rb`` are the items' dense ranks among the
+database's ``R`` items, and is read through :meth:`PairTable.entries` and
+``len()``. A pair occurs when some sequence holds it, so its key is present
+even if every such sequence adds 0.
 
 * bond matrix (:func:`build_bond_matrix`): unordered pair -> co-occurrence
   count ``co`` (the number of sequences holding both items), keyed
@@ -115,7 +115,7 @@ adds 0.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -292,8 +292,7 @@ class SequenceTables:
         self.sums: list[bytes | array | list[int] | None] = [None] * db.sequence_count
         self.masks = [0] * db.sequence_count
         self.upto = [0] * (len(db.set_starts) - 1 + db.sequence_count)
-        self.items = tuple(sorted(db.item_universe))
-        self.rank = {item: bit for bit, item in enumerate(self.items)}
+        self.items, self.rank = _item_ranks(db)
 
     def table(self, index: int) -> bytes | array | list[int]:
         """The ``index``-th sequence's ``sums``, filling its entries of every
@@ -395,12 +394,12 @@ def build_utility_list(rule: Rule, tables: SequenceTables, sids: int) -> Utility
     return UtilityList(rule=rule, rows=tuple(rows))
 
 
-class PairTable(Mapping):
+class PairTable:
     """Item pair ``(a, b)`` -> an integer summed over the sequences holding
-    the pair, read-only.
+    the pair, read through :meth:`entries` and ``len()``.
 
     The table is indexed by the dense ranks of its database's items
-    (:attr:`ranked`, ascending): pair ``(a, b)`` is key ``ra * R + rb`` of
+    (:attr:`items`, ascending): pair ``(a, b)`` is key ``ra * R + rb`` of
     :attr:`cells`, an int-keyed dict, where ``ra``, ``rb`` are the items'
     ranks and ``R`` is the item count. A key is present exactly when the
     pair occurs, that is, when some sequence holds it, even if every such
@@ -408,20 +407,9 @@ class PairTable(Mapping):
     hold 0. ``len()`` counts the occurring pairs.
     """
 
-    def __init__(self, ranked: tuple[int, ...], rank: dict[int, int], cells: dict[int, int]):
-        self.ranked = ranked
-        self.rank = rank
+    def __init__(self, items: tuple[int, ...], cells: dict[int, int]):
+        self.items = items
         self.cells = cells
-
-    def __getitem__(self, pair: tuple[int, int]) -> int:
-        try:
-            a, b = pair
-            return self.cells[self.rank[a] * len(self.ranked) + self.rank[b]]
-        except (KeyError, TypeError, ValueError):
-            raise KeyError(pair) from None
-
-    def __iter__(self):
-        return ((a, b) for a, b, _ in self.entries())
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -430,29 +418,34 @@ class PairTable(Mapping):
         """``(a, b, value)`` of each occurring pair whose value is at least
         ``floor``, ascending by ``(a, b)``; the cells are filtered and sorted
         in bulk, then yielded one at a time."""
-        cells, items, size = self.cells, self.ranked, len(self.ranked)
+        cells, items, size = self.cells, self.items, len(self.items)
         found = sorted(index for index, value in cells.items() if value >= floor)
         return ((items[index // size], items[index % size], cells[index]) for index in found)
 
 
-def _ranked(db: SequenceDatabase) -> tuple[tuple[int, ...], dict[int, int], array, list[int]]:
-    """The database's items ascending, item -> rank, each occurrence's rank,
-    and rank -> ``rank * R``: the parts of a :class:`PairTable` key."""
+def _item_ranks(db: SequenceDatabase) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The database's items ascending, and item -> its dense rank (its index there)."""
     items = tuple(sorted(db.item_universe))
-    rank = {item: rank for rank, item in enumerate(items)}
+    return items, {item: rank for rank, item in enumerate(items)}
+
+
+def _ranked(db: SequenceDatabase) -> tuple[tuple[int, ...], array, list[int]]:
+    """The database's items ascending, each occurrence's rank, and rank ->
+    ``rank * R``: the parts of a :class:`PairTable` key, which only the table reads."""
+    items, rank = _item_ranks(db)
     scaled = [r * len(items) for r in range(len(items))]
-    return items, rank, array("i", map(rank.__getitem__, db.items)), scaled
+    return items, array("i", map(rank.__getitem__, db.items)), scaled
 
 
 def build_bond_matrix(db: SequenceDatabase) -> PairTable:
-    """Co-occurrence count per co-occurring unordered item pair, keyed (smaller, larger).
-
-    The bond of the pair is ``co / (sup_a + sup_b - co)``, where the supports
-    are the popcounts of the items' bit vectors. Each sequence adds 1 under
-    the key ``ra * R + rb`` (``ra < rb``) of each pair of its items, so a
-    count is never 0.
+    """A :class:`PairTable`, read through ``entries()`` and ``len()``, of the
+    co-occurring unordered item pairs (smaller, larger) and their
+    co-occurrence counts. The bond of a pair is ``co / (sup_a + sup_b - co)``,
+    where the supports are the popcounts of the items' bit vectors. Each
+    sequence adds 1 under the key ``ra * R + rb`` (``ra < rb``) of each pair
+    of its items, so a count is never 0.
     """
-    items, rank, ranks, scaled = _ranked(db)
+    items, ranks, scaled = _ranked(db)
     cells: dict[int, int] = {}
     get = cells.get
     for start, end in db.occurrence_spans():
@@ -462,20 +455,20 @@ def build_bond_matrix(db: SequenceDatabase) -> PairTable:
                 key = a + b
                 cells[key] = get(key, 0) + 1
             earlier.append(scaled[b])
-    return PairTable(items, rank, cells)
+    return PairTable(items, cells)
 
 
 def scan_rule_pairs(db: SequenceDatabase) -> PairTable:
-    """Ordered pair (a, b) -> SEU of the rule a => b, in grid units.
+    """A :class:`PairTable`, read through ``entries()`` and ``len()``, of the
+    ordered pairs (a, b) and the SEU of the rule a => b, in grid units.
 
-    One database scan over all ordered pairs (a before b, distinct
-    itemsets). It feeds both the initial 1*1 rules (strategy 2) and the
-    rule-seu pruning table (strategy 7). Each sequence adds its utility
-    under the key ``ra * R + rb`` of each of its ordered pairs. A sequence
-    of utility 0 stores 0, so a pair held only by such sequences occurs with
-    SEU 0.
+    One database scan over all ordered pairs (a before b, distinct itemsets)
+    feeds both the initial 1*1 rules (strategy 2) and the rule-seu pruning
+    table (strategy 7). Each sequence adds its utility under the key
+    ``ra * R + rb`` of each of its ordered pairs. A sequence of utility 0
+    stores 0, so a pair held only by such sequences occurs with SEU 0.
     """
-    items, rank, ranks, scaled = _ranked(db)
+    items, ranks, scaled = _ranked(db)
     set_starts, seq_starts = db.set_starts, db.seq_starts
     cells: dict[int, int] = {}
     get = cells.get
@@ -491,4 +484,4 @@ def scan_rule_pairs(db: SequenceDatabase) -> PairTable:
                     cells[key] = get(key, 0) + su
             earlier += map(scaled.__getitem__, current)
             start = stop
-    return PairTable(items, rank, cells)
+    return PairTable(items, cells)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from cousr import measures
 from cousr.measures import MinedRule, Rule
 from cousr.miner import MinerConfig
-from cousr.rulecore import SequenceTables, UtilityList
+from cousr.rulecore import PairTable, SequenceTables, UtilityList
 from cousr.seqdb import Sequence, SequenceDatabase
 
 
@@ -131,6 +131,13 @@ def sids_of(mask: int) -> set[int]:
     """Decode a bit vector into the 1-based numbers of its sequences (the
     worked example's s1..s5)."""
     return {bit + 1 for bit in range(mask.bit_length()) if mask >> bit & 1}
+
+
+def pair_values(table: PairTable) -> dict[tuple[int, int], int]:
+    """A pair table as a tuple-keyed dict ``(a, b) -> value`` of its
+    occurring pairs, ascending, read through ``entries()`` (every value is
+    at least 0)."""
+    return {(a, b): value for a, b, value in table.entries()}
 
 
 def rule_pair_seus(db: SequenceDatabase) -> dict[tuple[int, int], int]:

@@ -36,6 +36,7 @@ from conftest import A, B, C, D, E, G
 from reference import (
     class_sums,
     descendant_keys,
+    pair_values,
     random_expansions,
     rebuild_utility_list,
     reference_mine,
@@ -199,7 +200,7 @@ def _assert_bounds_dominate(db):
     grid_utility = {(r.antecedent, r.consequent): int(r.utility * scale) for r in rules}
     tables = SequenceTables(db)
     bitvectors = build_item_bitvectors(db)
-    co_counts = build_bond_matrix(db)
+    co_counts = pair_values(build_bond_matrix(db))
     at_util = {}
 
     def pair_bond(a, b):
@@ -213,7 +214,7 @@ def _assert_bounds_dominate(db):
             continue
         if u not in at_util:
             promising, filtered = filter_unpromising_items(db, u)
-            pair_seu = scan_rule_pairs(filtered)
+            pair_seu = pair_values(scan_rule_pairs(filtered))
             paired = frozenset(chain.from_iterable(p for p, seu in pair_seu.items() if seu >= u))
             at_util[u] = promising, pair_seu, SequenceTables(keep_items(filtered, paired))
         promising, pair_seu, searched = at_util[u]
@@ -270,7 +271,7 @@ def test_incremental_expansion_equivalence_at_scale():
         cases = 0
         while cases < 10_000:
             db = random_small_database(rng)
-            pairs = sorted(scan_rule_pairs(db))
+            pairs = list(pair_values(scan_rule_pairs(db)))
             if not pairs:
                 continue
             tables = SequenceTables(db)

@@ -8,7 +8,7 @@ import pytest
 from cousr.rulecore import scan_rule_pairs
 from cousr.synth import random_small_database, random_thresholds, synthesize_database
 
-from reference import positions
+from reference import pair_values, positions
 
 
 def test_same_seed_same_database():
@@ -69,7 +69,7 @@ def test_random_small_database_sometimes_has_pairs_of_rule_seu_0():
     for seed in range(300):
         db = random_small_database(random.Random(seed))
         zero_units += 0 in db.utilities.entries.values()
-        zero_pairs += 0 in scan_rule_pairs(db).values()
+        zero_pairs += 0 in pair_values(scan_rule_pairs(db)).values()
     assert 40 <= zero_units <= 110
     assert zero_pairs >= 5
 
