@@ -287,13 +287,16 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
 
     The result is independent of the strategy-6/7 toggles; the stats are not.
 
-    Every input of the search, the recursive step ``grow``, is built first:
-    the row tables and item bit vectors of the reduced database, and the pass
-    masks of :func:`_pass_masks`. Strategy 7 keys right expansions by the
-    antecedent's last item (``s7_right``, the kept pairs ``a => b``) and
-    left ones by the consequent's last (``s7_left``, the kept pairs
-    reversed); strategy 6 (``s6_pass``, :func:`_bond_passes`) keys the last
-    item of the side that grows. ``None`` turns a strategy off.
+    Every input of the search, the recursive step ``grow``, is built first,
+    from the reduced database and in this order: its item bit vectors, its
+    items' dense ranks (:func:`cousr.rulecore.item_ranks`), the pass masks of
+    :func:`_pass_masks` over those ranks, and last the row tables, created
+    once both pair tables are freed (their entries fill on first use).
+    Strategy 7 keys right expansions by the antecedent's last item
+    (``s7_right``, the kept pairs ``a => b``) and left ones by the
+    consequent's last (``s7_left``, the kept pairs reversed); strategy 6
+    (``s6_pass``, :func:`_bond_passes`) keys the last item of the side that
+    grows. ``None`` turns a strategy off.
     """
     if not isinstance(config, MinerConfig):
         raise ConfigError(f"expected a MinerConfig, got {type(config).__name__}")
@@ -314,9 +317,8 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     stats.pruned_unpaired = len(promising) - len(paired)
     filtered = keep_items(filtered, paired)
 
-    tables = rulecore.SequenceTables(filtered)
     bitvectors = measures.build_item_bitvectors(filtered)
-    rank = tables.rank
+    _, rank = rulecore.item_ranks(filtered)
     s6_pass = s7_right = s7_left = None
     if config.bond_matrix_prune:
         s6_pass = _bond_passes(rulecore.build_bond_matrix(filtered), bitvectors,
@@ -324,6 +326,8 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     if config.esucs_prune:
         s7_right = _pass_masks(kept, rank)
         s7_left = _pass_masks(((b, a) for a, b in kept), rank)
+    # created once the bond table is freed, so its columns miss that peak
+    tables = rulecore.SequenceTables(filtered)
     bond_ok = _bond_test(config.min_bond)
     cap = config.max_rule_side
     emitted: list[MinedRule] = []

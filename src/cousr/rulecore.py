@@ -19,7 +19,8 @@ fail the order bound on the left and the position bound on the right, and
 consequent items the other way round. ``only_left`` / ``only_right`` /
 ``left_right`` partition the feasible items by which of the two hold.
 
-The utility-list of a rule has one row per supporting sequence::
+The utility-list of a rule has one row per supporting sequence, a plain
+tuple of six ints that the hot loops read by position::
 
     (seq_index, iutil, total, left_total, max_pos_x, min_pos_y)
 
@@ -117,34 +118,19 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .measures import Rule
 from .seqdb import SequenceDatabase
-
-# builds a row without the Python-level NamedTuple constructor (hot path)
-_new_tuple = tuple.__new__
 
 # (exclusive upper bound, typecode) of the unsigned arrays a table's sums may
 # use when a cell reaches 256 (below that, ``bytes``)
 _SUM_TYPECODES = tuple((1 << 8 * array(code).itemsize, code) for code in "HIQ")
 
 
-class UtilityListRow(NamedTuple):
-    """Per-sequence record of a utility-list (amounts in grid units)."""
-
-    seq_index: int
-    iutil: int
-    total: int
-    left_total: int
-    max_pos_x: int
-    min_pos_y: int
-
-
 @dataclass(frozen=True)
 class UtilityList:
     rule: Rule
-    rows: tuple[UtilityListRow, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def support(self) -> int:
@@ -152,15 +138,15 @@ class UtilityList:
 
     @property
     def utility(self) -> int:
-        return sum(row.iutil for row in self.rows)
+        return sum(row[1] for row in self.rows)
 
     @property
     def total(self) -> int:
-        return sum(row.total for row in self.rows)
+        return sum(row[2] for row in self.rows)
 
     @property
     def left_total(self) -> int:
-        return sum(row.left_total for row in self.rows)
+        return sum(row[3] for row in self.rows)
 
     def candidates(self, right: bool, tables: SequenceTables) -> int:
         """Mask (over the dense item ranks of ``tables``) of the items
@@ -292,7 +278,7 @@ class SequenceTables:
         self.sums: list[bytes | array | list[int] | None] = [None] * db.sequence_count
         self.masks = [0] * db.sequence_count
         self.upto = [0] * (len(db.set_starts) - 1 + db.sequence_count)
-        self.items, self.rank = _item_ranks(db)
+        self.items, self.rank = item_ranks(db)
 
     def table(self, index: int) -> bytes | array | list[int]:
         """The ``index``-th sequence's ``sums``, filling its entries of every
@@ -340,8 +326,9 @@ class SequenceTables:
 
     def row(
         self, index: int, iutil: int, base_x: int, base_y: int, max_pos_x: int, min_pos_y: int
-    ) -> UtilityListRow:
-        """A rule's row in the ``index``-th sequence, whose table is filled.
+    ) -> tuple[int, ...]:
+        """A rule's row in the ``index``-th sequence, whose table is filled: the
+        plain tuple of the module docstring.
 
         ``base_x`` / ``base_y`` are the table-row offsets (see the class
         docstring) of the rule's last antecedent / consequent item; the
@@ -352,9 +339,7 @@ class SequenceTables:
         lrutil = sums[both + min_pos_y - 1] - sums[both + max_pos_x]
         left_total = iutil + sums[base_x + min_pos_y - 1]
         right = sums[base_y + self.lasts[index]] - sums[base_y + max_pos_x]
-        return _new_tuple(UtilityListRow, (
-            index, iutil, left_total + right - lrutil, left_total, max_pos_x, min_pos_y,
-        ))
+        return index, iutil, left_total + right - lrutil, left_total, max_pos_x, min_pos_y
 
     def items_of(self, mask: int) -> list[int]:
         """The items of a mask, ascending."""
@@ -377,7 +362,7 @@ def build_utility_list(rule: Rule, tables: SequenceTables, sids: int) -> Utility
     through_a, through_b = (bit_a << 1) - 1, (bit_b << 1) - 1
     table_of, row_of = tables.table, tables.row
     masks, lasts = tables.masks, tables.lasts
-    rows: list[UtilityListRow] = []
+    rows = []
     for index in _set_bits(sids):
         sums = table_of(index)
         # a's and b's row offsets (see SequenceTables): the sequence's items up to each
@@ -423,8 +408,10 @@ class PairTable:
         return ((items[index // size], items[index % size], cells[index]) for index in found)
 
 
-def _item_ranks(db: SequenceDatabase) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The database's items ascending, and item -> its dense rank (its index there)."""
+def item_ranks(db: SequenceDatabase) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The database's items ascending, and item -> its dense rank (its index
+    there): the one ranking of the row tables, the pair tables and the
+    miner's pass masks."""
     items = tuple(sorted(db.item_universe))
     return items, {item: rank for rank, item in enumerate(items)}
 
@@ -432,7 +419,7 @@ def _item_ranks(db: SequenceDatabase) -> tuple[tuple[int, ...], dict[int, int]]:
 def _ranked(db: SequenceDatabase) -> tuple[tuple[int, ...], array, list[int]]:
     """The database's items ascending, each occurrence's rank, and rank ->
     ``rank * R``: the parts of a :class:`PairTable` key, which only the table reads."""
-    items, rank = _item_ranks(db)
+    items, rank = item_ranks(db)
     scaled = [r * len(items) for r in range(len(items))]
     return items, array("i", map(rank.__getitem__, db.items)), scaled
 

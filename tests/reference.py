@@ -124,7 +124,7 @@ def random_expansions(ul: UtilityList, tables: SequenceTables, rng, steps: int):
 
 def sids_mask(ul: UtilityList) -> int:
     """Bit vector of the sequences the utility-list has a row for."""
-    return sum(1 << row.seq_index for row in ul.rows)
+    return sum(1 << row[0] for row in ul.rows)
 
 
 def sids_of(mask: int) -> set[int]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+import weakref
 from dataclasses import fields
 from fractions import Fraction
 from math import ceil
@@ -29,7 +30,13 @@ from cousr.miner import (
     as_fraction,
     filter_unpromising_items,
 )
-from cousr.rulecore import SequenceTables, build_bond_matrix, build_utility_list, scan_rule_pairs
+from cousr.rulecore import (
+    SequenceTables,
+    build_bond_matrix,
+    build_utility_list,
+    item_ranks,
+    scan_rule_pairs,
+)
 from cousr.seqdb import Sequence, SequenceDatabase
 from cousr.synth import random_small_database, random_thresholds, synthesize_database
 
@@ -378,7 +385,7 @@ def test_bond_passes_match_exact_bond(seed):
     co_pairs = sorted(counts)
     drawn = rng.sample(co_pairs, min(3, len(co_pairs)))
     boundaries = [bond(pair, bitvectors).value for pair in drawn]
-    rank = SequenceTables(db).rank
+    _, rank = item_ranks(db)
     for min_bond in [Fraction(0), Fraction(1), *boundaries]:
         expected = {}
         for a, b in co_pairs:
@@ -509,6 +516,32 @@ def test_search_counters_under_a_side_cap_are_pinned(cap, s4, s5, s6, s7, child_
         "pruned_s7": s7, "pruned_child_bound": child_bound, "utility_lists_built": lists,
         "utility_list_rows": rows,
     }
+
+
+def test_pair_tables_are_freed_before_the_row_tables_are_built(monkeypatch):
+    # the row-table store's columns are allocated after the bond phase's peak:
+    # when it is created, both pair tables have been built and dropped
+    tables = {}
+
+    def keeping_a_weakref(build):
+        def wrapped(db):
+            table = build(db)
+            tables[build.__name__] = weakref.ref(table)
+            return table
+        return wrapped
+
+    for name in ("scan_rule_pairs", "build_bond_matrix"):
+        monkeypatch.setattr(rulecore, name, keeping_a_weakref(getattr(rulecore, name)))
+    freed_at_creation = []
+
+    class Tables(SequenceTables):
+        def __init__(self, db):
+            freed_at_creation.append({name: ref() is None for name, ref in tables.items()})
+            super().__init__(db)
+
+    monkeypatch.setattr(rulecore, "SequenceTables", Tables)
+    assert search_counters("s6s7") == S6S7_PINS
+    assert freed_at_creation == [{"scan_rule_pairs": True, "build_bond_matrix": True}]
 
 
 # -- confidence is not a recursion bound ------------------------------------------------------

@@ -176,21 +176,27 @@ def test_miner_matches_oracle_with_a_rule_side_cap(cap):
 
 
 def test_miner_matches_oracle_at_the_oracle_limits():
-    # random_small_database stays at 8 items and 8 sequences by default; these
-    # draws reach the oracle's limits of 12 items and 16 sequences. The oracle
-    # takes seconds per 12-item database, so the sample is six seeds with
-    # hundreds to thousands of rules: 33 (12 items, 4 sequences, 1,819
-    # rules), 306 (9 items, 16 sequences, 160 rules), 1049 (12 items, 16
-    # sequences, 480 rules), 1594 (11 items, 16 sequences, 732 rules), 1803
-    # (11 items, 15 sequences, 676 rules) and 1991 (12 items, 8 sequences,
-    # 2,835 rules, 6 items of unit utility 0). A draw change that shrinks a
-    # rule set below 100 fails here instead of thinning the sample.
-    sizes = []
-    for seed in (33, 306, 1049, 1594, 1803, 1991):
+    # random_small_database stays at 8 items and 8 sequences by default; this
+    # walk draws up to the oracle's limits of 12 items and 16 sequences and
+    # keeps a draw on which mine() finds at least 100 rules, until the sample
+    # holds six draws and reaches both limits; past six, only a draw at a
+    # limit the sample lacks joins, as the oracle takes seconds on some. The
+    # rule picks the sample, so a change to the draws needs no new hand pick.
+    limits = (12, 16)
+    sample, reached = [], set()
+    for seed in range(1000):
         db, config = _random_case(seed, max_items=12, max_sequences=16)
-        sizes.append((len(db.item_universe), db.sequence_count))
+        size = (len(db.item_universe), db.sequence_count)
+        at = {side for side, limit in enumerate(limits) if size[side] == limit} - reached
+        if (len(sample) >= 6 and not at) or len(mine(db, config).rules) < 100:
+            continue
+        sample.append((db, config))
+        reached |= at
+        if len(sample) >= 6 and len(reached) == len(limits):
+            break
+    else:
+        pytest.fail(f"1,000 draws give {len(sample)} draws reaching limits {sorted(reached)}")
+    for db, config in sample:
         expected = oracle_chusrs(db, config)
-        assert len(expected) >= 100, (seed, len(expected))
         for variant_config in _variant_configs(config):
             assert mine(db, variant_config).rules == expected
-    assert max(sizes) == (12, 16)

@@ -15,7 +15,6 @@ from cousr.miner import filter_unpromising_items
 from cousr.rulecore import (
     SequenceTables,
     UtilityList,
-    UtilityListRow,
     build_bond_matrix,
     build_utility_list,
     scan_rule_pairs,
@@ -79,12 +78,6 @@ def test_classify_rejects_non_occurring_rule(example_db):
 
 
 # -- utility-list construction -----------------------------------------------------
-
-def test_utility_list_row_fields():
-    assert UtilityListRow._fields == (
-        "seq_index", "iutil", "total", "left_total", "max_pos_x", "min_pos_y",
-    )
-
 
 def test_initial_utility_list_rows(example_db, tables):
     ul = rebuild_utility_list(AE, tables)
@@ -451,8 +444,9 @@ def test_tables_are_columns_with_no_object_per_sequence():
     for a, b in list(pair_values(scan_rule_pairs(db)))[:20]:
         ul = build_utility_list(Rule.of([a], [b]), tables, bitvectors[a] & bitvectors[b])
         for row in ul.rows:
+            assert type(row) is tuple
             assert all(type(field) is int for field in row)  # the row holds no buffer
-            assert tables.sums[row.seq_index] is not None
+            assert tables.sums[row[0]] is not None
     assert any(sums is not None for sums in tables.sums)
     for sums in tables.sums:
         assert sums is None or type(sums) in (bytes, array, list)
@@ -509,17 +503,17 @@ def test_table_sums_hold_positions_beyond_the_utility():
 def _assert_rows_match_classification(ul, db, tables):
     """Rows and candidates agree with the item-by-item reference classification."""
     left, right = set(), set()
-    for row in ul.rows:
-        assert tables.sums[row.seq_index] is not None  # filled before its rows
-        seq = db.sequences[row.seq_index]
+    for seq_index, iutil, total, left_total, max_pos_x, min_pos_y in ul.rows:
+        assert tables.sums[seq_index] is not None  # filled before its rows
+        seq = db.sequences[seq_index]
         position, grid = positions(seq), grid_utilities(seq, db)
         classes = classify_expansion_items(ul.rule, seq)
         lutil, rutil, lrutil = class_sums(ul.rule, seq, db)
-        assert row.iutil == sum(grid[item] for item in ul.rule.items)
-        assert row.total == row.iutil + lutil + rutil + lrutil
-        assert row.left_total == row.iutil + lutil + lrutil
-        assert row.max_pos_x == max(position[item] for item in ul.rule.antecedent)
-        assert row.min_pos_y == min(position[item] for item in ul.rule.consequent)
+        assert iutil == sum(grid[item] for item in ul.rule.items)
+        assert total == iutil + lutil + rutil + lrutil
+        assert left_total == iutil + lutil + lrutil
+        assert max_pos_x == max(position[item] for item in ul.rule.antecedent)
+        assert min_pos_y == min(position[item] for item in ul.rule.consequent)
         left |= classes.only_left | classes.left_right
         right |= classes.only_right | classes.left_right
     assert tables.items_of(ul.candidates(False, tables)) == sorted(left)
@@ -558,8 +552,8 @@ def test_utility_list_totals_match_direct_measures(seed, long):
         sids = rule_sids(rule, db)
         assert ul.support == sids.bit_count()
         assert sids_mask(ul) == sids
-        for row in ul.rows:
-            assert 0 <= row.iutil <= row.left_total <= row.total
+        for _, iutil, total, left_total, _, _ in ul.rows:
+            assert 0 <= iutil <= left_total <= total
 
 
 @pytest.mark.parametrize("seed", range(8))
