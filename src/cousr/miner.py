@@ -296,7 +296,8 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     (``s7_right``, the kept pairs ``a => b``) and left ones by the
     consequent's last (``s7_left``, the kept pairs reversed); strategy 6
     (``s6_pass``, :func:`_bond_passes`) keys the last item of the side that
-    grows. ``None`` turns a strategy off.
+    grows. ``None`` turns a strategy off; at ``min_bond`` 0 strategy 6 is
+    off too, as it would cut nothing.
     """
     if not isinstance(config, MinerConfig):
         raise ConfigError(f"expected a MinerConfig, got {type(config).__name__}")
@@ -320,7 +321,9 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     bitvectors = measures.build_item_bitvectors(filtered)
     _, rank = rulecore.item_ranks(filtered)
     s6_pass = s7_right = s7_left = None
-    if config.bond_matrix_prune:
+    # at min_bond 0 strategy 6 passes every candidate: each one shares a
+    # sequence with the grown side's last item, so it skips the bond table
+    if config.bond_matrix_prune and config.min_bond:
         s6_pass = _bond_passes(rulecore.build_bond_matrix(filtered), bitvectors,
                                config.min_bond, rank)
     if config.esucs_prune:

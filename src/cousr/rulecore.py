@@ -94,15 +94,18 @@ All utility amounts in this module are integers on the utility table's grid
 (see :attr:`cousr.seqdb.UtilityTable.scale`).
 
 Two pruning tables summarize item pairs, each a :class:`PairTable` that
-holds exactly the pairs that occur, in an int-keyed dict under
-``ra * R + rb``, where ``ra``, ``rb`` are the items' dense ranks among the
-database's ``R`` items, and is read through :meth:`PairTable.entries` and
-``len()``. A pair occurs when some sequence holds it, so its key is present
-even if every such sequence adds 0.
+holds exactly the pairs that occur, as one row per antecedent item: row
+``ra`` is a dict from ``rb`` to the pair's value, where ``ra``, ``rb`` are
+the items' dense ranks among the database's items. It is read through
+:meth:`PairTable.entries` and ``len()``. A pair occurs when some sequence
+holds it, so its cell is present even if every such sequence adds 0. A row
+costs about 230 B (a small dict and its slot), where a single dict keyed
+``ra * R + rb`` (``R`` items) would cost a 28 B int key per pair, so rows
+are the smaller layout from about 8 pairs per antecedent item.
 
 * bond matrix (:func:`build_bond_matrix`): unordered pair -> co-occurrence
-  count ``co`` (the number of sequences holding both items), keyed
-  (smaller, larger); absent pair means the items never co-occur. The bond
+  count ``co`` (the number of sequences holding both items), in the row of
+  the smaller item; absent pair means the items never co-occur. The bond
   of the two-item itemset is derived from it and the items' supports as
   ``co / (sup_a + sup_b - co)``, so the miner tests ``bond >= min_bond`` by
   integer cross-multiplication.
@@ -384,28 +387,37 @@ class PairTable:
     the pair, read through :meth:`entries` and ``len()``.
 
     The table is indexed by the dense ranks of its database's items
-    (:attr:`items`, ascending): pair ``(a, b)`` is key ``ra * R + rb`` of
-    :attr:`cells`, an int-keyed dict, where ``ra``, ``rb`` are the items'
-    ranks and ``R`` is the item count. A key is present exactly when the
-    pair occurs, that is, when some sequence holds it, even if every such
-    sequence adds 0 (a rule-SEU sequence of utility 0): a present cell may
-    hold 0. ``len()`` counts the occurring pairs.
+    (:attr:`items`, ascending) and kept as rows: ``rows[ra]`` is ``None`` or
+    a dict from the rank ``rb`` of each item ``b`` paired after ``a`` to
+    the pair's value, where ``ra``, ``rb`` are the items' ranks. Only a
+    rank that precedes some item has a row. A cell is present exactly when
+    the pair occurs, that is, when some sequence holds it, even if every
+    such sequence adds 0 (a rule-SEU sequence of utility 0): a present cell
+    may hold 0. ``len()`` counts the occurring pairs.
+
+    A row costs about 230 B (a small dict and its slot in :attr:`rows`),
+    where a single dict keyed ``ra * R + rb`` (``R`` items) costs a 28 B int
+    key per pair, so the rows are smaller from about 8 pairs per antecedent
+    item.
     """
 
-    def __init__(self, items: tuple[int, ...], cells: dict[int, int]):
+    def __init__(self, items: tuple[int, ...], rows: list[dict[int, int] | None]):
         self.items = items
-        self.cells = cells
+        self.rows = rows
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return sum(map(len, filter(None, self.rows)))
 
     def entries(self, floor: int = 0) -> Iterator[tuple[int, int, int]]:
         """``(a, b, value)`` of each occurring pair whose value is at least
-        ``floor``, ascending by ``(a, b)``; the cells are filtered and sorted
-        in bulk, then yielded one at a time."""
-        cells, items, size = self.cells, self.items, len(self.items)
-        found = sorted(index for index, value in cells.items() if value >= floor)
-        return ((items[index // size], items[index % size], cells[index]) for index in found)
+        ``floor``, ascending by ``(a, b)``; each row's cells are filtered and
+        sorted in bulk, then yielded one at a time."""
+        items = self.items
+        for ra, row in enumerate(self.rows):
+            if row:
+                a = items[ra]
+                for rb in sorted(rb for rb, value in row.items() if value >= floor):
+                    yield a, items[rb], row[rb]
 
 
 def item_ranks(db: SequenceDatabase) -> tuple[tuple[int, ...], dict[int, int]]:
@@ -416,12 +428,11 @@ def item_ranks(db: SequenceDatabase) -> tuple[tuple[int, ...], dict[int, int]]:
     return items, {item: rank for rank, item in enumerate(items)}
 
 
-def _ranked(db: SequenceDatabase) -> tuple[tuple[int, ...], array, list[int]]:
-    """The database's items ascending, each occurrence's rank, and rank ->
-    ``rank * R``: the parts of a :class:`PairTable` key, which only the table reads."""
+def _ranked(db: SequenceDatabase) -> tuple[tuple[int, ...], array]:
+    """The database's items ascending and each occurrence's rank: the
+    indices of a :class:`PairTable`'s rows and cells."""
     items, rank = item_ranks(db)
-    scaled = [r * len(items) for r in range(len(items))]
-    return items, array("i", map(rank.__getitem__, db.items)), scaled
+    return items, array("i", map(rank.__getitem__, db.items))
 
 
 def build_bond_matrix(db: SequenceDatabase) -> PairTable:
@@ -429,20 +440,24 @@ def build_bond_matrix(db: SequenceDatabase) -> PairTable:
     co-occurring unordered item pairs (smaller, larger) and their
     co-occurrence counts. The bond of a pair is ``co / (sup_a + sup_b - co)``,
     where the supports are the popcounts of the items' bit vectors. Each
-    sequence adds 1 under the key ``ra * R + rb`` (``ra < rb``) of each pair
-    of its items, so a count is never 0.
+    sequence adds 1 to the cell ``rb`` of row ``ra`` (``ra < rb``) of each
+    pair of its items, so a count is never 0; a sequence's highest rank
+    gets no row from it.
     """
-    items, ranks, scaled = _ranked(db)
-    cells: dict[int, int] = {}
-    get = cells.get
+    items, ranks = _ranked(db)
+    rows: list[dict[int, int] | None] = [None] * len(items)
     for start, end in db.occurrence_spans():
-        earlier: list[int] = []  # ra * R of the lower ranks of the sequence
-        for b in sorted(ranks[start:end]):
-            for a in earlier:
-                key = a + b
-                cells[key] = get(key, 0) + 1
-            earlier.append(scaled[b])
-    return PairTable(items, cells)
+        earlier: list[dict[int, int]] = []  # the rows of the lower ranks of the sequence
+        ordered = sorted(ranks[start:end])
+        for b in ordered:
+            for row in earlier:
+                row[b] = row.get(b, 0) + 1
+            if b != ordered[-1]:
+                row = rows[b]
+                if row is None:
+                    row = rows[b] = {}
+                earlier.append(row)
+    return PairTable(items, rows)
 
 
 def scan_rule_pairs(db: SequenceDatabase) -> PairTable:
@@ -451,24 +466,28 @@ def scan_rule_pairs(db: SequenceDatabase) -> PairTable:
 
     One database scan over all ordered pairs (a before b, distinct itemsets)
     feeds both the initial 1*1 rules (strategy 2) and the rule-seu pruning
-    table (strategy 7). Each sequence adds its utility under the key
-    ``ra * R + rb`` of each of its ordered pairs. A sequence of utility 0
-    stores 0, so a pair held only by such sequences occurs with SEU 0.
+    table (strategy 7). Each sequence adds its utility to the cell ``rb`` of
+    row ``ra`` of each of its ordered pairs; the items of its last itemset
+    get no row from it. A sequence of utility 0 stores 0, so a pair held
+    only by such sequences occurs with SEU 0.
     """
-    items, ranks, scaled = _ranked(db)
+    items, ranks = _ranked(db)
     set_starts, seq_starts = db.set_starts, db.seq_starts
-    cells: dict[int, int] = {}
-    get = cells.get
+    rows: list[dict[int, int] | None] = [None] * len(items)
     for first, end, su in zip(seq_starts, seq_starts[1:], db.grid_sequence_utilities):
-        earlier: list[int] = []  # ra * R of the earlier itemsets' items
+        earlier: list[dict[int, int]] = []  # the rows of the earlier itemsets' items
         stops = set_starts[first:end + 1]
-        start = stops[0]
+        start, last = stops[0], stops[-1]
         for stop in stops[1:]:
             current = ranks[start:stop]
             for b in current:
-                for a in earlier:
-                    key = a + b
-                    cells[key] = get(key, 0) + su
-            earlier += map(scaled.__getitem__, current)
+                for row in earlier:
+                    row[b] = row.get(b, 0) + su
+            if stop != last:
+                for a in current:
+                    row = rows[a]
+                    if row is None:
+                        row = rows[a] = {}
+                    earlier.append(row)
             start = stop
-    return PairTable(items, cells)
+    return PairTable(items, rows)

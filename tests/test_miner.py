@@ -342,6 +342,34 @@ def test_strategy_toggles_invariant_on_random_databases():
         assert len(variant_rules(db, **thresholds)) == 1, f"seed {seed}"
 
 
+def test_no_bond_table_at_min_bond_0(monkeypatch, example_db):
+    # every candidate shares a sequence with the grown side's last item, so
+    # at min_bond 0 strategy 6 would pass them all
+    calls = []
+
+    def counted(db):
+        calls.append(db)
+        return build_bond_matrix(db)
+
+    monkeypatch.setattr(rulecore, "build_bond_matrix", counted)
+    result = mine(example_db, MinerConfig.for_variant("s6s7", min_util=20, min_bond=0))
+    assert result.rules and calls == []
+    mine(example_db, MinerConfig.for_variant("s6s7", min_util=20, min_bond="1/100"))
+    assert len(calls) == 1
+
+
+def test_s6_at_min_bond_0_equals_base_on_random_databases():
+    mined = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        db = random_small_database(rng)
+        thresholds = dict(zip(GOLDEN_THRESHOLDS, random_thresholds(rng, db)), min_bond=0)
+        base, s6 = (mine(db, MinerConfig.for_variant(v, **thresholds)) for v in ("base", "s6"))
+        assert (s6.rules, s6.stats) == (base.rules, base.stats), f"seed {seed}"
+        mined += bool(base.rules)
+    assert mined >= 10
+
+
 def test_enabling_strategies_never_builds_more_utility_lists(example_db):
     built = {
         variant: mine(example_db, MinerConfig.for_variant(variant, min_util=20, min_bond="0.5"))

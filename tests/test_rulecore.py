@@ -20,7 +20,7 @@ from cousr.rulecore import (
     scan_rule_pairs,
 )
 from cousr.seqdb import Sequence, SequenceDatabase, UtilityTable
-from cousr.synth import random_small_database
+from cousr.synth import random_small_database, synthesize_database
 
 from conftest import A, B, C, D, E, F, G
 from reference import (
@@ -321,6 +321,23 @@ def test_pair_tables_stay_small_on_many_items():
     seus, co = pair_values(seus), pair_values(co)
     assert seus[(1, 2)] == 2 and co[(1, 2)] == 1 and (2, 3) not in co
     assert peak < 4 * 2**20, peak
+
+
+def test_pair_tables_stay_small_on_many_pairs_per_item():
+    # 2,000 sequences over 100 items: about 75 rule-SEU pairs per antecedent
+    # item, where one row of cells per item costs less than an int key per pair
+    db = synthesize_database(2_000, 100, 8, seed=0)
+    assert db.grid_sequence_utilities and db.item_universe  # cached before tracing
+    tracemalloc.start()
+    try:
+        seus = scan_rule_pairs(db)
+        co = build_bond_matrix(db)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    antecedents = {a for a, _, _ in seus.entries()}
+    assert len(seus) >= 50 * len(antecedents) and len(co) > 4_000
+    assert peak < 0.9 * 2**20, peak
 
 
 # -- randomized invariants ----------------------------------------------------------------
