@@ -3,7 +3,8 @@
 Outputs are machine-readable and deterministic given the inputs and flags,
 except for timing and memory fields. Exit codes: 0 success, 1 verification
 mismatch, 2 input parse or I/O error (such as an unwritable ``--out``),
-3 configuration error, 4 oracle limits exceeded.
+3 configuration error (such as an output path that names an input or another
+output), 4 oracle limits exceeded.
 """
 
 from __future__ import annotations
@@ -124,6 +125,21 @@ def _as_int(text, flag: str) -> int:
         raise ConfigError(f"{flag} must be an integer, got {quote(str(text))}") from None
 
 
+def _refuse_overwrites(args, outputs: tuple[str, ...]) -> None:
+    """Refuse an output flag whose path, after ``Path.resolve()``, names an
+    input (``--db``, ``--utils``) or an earlier output, before anything is
+    read or written."""
+    seen: dict[Path, str] = {}
+    for flag in ("--db", "--utils", *outputs):
+        value = getattr(args, flag[2:])
+        if not value:
+            continue
+        path = Path(value).resolve()
+        if path in seen and flag in outputs:
+            raise ConfigError(f"{flag} {quote(value)} names the same file as {seen[path]}")
+        seen.setdefault(path, flag)
+
+
 def _load(args) -> SequenceDatabase:
     if not args.db or not args.utils:
         raise ConfigError("--db and --utils are both required")
@@ -131,6 +147,7 @@ def _load(args) -> SequenceDatabase:
 
 
 def cmd_mine(args) -> int:
+    _refuse_overwrites(args, ("--out", "--report"))
     db = _load(args)
     variant = args.variant
     config = MinerConfig.for_variant(
@@ -235,6 +252,7 @@ def _parse_synthetic(spec: str) -> SequenceDatabase:
 
 
 def cmd_bench(args) -> int:
+    _refuse_overwrites(args, ("--out",))
     if args.synthetic:
         db = _parse_synthetic(args.synthetic)
     else:

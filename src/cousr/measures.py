@@ -59,10 +59,6 @@ class Rule:
         if set(self.antecedent) & set(self.consequent):
             raise ValueError("antecedent and consequent must be disjoint")
 
-    @classmethod
-    def of(cls, antecedent: Iterable[int], consequent: Iterable[int]) -> "Rule":
-        return cls(tuple(sorted(antecedent)), tuple(sorted(consequent)))
-
     @cached_property
     def items(self) -> tuple[int, ...]:
         return tuple(sorted(self.antecedent + self.consequent))

@@ -68,7 +68,7 @@ from itertools import chain, compress
 from math import ceil
 
 from . import measures, rulecore
-from .measures import MinedRule, Rule
+from .measures import MinedRule
 from .rulecore import UtilityList
 from .seqdb import SequenceDatabase, exact_decimal, exact_text, quote
 
@@ -337,10 +337,11 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
 
     def grow(ul: UtilityList, sids_x: int, sids_y: int, or_x: int, or_y: int,
              left_only: bool) -> None:
-        """Count the node ``ul``, emit its rule if it qualifies, then grow it right
+        """Count the node ``ul`` (the rule ``ul.antecedent => ul.consequent``
+        and its rows), emit the rule if it qualifies, then grow it right
         (unless ``left_only``) and left. ``sids_*``/``or_*`` are the
         intersection/union masks of the sides (support/disjunctive support)."""
-        x, y = ul.rule.antecedent, ul.rule.consequent
+        x, y = ul.antecedent, ul.consequent
         sup_rule = ul.support
         stats.utility_lists_built += 1
         stats.utility_list_rows += sup_rule
@@ -388,8 +389,7 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
                     grow(child, new_sids, sids_y, new_union, or_y, left_only=True)
 
     for a, b in kept:
-        ul = rulecore.build_utility_list(Rule((a,), (b,)), tables,
-                                         sids=bitvectors[a] & bitvectors[b])
+        ul = rulecore.build_utility_list(a, b, tables, sids=bitvectors[a] & bitvectors[b])
         grow(ul, bitvectors[a], bitvectors[b], bitvectors[a], bitvectors[b], left_only=False)
 
     stats.row_tables = sum(sums is not None for sums in tables.sums)

@@ -19,8 +19,9 @@ fail the order bound on the left and the position bound on the right, and
 consequent items the other way round. ``only_left`` / ``only_right`` /
 ``left_right`` partition the feasible items by which of the two hold.
 
-The utility-list of a rule has one row per supporting sequence, a plain
-tuple of six ints that the hot loops read by position::
+A rule's utility-list (:class:`UtilityList`) holds the rule's two sides, as
+ascending item tuples, and one row per supporting sequence, a plain tuple
+of six ints that the hot loops read by position::
 
     (seq_index, iutil, total, left_total, max_pos_x, min_pos_y)
 
@@ -96,12 +97,10 @@ All utility amounts in this module are integers on the utility table's grid
 Two pruning tables summarize item pairs, each a :class:`PairTable` that
 holds exactly the pairs that occur, as one row per antecedent item: row
 ``ra`` is a dict from ``rb`` to the pair's value, where ``ra``, ``rb`` are
-the items' dense ranks among the database's items. It is read through
-:meth:`PairTable.entries` and ``len()``. A pair occurs when some sequence
-holds it, so its cell is present even if every such sequence adds 0. A row
-costs about 230 B (a small dict and its slot), where a single dict keyed
-``ra * R + rb`` (``R`` items) would cost a 28 B int key per pair, so rows
-are the smaller layout from about 8 pairs per antecedent item.
+the items' dense ranks among the database's items (the class docstring
+gives the layout's cost). It is read through :meth:`PairTable.entries` and
+``len()``. A pair occurs when some sequence holds it, so its cell is
+present even if every such sequence adds 0.
 
 * bond matrix (:func:`build_bond_matrix`): unordered pair -> co-occurrence
   count ``co`` (the number of sequences holding both items), in the row of
@@ -120,9 +119,8 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .measures import Rule
 from .seqdb import SequenceDatabase
 
 # (exclusive upper bound, typecode) of the unsigned arrays a table's sums may
@@ -130,9 +128,12 @@ from .seqdb import SequenceDatabase
 _SUM_TYPECODES = tuple((1 << 8 * array(code).itemsize, code) for code in "HIQ")
 
 
-@dataclass(frozen=True)
-class UtilityList:
-    rule: Rule
+class UtilityList(NamedTuple):
+    """A rule ``antecedent => consequent`` (ascending item tuples) and its
+    rows, one per supporting sequence (the tuples of the module docstring)."""
+
+    antecedent: tuple[int, ...]
+    consequent: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
 
     @property
@@ -165,8 +166,7 @@ class UtilityList:
             for seq_index, _, _, _, _, min_pos_y in self.rows:
                 mask |= upto[starts[seq_index] + seq_index + min_pos_y - 1]
         if mask:
-            rule = self.rule
-            cut = tables.rank[rule.consequent[-1] if right else rule.antecedent[-1]] + 1
+            cut = tables.rank[self.consequent[-1] if right else self.antecedent[-1]] + 1
             mask = mask >> cut << cut
         return mask
 
@@ -184,21 +184,20 @@ class UtilityList:
         canonical descendant of it. A cut child costs one mask test per row
         and derives no row. Each row's table is ``tables.sums[seq_index]``.
 
-        :class:`Rule` raises ``ValueError`` when the item breaks the canonical
-        order constraint (it must exceed every item of the extended side) or
-        already belongs to the rule; a row whose sequence lacks the other
-        side's last item raises ``ValueError`` too.
+        An item that breaks the canonical order constraint (it must exceed
+        every item of the extended side) or already belongs to the rule
+        raises ``ValueError``; so does a row whose sequence lacks the other
+        side's last item.
         """
-        antecedent, consequent = self.rule.antecedent, self.rule.consequent
-        if right:
-            rule, fixed = Rule(antecedent, consequent + (item,)), antecedent[-1]
-        else:
-            rule, fixed = Rule(antecedent + (item,), consequent), consequent[-1]
+        antecedent, consequent = self.antecedent, self.consequent
+        grown, fixed = (consequent, antecedent) if right else (antecedent, consequent)
+        if item <= grown[-1] or item in fixed:
+            raise ValueError(f"item {item} cannot extend {antecedent} => {consequent}")
         rank, masks, lasts, row_of = tables.rank, tables.masks, tables.lasts, tables.row
         all_sums = tables.sums
         bit = 1 << rank[item]
         through = (bit << 1) - 1
-        fixed_bit = 1 << rank[fixed]
+        fixed_bit = 1 << rank[fixed[-1]]
         fixed_through = (fixed_bit << 1) - 1
         feasible = []
         bound = 0
@@ -224,7 +223,8 @@ class UtilityList:
         for (seq_index, iutil, _, _, max_pos_x, min_pos_y), base, pos in feasible:
             below = masks[seq_index] & fixed_through
             if below < fixed_bit:
-                raise ValueError(f"sequence {seq_index} lacks item {fixed} of rule {self.rule}")
+                raise ValueError(f"sequence {seq_index} lacks item {fixed[-1]}"
+                                 f" of {antecedent} => {consequent}")
             last, sums = lasts[seq_index], all_sums[seq_index]
             fixed_base = below.bit_count() * (last + 2)
             iutil += sums[base - 2] - sums[base + last]
@@ -234,7 +234,8 @@ class UtilityList:
             else:
                 rows.append(row_of(seq_index, iutil, base, fixed_base,
                                    pos if pos > max_pos_x else max_pos_x, min_pos_y))
-        return UtilityList(rule=rule, rows=tuple(rows))
+        child = (antecedent, consequent + (item,)) if right else (antecedent + (item,), consequent)
+        return UtilityList(*child, tuple(rows))
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -350,8 +351,8 @@ class SequenceTables:
         return [items[bit] for bit in _set_bits(mask)]
 
 
-def build_utility_list(rule: Rule, tables: SequenceTables, sids: int) -> UtilityList:
-    """The utility-list of a 1*1 rule ``a => b`` (a search root).
+def build_utility_list(a: int, b: int, tables: SequenceTables, sids: int) -> UtilityList:
+    """The utility-list of the 1*1 rule ``a => b`` (a search root).
 
     ``sids`` masks the sequences to scan (bit ``k`` for the ``k``-th);
     each must hold both items, and any superset of the supporting
@@ -359,7 +360,6 @@ def build_utility_list(rule: Rule, tables: SequenceTables, sids: int) -> Utility
     items' bit vectors. A masked sequence that lacks ``a`` or ``b`` raises
     ``ValueError``.
     """
-    (a,), (b,) = rule.antecedent, rule.consequent
     rank = tables.rank
     bit_a, bit_b = 1 << rank[a], 1 << rank[b]
     through_a, through_b = (bit_a << 1) - 1, (bit_b << 1) - 1
@@ -372,14 +372,14 @@ def build_utility_list(rule: Rule, tables: SequenceTables, sids: int) -> Utility
         mask, last = masks[index], lasts[index]
         below_x, below_y = mask & through_a, mask & through_b
         if below_x < bit_a or below_y < bit_b:
-            raise ValueError(f"sequence {index} lacks item {a} or {b} of rule {rule}")
+            raise ValueError(f"sequence {index} lacks item {a} or {b} of {a} => {b}")
         width = last + 2
         base_x, base_y = below_x.bit_count() * width, below_y.bit_count() * width
         max_pos_x, min_pos_y = sums[base_x + last + 1], sums[base_y + last + 1]
         if max_pos_x < min_pos_y:
             iutil = sums[base_x - 2] - sums[base_x + last] + sums[base_y - 2] - sums[base_y + last]
             rows.append(row_of(index, iutil, base_x, base_y, max_pos_x, min_pos_y))
-    return UtilityList(rule=rule, rows=tuple(rows))
+    return UtilityList((a,), (b,), tuple(rows))
 
 
 class PairTable:

@@ -11,7 +11,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import chain, combinations
 from math import ceil
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from cousr import measures
 from cousr.measures import MinedRule, Rule
@@ -30,6 +30,11 @@ class _ItemClasses(NamedTuple):
     left_right: frozenset[int]
 
 
+def rule_of(antecedent: Iterable[int], consequent: Iterable[int]) -> Rule:
+    """The rule of two item collections, each side sorted ascending."""
+    return Rule(tuple(sorted(antecedent)), tuple(sorted(consequent)))
+
+
 def positions(seq: Sequence) -> dict[int, int]:
     """Item -> 1-based index of its (unique) containing itemset."""
     return {item: pos for pos, itemset in enumerate(seq.itemsets, start=1) for item, _ in itemset}
@@ -41,8 +46,9 @@ def grid_utilities(seq: Sequence, db: SequenceDatabase) -> dict[int, int]:
     return {item: qty * units[item] for itemset in seq.itemsets for item, qty in itemset}
 
 
-def classify_expansion_items(rule: Rule, seq: Sequence) -> _ItemClasses:
-    """Partition the items that can extend the rule in this sequence.
+def classify_expansion_items(rule: Rule | UtilityList, seq: Sequence) -> _ItemClasses:
+    """Partition the items that can extend the rule (a :class:`Rule` or a
+    utility-list's two sides) in this sequence.
 
     Item by item from the feasibility definitions of :mod:`cousr.rulecore`;
     the row tables must agree with it.
@@ -57,7 +63,7 @@ def classify_expansion_items(rule: Rule, seq: Sequence) -> _ItemClasses:
         raise RuleAbsentError(f"rule {rule} does not occur in {seq}")
     last_x = rule.antecedent[-1]
     last_y = rule.consequent[-1]
-    members = set(rule.items)
+    members = set(rule.antecedent + rule.consequent)
     only_left, only_right, left_right = set(), set(), set()
     for item, pos in position.items():
         if item in members:
@@ -73,7 +79,9 @@ def classify_expansion_items(rule: Rule, seq: Sequence) -> _ItemClasses:
     return _ItemClasses(frozenset(only_left), frozenset(only_right), frozenset(left_right))
 
 
-def class_sums(rule: Rule, seq: Sequence, db: SequenceDatabase) -> tuple[int, int, int]:
+def class_sums(
+    rule: Rule | UtilityList, seq: Sequence, db: SequenceDatabase
+) -> tuple[int, int, int]:
     """The grid utilities of the rule's ``only_left``, ``only_right`` and
     ``left_right`` items in the sequence: ``lutil``, ``rutil``, ``lrutil``."""
     grid = grid_utilities(seq, db)
@@ -88,14 +96,16 @@ def row_offset(seq: Sequence, item: int) -> int:
     return (sorted(positions(seq)).index(item) + 1) * (len(seq.itemsets) + 2)
 
 
-def rebuild_utility_list(rule: Rule, tables: SequenceTables) -> UtilityList:
-    """A rule of any size's utility-list from scratch: positions and
-    utilities read from every sequence's itemsets, each row derived by
+def rebuild_utility_list(rule: Rule | UtilityList, tables: SequenceTables) -> UtilityList:
+    """A rule of any size's utility-list from scratch (the rule is a
+    :class:`Rule` or another list's two sides): positions and utilities read
+    from every sequence's itemsets, each row derived by
     :meth:`cousr.rulecore.SequenceTables.row` from its sequence's table."""
     db, rows = tables.db, []
+    members = set(rule.antecedent + rule.consequent)
     for index, seq in enumerate(db.sequences):
         position = positions(seq)
-        if not position.keys() >= set(rule.items):
+        if not position.keys() >= members:
             continue
         max_pos_x = max(position[item] for item in rule.antecedent)
         min_pos_y = min(position[item] for item in rule.consequent)
@@ -104,9 +114,9 @@ def rebuild_utility_list(rule: Rule, tables: SequenceTables) -> UtilityList:
             tables.table(index)
             base_x = row_offset(seq, rule.antecedent[-1])
             base_y = row_offset(seq, rule.consequent[-1])
-            iutil = sum(grid[item] for item in rule.items)
+            iutil = sum(grid[item] for item in members)
             rows.append(tables.row(index, iutil, base_x, base_y, max_pos_x, min_pos_y))
-    return UtilityList(rule=rule, rows=tuple(rows))
+    return UtilityList(rule.antecedent, rule.consequent, tuple(rows))
 
 
 def random_expansions(ul: UtilityList, tables: SequenceTables, rng, steps: int):

@@ -40,6 +40,7 @@ from reference import (
     random_expansions,
     rebuild_utility_list,
     reference_mine,
+    rule_of,
     seu_of_rule,
     sids_of,
 )
@@ -85,12 +86,12 @@ def test_golden_example(example_db):
 def test_intermediate_example_values(example_db):
     with criterion("intermediate worked-example values, exact"):
         bvs = build_item_bitvectors(example_db)
-        a_to_b = rule_sids(Rule.of([A], [B]), example_db)
+        a_to_b = rule_sids(rule_of([A], [B]), example_db)
         assert confidence(a_to_b, bvs[A]) == Fraction(2, 5)
-        assert rule_utility(Rule.of([A], [B]), example_db) == 24
+        assert rule_utility(rule_of([A], [B]), example_db) == 24
         assert seu_of_rule(a_to_b, example_db) == 62
         assert bond([A, B], bvs).value == 1
-        ab_g = rule_sids(Rule.of([A, B], [G]), example_db)
+        ab_g = rule_sids(rule_of([A, B], [G]), example_db)
         assert lift(ab_g, bvs[A] & bvs[B], bvs[G], example_db.sequence_count) == 1
         assert example_db.utilities.scale == 1
         assert example_db.grid_sequence_utilities == (21, 34, 28, 22, 42)
@@ -99,14 +100,14 @@ def test_intermediate_example_values(example_db):
         assert itemset_support([A, C], bvs) == 2
         assert itemset_dissup([A, C], bvs) == 5
         tables = SequenceTables(example_db)
-        ul = rebuild_utility_list(Rule.of([A], [E]), tables)
+        ul = rebuild_utility_list(rule_of([A], [E]), tables)
         # (seq_index, iutil, total, left_total, max_pos_x, min_pos_y); the
         # class sums (lutil, rutil, lrutil) are the paper's
         assert ul.rows[0] == (0, 9, 16, 14, 1, 2)
-        assert class_sums(ul.rule, example_db.sequences[0], example_db) == (5, 2, 0)
+        assert class_sums(ul, example_db.sequences[0], example_db) == (5, 2, 0)
         expanded = ul.expand(C, False, tables)
         assert expanded.rows[0] == (1, 16, 29, 25, 2, 4)
-        assert class_sums(expanded.rule, example_db.sequences[1], example_db) == (9, 4, 0)
+        assert class_sums(expanded, example_db.sequences[1], example_db) == (9, 4, 0)
 
 
 # 3 ------------------------------------------------------------------------------
@@ -240,9 +241,9 @@ def _assert_bounds_dominate(db):
                         f"{'s4 total' if right else 's5 left_total'} of {key} under {descendant}"
                     )
                 for item in row_tables.items_of(ul.candidates(right, row_tables)):
-                    child = ul.expand(item, right, row_tables).rule
+                    child = ul.expand(item, right, row_tables)[:2]
                     reach = max(grid_utility.get(descendant, 0) for descendant in
-                                descendant_keys(child.antecedent, child.consequent, items, right))
+                                descendant_keys(*child, items, right))
                     assert ul.expand(item, right, row_tables, reach) is not None, (
                         f"child bound of {key} cuts {child}"
                     )
@@ -277,11 +278,9 @@ def test_incremental_expansion_equivalence_at_scale():
             tables = SequenceTables(db)
             for _ in range(4):
                 a, b = pairs[rng.randrange(len(pairs))]
-                ul = rebuild_utility_list(Rule.of([a], [b]), tables)
+                ul = rebuild_utility_list(rule_of([a], [b]), tables)
                 for expanded in random_expansions(ul, tables, rng, 3):
-                    rebuilt = rebuild_utility_list(expanded.rule, tables)
-                    assert expanded.rule == rebuilt.rule
-                    assert expanded.rows == rebuilt.rows
+                    assert expanded == rebuild_utility_list(expanded, tables)
                     cases += 1
         assert cases >= 10_000
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 import cousr
-from cousr import Rule, cli, load_database
+from cousr import cli, load_database
 from cousr.cli import (
     BENCH_HEADER,
     EXIT_CONFIG,
@@ -39,6 +40,7 @@ from cousr.oracle import oracle_chusrs
 from cousr.seqdb import exact_text
 
 from conftest import EXAMPLE_DB, EXAMPLE_UT
+from reference import rule_of
 
 GOLDEN_FLAGS = ["--min-util", "50", "--min-conf", "0.7", "--min-bond", "0.3", "--min-lift", "1.1"]
 
@@ -192,7 +194,7 @@ def test_rule_csv_rows_reverify_against_measures(tmp_path):
     assert lines[0] == RULES_HEADER
     for line in lines[1:]:
         ant, cons, utility, support, conf, lift_text, bond_x, bond_y = line.split(";")
-        rule = Rule.of(map(int, ant.split(",")), map(int, cons.split(",")))
+        rule = rule_of(map(int, ant.split(",")), map(int, cons.split(",")))
         mask = rule_sids(rule, db)
         mask_x = reduce(and_, (bvs[item] for item in rule.antecedent))
         mask_y = reduce(and_, (bvs[item] for item in rule.consequent))
@@ -365,6 +367,28 @@ def test_failed_write_leaves_no_temporary_file(tmp_path):
     assert code == EXIT_PARSE
     assert target.is_dir()
     assert list(tmp_path.glob("*.tmp.*")) == []
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("mine", ["--out", "x.db"]),
+    ("mine", ["--out", "sub/../x.ut"]),
+    ("mine", ["--out", "rules.csv", "--report", "x.db"]),
+    ("mine", ["--out", "r.json", "--report", "r.json"]),
+    ("bench", ["--out", "x.ut"]),
+])
+def test_output_naming_an_input_or_another_output_is_config_error(
+    tmp_path, monkeypatch, capsys, command, outputs
+):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(EXAMPLE_DB, "x.db")
+    shutil.copy(EXAMPLE_UT, "x.ut")
+    (tmp_path / "sub").mkdir()
+    inputs = {name: (tmp_path / name).read_bytes() for name in ("x.db", "x.ut")}
+    code = main([command, "--db", "x.db", "--utils", "x.ut", *GOLDEN_FLAGS, *outputs])
+    assert code == EXIT_CONFIG
+    assert "names the same file as" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["sub", "x.db", "x.ut"]
+    assert {name: (tmp_path / name).read_bytes() for name in inputs} == inputs
 
 
 def test_verify_oracle_limit_exit_code(tmp_path):

@@ -26,7 +26,7 @@ from cousr.seqdb import SequenceDatabase
 from cousr.synth import random_small_database
 
 from conftest import A, B, C, D, E, F, G
-from reference import positions, seu_of_item, seu_of_rule, sids_of
+from reference import positions, rule_of, seu_of_item, seu_of_rule, sids_of
 
 
 # -- naive re-implementations used as local cross-checks ----------------------
@@ -89,32 +89,32 @@ def test_rule_validation():
         Rule((), (1,))
     with pytest.raises(ValueError):
         Rule((2, 1), (3,))
-    rule = Rule.of([4, 1], [7])
+    rule = rule_of([4, 1], [7])
     assert rule.antecedent == (1, 4)
     assert str(rule) == "{1,4}=>{7}"
 
 
 def test_rule_occurs_examples(example_db):
-    a_to_b = Rule.of([A], [B])
+    a_to_b = rule_of([A], [B])
     assert rule_occurs(a_to_b, example_db.sequences[1])
     assert not rule_occurs(a_to_b, example_db.sequences[0])  # same itemset
-    assert rule_occurs(Rule.of([B, D], [G]), example_db.sequences[4])
+    assert rule_occurs(rule_of([B, D], [G]), example_db.sequences[4])
     # consequent sharing an itemset with the antecedent does not count
-    assert not rule_occurs(Rule.of([E], [G]), example_db.sequences[1])
+    assert not rule_occurs(rule_of([E], [G]), example_db.sequences[1])
 
 
 def test_rule_sids_examples(example_db):
-    assert sids_of(rule_sids(Rule.of([A], [B]), example_db)) == {2, 3}
-    assert sids_of(rule_sids(Rule.of([A, B, D], [G]), example_db)) == {1, 2, 4, 5}
-    assert rule_sids(Rule.of([A], [99]), example_db) == 0
+    assert sids_of(rule_sids(rule_of([A], [B]), example_db)) == {2, 3}
+    assert sids_of(rule_sids(rule_of([A, B, D], [G]), example_db)) == {1, 2, 4, 5}
+    assert rule_sids(rule_of([A], [99]), example_db) == 0
 
 
 def test_confidence_examples(example_db):
     bvs = build_item_bitvectors(example_db)
-    r = rule_sids(Rule.of([A], [B]), example_db)
+    r = rule_sids(rule_of([A], [B]), example_db)
     assert confidence(r, bvs[A]) == Fraction(2, 5)
     assert confidence(bvs[A], bvs[A]) == 1
-    abd_eg = rule_sids(Rule.of([A, B, D], [E, G]), example_db)
+    abd_eg = rule_sids(rule_of([A, B, D], [E, G]), example_db)
     sids_abd = bvs[A] & bvs[B] & bvs[D]
     assert confidence(abd_eg, sids_abd) == Fraction(1, 2)
     with pytest.raises(UndefinedMeasureError):
@@ -124,9 +124,9 @@ def test_confidence_examples(example_db):
 def test_lift_examples(example_db):
     bvs = build_item_bitvectors(example_db)
     n = example_db.sequence_count
-    ab_g = rule_sids(Rule.of([A, B], [G]), example_db)
+    ab_g = rule_sids(rule_of([A, B], [G]), example_db)
     assert lift(ab_g, bvs[A] & bvs[B], bvs[G], n) == 1
-    abd_g = rule_sids(Rule.of([A, B, D], [G]), example_db)
+    abd_g = rule_sids(rule_of([A, B, D], [G]), example_db)
     assert lift(abd_g, bvs[A] & bvs[B] & bvs[D], bvs[G], n) == Fraction(5, 4)
     assert lift(0, bvs[A], bvs[G], n) == 0
     with pytest.raises(UndefinedMeasureError):
@@ -134,14 +134,14 @@ def test_lift_examples(example_db):
 
 
 def test_rule_utility_examples(example_db):
-    assert rule_utility(Rule.of([A], [B]), example_db) == 24
-    assert rule_utility(Rule.of([A, B, C, D], [G]), example_db) == 55
-    assert rule_utility(Rule.of([A, B, D], [E, G]), example_db) == 52
-    assert rule_utility(Rule.of([G], [A]), example_db) == 0  # never occurs
+    assert rule_utility(rule_of([A], [B]), example_db) == 24
+    assert rule_utility(rule_of([A, B, C, D], [G]), example_db) == 55
+    assert rule_utility(rule_of([A, B, D], [E, G]), example_db) == 52
+    assert rule_utility(rule_of([G], [A]), example_db) == 0  # never occurs
 
 
 def test_seu_examples(example_db):
-    assert seu_of_rule(rule_sids(Rule.of([A], [B]), example_db), example_db) == 62
+    assert seu_of_rule(rule_sids(rule_of([A], [B]), example_db), example_db) == 62
     assert seu_of_item(D, example_db) == 119
     assert seu_of_item(F, example_db) == 70
     assert seu_of_item(99, example_db) == 0
@@ -213,12 +213,12 @@ def test_confidence_anti_monotone_under_right_expansion(example_db):
         for y in items:
             if y == x:
                 continue
-            base = Rule.of([x], [y])
+            base = rule_of([x], [y])
             base_conf = confidence(rule_sids(base, example_db), bvs[x])
             for extra in items:
                 if extra in (x, y):
                     continue
-                grown = Rule.of([x], sorted({y, extra}))
+                grown = rule_of([x], sorted({y, extra}))
                 assert confidence(rule_sids(grown, example_db), bvs[x]) <= base_conf
 
 
@@ -228,12 +228,12 @@ def test_seu_dominates_rule_utility_and_expansions(example_db):
         for y in items:
             if y == x:
                 continue
-            rule = Rule.of([x], [y])
+            rule = rule_of([x], [y])
             mask = rule_sids(rule, example_db)
             seu = seu_of_rule(mask, example_db)
             assert rule_utility(rule, example_db) <= seu
             for extra in items:
                 if extra in (x, y):
                     continue
-                for grown in (Rule.of([x, extra], [y]), Rule.of([x], [y, extra])):
+                for grown in (rule_of([x, extra], [y]), rule_of([x], [y, extra])):
                     assert rule_utility(grown, example_db) <= seu

@@ -41,7 +41,7 @@ from cousr.seqdb import Sequence, SequenceDatabase
 from cousr.synth import random_small_database, random_thresholds, synthesize_database
 
 from conftest import A, B, C, D, E, F, G, EXAMPLE_DB, EXAMPLE_UT
-from reference import pair_values, positions, reference_mine, sids_mask, sids_of
+from reference import pair_values, positions, reference_mine, rule_of, sids_mask, sids_of
 
 GOLDEN_THRESHOLDS = dict(min_util=50, min_conf="0.7", min_bond="0.3", min_lift="1.1")
 
@@ -183,9 +183,9 @@ def initial_rules(db, min_util):
 
 def test_initial_rules_seu_threshold(example_db):
     keys = initial_rules(example_db, 50)
-    assert Rule.of([A], [B]) in keys  # SEU 62
+    assert rule_of([A], [B]) in keys  # SEU 62
     keys_63 = initial_rules(example_db, 63)
-    assert Rule.of([A], [B]) not in keys_63
+    assert rule_of([A], [B]) not in keys_63
 
 
 def test_initial_rules_need_two_itemsets():
@@ -197,10 +197,9 @@ def test_initial_rules_need_two_itemsets():
 
 def test_initial_rule_context_e_to_g(example_db):
     # e and g share an itemset in S2, so only S1, S4, S5 support e => g
-    rule = Rule.of([E], [G])
-    assert rule in initial_rules(example_db, 50)
+    assert rule_of([E], [G]) in initial_rules(example_db, 50)
     bitvectors = build_item_bitvectors(example_db)
-    ul = build_utility_list(rule, SequenceTables(example_db), sids=bitvectors[E] & bitvectors[G])
+    ul = build_utility_list(E, G, SequenceTables(example_db), sids=bitvectors[E] & bitvectors[G])
     assert sids_of(sids_mask(ul)) == {1, 4, 5}
     assert ul.support == 3
 
@@ -368,6 +367,30 @@ def test_s6_at_min_bond_0_equals_base_on_random_databases():
         assert (s6.rules, s6.stats) == (base.rules, base.stats), f"seed {seed}"
         mined += bool(base.rules)
     assert mined >= 10
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_mine_builds_no_rule_record(monkeypatch, example_db, variant):
+    # the search carries each rule as a utility-list's two item tuples; a
+    # Rule is only for rules that come from outside it
+    built = []
+    check = Rule.__post_init__
+
+    def counted(rule):
+        built.append(rule)
+        check(rule)
+
+    monkeypatch.setattr(Rule, "__post_init__", counted)
+    draws = (
+        (example_db, GOLDEN_THRESHOLDS),
+        (synthesize_database(300, 50, 6, seed=3),
+         dict(min_util=300, min_conf="0.3", min_bond="0.1", min_lift="0")),
+    )
+    for db, thresholds in draws:
+        result = mine(db, MinerConfig.for_variant(variant, **thresholds))
+        assert result.rules
+        assert result.stats.utility_lists_built > result.stats.initial_rules_kept
+    assert built == []
 
 
 def test_enabling_strategies_never_builds_more_utility_lists(example_db):

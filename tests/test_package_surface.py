@@ -2,7 +2,9 @@
 
 Every public top-level name of ``src/cousr/*.py`` must be used beyond its own
 definition somewhere in ``src/cousr/`` or ``perfbench/`` (the benchmark wraps
-some layers by name, as strings), or be exported in ``cousr.__all__``.
+some layers by name, as strings), or be exported in ``cousr.__all__``. Every
+public method or property of a package class must be used the same way; an
+export does not excuse a member.
 References that only the tests need live in ``tests/reference.py``, and each
 of its public top-level names must be used by some ``tests/test_*.py``.
 """
@@ -55,6 +57,22 @@ def test_every_public_name_is_used_or_exported():
         if not name.startswith("_")
         and name not in cousr.__all__
         and uses[name] <= _uses(node)[name]
+    ]
+    assert unused == []
+
+
+def test_every_public_class_member_is_used():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in USERS}
+    uses = sum((_uses(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{path.name}: {node.name}.{member.name}"
+        for path in PACKAGE
+        for node in trees[path].body
+        if isinstance(node, ast.ClassDef)
+        for member in node.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not member.name.startswith("_")
+        and uses[member.name] <= _uses(member)[member.name]
     ]
     assert unused == []
 

@@ -35,13 +35,14 @@ from reference import (
     random_expansions,
     rebuild_utility_list,
     row_offset,
+    rule_of,
     rule_pair_seus,
     seu_of_rule,
     sids_mask,
     sids_of,
 )
 
-AE = Rule.of([A], [E])
+AE = rule_of([A], [E])
 
 
 def tiny_db(text, utils="1 1\n2 1\n3 1\n4 1\n"):
@@ -66,15 +67,15 @@ def test_classify_examples(example_db):
 
 def test_classify_rule_covering_all_items():
     db = tiny_db("1:1 -1 2:1 -1 -2\n")
-    classes = classify_expansion_items(Rule.of([1], [2]), db.sequences[0])
+    classes = classify_expansion_items(rule_of([1], [2]), db.sequences[0])
     assert classes == (frozenset(), frozenset(), frozenset())
 
 
 def test_classify_rejects_non_occurring_rule(example_db):
     with pytest.raises(RuleAbsentError):
-        classify_expansion_items(Rule.of([A], [B]), example_db.sequences[0])
+        classify_expansion_items(rule_of([A], [B]), example_db.sequences[0])
     with pytest.raises(RuleAbsentError):
-        classify_expansion_items(Rule.of([A], [F]), example_db.sequences[0])
+        classify_expansion_items(rule_of([A], [F]), example_db.sequences[0])
 
 
 # -- utility-list construction -----------------------------------------------------
@@ -102,7 +103,7 @@ def test_initial_utility_list_rows(example_db, tables):
 def test_utility_list_of_larger_rule_from_scratch(example_db, tables):
     # the reference builds any rule size from scratch, with the rows its
     # expansion derives
-    rule = Rule.of([A, B], [E])
+    rule = rule_of([A, B], [E])
     ul = rebuild_utility_list(rule, tables)
     assert ul.rows == rebuild_utility_list(AE, tables).expand(B, False, tables).rows
     assert ul.utility == rule_utility(rule, example_db)
@@ -110,7 +111,7 @@ def test_utility_list_of_larger_rule_from_scratch(example_db, tables):
 
 
 def test_utility_list_of_absent_rule_is_empty(example_db, tables):
-    ul = rebuild_utility_list(Rule.of([G], [A]), tables)
+    ul = rebuild_utility_list(rule_of([G], [A]), tables)
     assert ul.rows == ()
     assert ul.total == 0
     assert ul.left_total == 0
@@ -118,7 +119,7 @@ def test_utility_list_of_absent_rule_is_empty(example_db, tables):
 
 def test_restricting_to_known_sids_gives_same_rows(example_db, tables):
     mask = rule_sids(AE, example_db)
-    assert build_utility_list(AE, tables, sids=mask).rows == rebuild_utility_list(AE, tables).rows
+    assert build_utility_list(A, E, tables, sids=mask).rows == rebuild_utility_list(AE, tables).rows
 
 
 @pytest.mark.parametrize("a,b", [(A, G), (C, E)])
@@ -127,7 +128,7 @@ def test_root_builder_refuses_a_sequence_without_an_item(example_db, tables, a, 
     assert not positions(example_db.sequences[2]).keys() & {C, G}
     bitvectors = build_item_bitvectors(example_db)
     with pytest.raises(ValueError, match="sequence 2 lacks"):
-        build_utility_list(Rule.of([a], [b]), tables, sids=bitvectors[a] & bitvectors[b] | 1 << 2)
+        build_utility_list(a, b, tables, sids=bitvectors[a] & bitvectors[b] | 1 << 2)
 
 
 # -- expansion ----------------------------------------------------------------------
@@ -135,26 +136,26 @@ def test_root_builder_refuses_a_sequence_without_an_item(example_db, tables, a, 
 def test_left_expansion_with_c_matches_worked_values(example_db, tables):
     parent = rebuild_utility_list(AE, tables)
     expanded = parent.expand(C, False, tables)
-    assert expanded.rule == Rule.of([A, C], [E])
+    assert expanded[:2] == ((A, C), (E,))
     assert expanded.rows == ((1, 16, 29, 25, 2, 4),)
-    assert class_sums(expanded.rule, example_db.sequences[1], example_db) == (9, 4, 0)
-    assert expanded.rows == rebuild_utility_list(expanded.rule, tables).rows
+    assert class_sums(expanded, example_db.sequences[1], example_db) == (9, 4, 0)
+    assert expanded.rows == rebuild_utility_list(expanded, tables).rows
 
 
 def test_right_expansion_with_g(example_db, tables):
     parent = rebuild_utility_list(AE, tables)
     expanded = parent.expand(G, True, tables)
     assert sids_of(sids_mask(expanded)) == {1, 2, 4, 5}
-    assert expanded.utility == rule_utility(Rule.of([A], [E, G]), example_db) == 59
-    assert expanded.rows == rebuild_utility_list(expanded.rule, tables).rows
+    assert expanded.utility == rule_utility(rule_of([A], [E, G]), example_db) == 59
+    assert expanded.rows == rebuild_utility_list(expanded, tables).rows
 
 
 @pytest.mark.parametrize(
-    "rule,item,right", [(Rule.of([C], [E]), G, True), (Rule.of([A], [G]), B, False)]
+    "rule,item,right", [(((C,), (E,)), G, True), (((A,), (G,)), B, False)]
 )
 def test_expansion_refuses_a_row_without_the_fixed_item(tables, rule, item, right):
     # a's rows for a => e, relabelled: the third sequence lacks c and g
-    corrupt = UtilityList(rule=rule, rows=rebuild_utility_list(AE, tables).rows)
+    corrupt = UtilityList(*rule, rebuild_utility_list(AE, tables).rows)
     with pytest.raises(ValueError, match="lacks item"):
         corrupt.expand(item, right, tables)
 
@@ -162,7 +163,7 @@ def test_expansion_refuses_a_row_without_the_fixed_item(tables, rule, item, righ
 def test_expansion_with_item_absent_from_all_rows():
     # item 4 exists in the db but never after the antecedent of 1 => 2
     tables = SequenceTables(tiny_db("4:1 1:1 -1 2:1 -1 -2\n1:1 -1 2:1 3:1 -1 -2\n"))
-    parent = rebuild_utility_list(Rule.of([1], [2]), tables)
+    parent = rebuild_utility_list(rule_of([1], [2]), tables)
     assert parent.support == 2
     expanded = parent.expand(4, True, tables)
     assert expanded.rows == ()
@@ -176,6 +177,13 @@ def test_expansion_order_constraint_violations(example_db, tables, item, side):
     parent = rebuild_utility_list(AE, tables)
     with pytest.raises(ValueError):
         parent.expand(item, side == "right", tables)
+
+
+@pytest.mark.parametrize("sides,right", [(((A, G), (E,)), True), (((A,), (E, G)), False)])
+def test_expansion_refuses_an_item_of_the_other_side(tables, sides, right):
+    # g follows the grown side's last item, but the rule already holds it
+    with pytest.raises(ValueError, match="cannot extend"):
+        rebuild_utility_list(rule_of(*sides), tables).expand(G, right, tables)
 
 
 # -- upper bounds --------------------------------------------------------------------
@@ -196,7 +204,7 @@ def test_total_bounded_by_rule_seu(example_db, tables):
         for y in sorted(example_db.item_universe):
             if x == y:
                 continue
-            rule = Rule.of([x], [y])
+            rule = rule_of([x], [y])
             ul = rebuild_utility_list(rule, tables)
             seu = seu_of_rule(sids_mask(ul), example_db)
             assert ul.total <= seu
@@ -237,10 +245,10 @@ def test_scan_rule_pairs_agrees_with_direct_measures(example_db, tables):
     pairs = pair_values(scan_rule_pairs(example_db))
     bitvectors = build_item_bitvectors(example_db)
     for (a, b), seu in pairs.items():
-        rule = Rule.of([a], [b])
+        rule = rule_of([a], [b])
         sids = rule_sids(rule, example_db)
         assert seu == seu_of_rule(sids, example_db)
-        root = build_utility_list(rule, tables, sids=bitvectors[a] & bitvectors[b])
+        root = build_utility_list(a, b, tables, sids=bitvectors[a] & bitvectors[b])
         assert sids_mask(root) == sids
     assert (B, A) not in pairs
 
@@ -352,9 +360,9 @@ def test_incremental_expansion_equals_rebuild(seed):
         return
     a, b = pairs[rng.randrange(len(pairs))]
     tables = SequenceTables(db)
-    ul = rebuild_utility_list(Rule.of([a], [b]), tables)
+    ul = rebuild_utility_list(rule_of([a], [b]), tables)
     for expanded in random_expansions(ul, tables, rng, 4):
-        assert expanded.rows == rebuild_utility_list(expanded.rule, tables).rows
+        assert expanded.rows == rebuild_utility_list(expanded, tables).rows
 
 
 def _long_database():
@@ -459,7 +467,7 @@ def test_tables_are_columns_with_no_object_per_sequence():
     tables = SequenceTables(db)
     bitvectors = build_item_bitvectors(db)
     for a, b in list(pair_values(scan_rule_pairs(db)))[:20]:
-        ul = build_utility_list(Rule.of([a], [b]), tables, bitvectors[a] & bitvectors[b])
+        ul = build_utility_list(a, b, tables, bitvectors[a] & bitvectors[b])
         for row in ul.rows:
             assert type(row) is tuple
             assert all(type(field) is int for field in row)  # the row holds no buffer
@@ -495,7 +503,7 @@ def test_table_sums_take_the_narrowest_unsigned_array(unit, typecode):
         assert type(sums) is array and sums.typecode == typecode
     assert max(sums) == 2 * unit + 1
     _assert_table_layout(db)
-    ul = rebuild_utility_list(Rule.of([1], [2]), tables)
+    ul = rebuild_utility_list(rule_of([1], [2]), tables)
     assert ul.utility == 2 * unit
     _assert_rows_match_classification(ul, db, tables)
 
@@ -524,13 +532,13 @@ def _assert_rows_match_classification(ul, db, tables):
         assert tables.sums[seq_index] is not None  # filled before its rows
         seq = db.sequences[seq_index]
         position, grid = positions(seq), grid_utilities(seq, db)
-        classes = classify_expansion_items(ul.rule, seq)
-        lutil, rutil, lrutil = class_sums(ul.rule, seq, db)
-        assert iutil == sum(grid[item] for item in ul.rule.items)
+        classes = classify_expansion_items(ul, seq)
+        lutil, rutil, lrutil = class_sums(ul, seq, db)
+        assert iutil == sum(grid[item] for item in ul.antecedent + ul.consequent)
         assert total == iutil + lutil + rutil + lrutil
         assert left_total == iutil + lutil + lrutil
-        assert max_pos_x == max(position[item] for item in ul.rule.antecedent)
-        assert min_pos_y == min(position[item] for item in ul.rule.consequent)
+        assert max_pos_x == max(position[item] for item in ul.antecedent)
+        assert min_pos_y == min(position[item] for item in ul.consequent)
         left |= classes.only_left | classes.left_right
         right |= classes.only_right | classes.left_right
     assert tables.items_of(ul.candidates(False, tables)) == sorted(left)
@@ -548,7 +556,7 @@ def test_rows_equal_class_sums_of_reference_classification(seed, long):
     tables = SequenceTables(db)
     for _ in range(3):
         a, b = pairs[rng.randrange(len(pairs))]
-        root = rebuild_utility_list(Rule.of([a], [b]), tables)
+        root = rebuild_utility_list(rule_of([a], [b]), tables)
         for ul in (root, *random_expansions(root, tables, rng, 5)):
             _assert_rows_match_classification(ul, db, tables)
 
@@ -561,9 +569,9 @@ def test_utility_list_totals_match_direct_measures(seed, long):
     tables = SequenceTables(db)
     bitvectors = build_item_bitvectors(db)
     for a, b in pair_values(scan_rule_pairs(db)):
-        rule = Rule.of([a], [b])
+        rule = rule_of([a], [b])
         ul = rebuild_utility_list(rule, tables)
-        assert build_utility_list(rule, tables, bitvectors[a] & bitvectors[b]).rows == ul.rows
+        assert build_utility_list(a, b, tables, bitvectors[a] & bitvectors[b]).rows == ul.rows
         scale = db.utilities.scale
         assert Fraction(ul.utility, scale) == rule_utility(rule, db)
         sids = rule_sids(rule, db)
@@ -582,8 +590,8 @@ def test_rows_across_several_mask_words(seed):
     tables = SequenceTables(db)
     bitvectors = build_item_bitvectors(db)
     a, b = rng.choice(list(pair_values(scan_rule_pairs(db))))
-    root = build_utility_list(Rule.of([a], [b]), tables, bitvectors[a] & bitvectors[b])
-    assert root.rows == rebuild_utility_list(root.rule, tables).rows
+    root = build_utility_list(a, b, tables, bitvectors[a] & bitvectors[b])
+    assert root.rows == rebuild_utility_list(root, tables).rows
     for ul in (root, *random_expansions(root, tables, rng, 5)):
-        assert ul.rows == rebuild_utility_list(ul.rule, tables).rows
+        assert ul.rows == rebuild_utility_list(ul, tables).rows
         _assert_rows_match_classification(ul, db, tables)
