@@ -1,10 +1,13 @@
 """Command-line surface: ``mine``, ``verify`` (oracle equivalence), ``bench``.
 
-Outputs are machine-readable and deterministic given the inputs and flags,
-except for timing and memory fields. Exit codes: 0 success, 1 verification
-mismatch, 2 input parse or I/O error (such as an unwritable ``--out``),
-3 configuration error (such as an output path that names an input or another
-output), 4 oracle limits exceeded.
+A run record is the JSON that ``mine --report`` writes for one ``mine()``
+run; ``bench`` writes one record per line, one line per (variant,
+``min_util``) point. Outputs are machine-readable and deterministic given the
+inputs and flags, except for each record's ``timing`` and ``peak_rss_bytes``.
+
+Exit codes: 0 success, 1 verification mismatch, 2 input parse or I/O error
+(such as an unwritable ``--out``), 3 configuration error (such as an output
+path that names an input or another output), 4 oracle limits exceeded.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ EXIT_CONFIG = 3
 EXIT_LIMITS = 4
 
 RULES_HEADER = "antecedent;consequent;utility;support;confidence;lift;bond_x;bond_y"
-BENCH_HEADER = "variant;minutil;rules;pruned_s6;pruned_s7;uls_built;ms"
 
 
 def format_fraction(value: Fraction) -> str:
@@ -93,16 +95,13 @@ def _peak_rss_bytes() -> int | None:
     return peak if sys.platform == "darwin" else peak * 1024
 
 
-def _timed_mine(db: SequenceDatabase, config: MinerConfig) -> tuple[MiningResult, float]:
-    """``mine(db, config)`` and its wall time in milliseconds."""
+def _mine_record(db: SequenceDatabase, config: MinerConfig, variant: str) -> tuple[MiningResult, dict]:
+    """``mine(db, config)`` and its run record, timed around ``mine()``; all
+    but ``timing`` and ``peak_rss_bytes`` is deterministic."""
     started = time.perf_counter()
     result = mine(db, config)
-    return result, (time.perf_counter() - started) * 1000.0
-
-
-def report_payload(config: MinerConfig, variant: str, result: MiningResult, wall_ms: float) -> dict:
-    """The ``--report`` JSON; all but ``timing`` and ``peak_rss_bytes`` is deterministic."""
-    return {
+    wall_ms = (time.perf_counter() - started) * 1000.0
+    return result, {
         "config": {
             "min_util": exact_text(config.min_util),
             "min_conf": exact_text(config.min_conf),
@@ -158,17 +157,16 @@ def cmd_mine(args) -> int:
         min_lift=args.min_lift,
         max_rule_side=None if args.max_side is None else _as_int(args.max_side, "--max-side"),
     )
-    result, wall_ms = _timed_mine(db, config)
+    result, record = _mine_record(db, config, variant)
     text = rules_csv_text(result)
     if args.out:
         _write_atomic(Path(args.out), text)
     else:
         sys.stdout.write(text)
     if args.report:
-        payload = report_payload(config, variant, result, wall_ms)
-        _write_atomic(Path(args.report), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_atomic(Path(args.report), json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(
-        f"mined {len(result.rules)} rules in {wall_ms:.1f} ms"
+        f"mined {len(result.rules)} rules in {record['timing']['wall_ms']:.1f} ms"
         f" (variant {variant})",
         file=sys.stderr,
     )
@@ -252,11 +250,10 @@ def _parse_synthetic(spec: str) -> SequenceDatabase:
 
 
 def cmd_bench(args) -> int:
+    if args.synthetic and (args.db or args.utils):
+        raise ConfigError("--synthetic excludes --db and --utils")
     _refuse_overwrites(args, ("--out",))
-    if args.synthetic:
-        db = _parse_synthetic(args.synthetic)
-    else:
-        db = _load(args)
+    db = _parse_synthetic(args.synthetic) if args.synthetic else _load(args)
     variants = VARIANTS if args.variant == "all" else [v.strip() for v in args.variant.split(",")]
     min_utils = sorted(as_fraction(tok) for tok in str(args.min_util).split(","))
     fixed = {"min_conf": args.min_conf, "min_bond": args.min_bond, "min_lift": args.min_lift}
@@ -266,24 +263,11 @@ def cmd_bench(args) -> int:
         for variant in variants
         for min_util in min_utils
     ]
-    lines = [BENCH_HEADER]
-    for variant, config in points:
-        result, wall_ms = _timed_mine(db, config)
-        stats = result.stats
-        lines.append(
-            ";".join(
-                (
-                    variant,
-                    exact_text(config.min_util),
-                    str(len(result.rules)),
-                    str(stats.pruned_s6),
-                    str(stats.pruned_s7),
-                    str(stats.utility_lists_built),
-                    f"{wall_ms:.1f}",
-                )
-            )
-        )
-    text = "\n".join(lines) + "\n"
+    # each point's result is dropped before the next run
+    text = "".join(
+        json.dumps(_mine_record(db, config, variant)[1], sort_keys=True) + "\n"
+        for variant, config in points
+    )
     if args.out:
         _write_atomic(Path(args.out), text)
     else:
@@ -324,13 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", default="0", help="base seed for --random")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="sweep thresholds/variants and emit a CSV of counters")
+    p_bench = sub.add_parser("bench", help="sweep thresholds/variants, one JSON run record per line")
     p_bench.add_argument("--db", help="sequence database file")
     p_bench.add_argument("--utils", help="unit utility file")
     p_bench.add_argument("--synthetic", help="n_seq,n_items,avg_len[,seed=0] synthetic database")
     _add_threshold_flags(p_bench, multi_util=True)
     p_bench.add_argument("--variant", default="all", help="comma-separated variants or 'all'")
-    p_bench.add_argument("--out", help="bench CSV path (stdout if omitted)")
+    p_bench.add_argument("--out", help="run records path, one JSON line each (stdout if omitted)")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -125,13 +125,14 @@ def _shown(value) -> str:
     return quote(value if isinstance(value, str) else repr(value))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MinerConfig:
     """Thresholds plus strategy toggles.
 
     ``bond_matrix_prune`` enables strategy 6, ``esucs_prune`` strategy 7;
     both default on (the full algorithm). ``max_rule_side`` caps the item
-    count of each rule side.
+    count of each rule side. Frozen, so every field stays as checked and
+    coerced here; ``dataclasses.replace`` runs the checks again.
     """
 
     min_util: Fraction = Fraction(0)
@@ -145,7 +146,7 @@ class MinerConfig:
     def __post_init__(self) -> None:
         for name in ("min_util", "min_conf", "min_bond", "min_lift"):
             value = as_fraction(getattr(self, name))
-            setattr(self, name, value)
+            object.__setattr__(self, name, value)
             # every threshold is >= 0; confidence and bond are also <= 1
             ratio = name in ("min_conf", "min_bond")
             if value < 0 or (ratio and value > 1):

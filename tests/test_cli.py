@@ -17,7 +17,6 @@ import pytest
 import cousr
 from cousr import cli, load_database
 from cousr.cli import (
-    BENCH_HEADER,
     EXIT_CONFIG,
     EXIT_LIMITS,
     EXIT_OK,
@@ -51,6 +50,15 @@ GOLDEN_CSV = (
     "1,4;7;54;4;1;1.25;0.8;1\n"
     "2,4;7;53;4;1;1.25;0.8;1\n"
 )
+
+
+def read_records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def deterministic(record):
+    """A run record without its timing and memory fields."""
+    return {key: value for key, value in record.items() if key not in ("timing", "peak_rss_bytes")}
 
 
 def run_mine(tmp_path, *extra, out="rules.csv"):
@@ -153,13 +161,13 @@ def test_thresholds_are_echoed_exactly(tmp_path):
         assert code == EXIT_OK
         assert json.loads(report.read_text())["config"]["min_util"] == written
         assert as_fraction(written) == as_fraction(flag)
-    out = tmp_path / "bench.csv"
+    out = tmp_path / "bench.jsonl"
     long_flags = [flag for flag, _ in LONG_THRESHOLDS]
     code = main(["bench", "--db", str(EXAMPLE_DB), "--utils", str(EXAMPLE_UT), "--variant", "s6s7",
                  "--min-util", ",".join(["0.0000001", "0.0000002", "1/3", *long_flags]),
                  "--out", str(out)])
     assert code == EXIT_OK
-    minutils = [line.split(";")[1] for line in out.read_text().splitlines()[1:]]
+    minutils = [record["config"]["min_util"] for record in read_records(out)]
     assert minutils == ["0.0000001", "0.0000002", "1/3", *(text for _, text in LONG_THRESHOLDS)]
 
 
@@ -179,10 +187,8 @@ def test_report_deterministic_outside_timing(tmp_path):
     run_mine(tmp_path, "--report", str(r1), out="a.csv")
     run_mine(tmp_path, "--report", str(r2), out="b.csv")
     a, b = json.loads(r1.read_text()), json.loads(r2.read_text())
-    for payload in (a, b):
-        payload.pop("timing")
-        payload.pop("peak_rss_bytes")
-    assert a == b
+    assert "timing" in a and "peak_rss_bytes" in a
+    assert deterministic(a) == deterministic(b)
 
 
 def test_rule_csv_rows_reverify_against_measures(tmp_path):
@@ -414,23 +420,46 @@ def test_verify_checks_thresholds_before_the_oracle(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err.startswith("cousr: config error:")
 
 
+README_BENCH_FLAGS = [
+    "--db", str(EXAMPLE_DB), "--utils", str(EXAMPLE_UT),
+    "--min-util", "0,50,80", "--min-conf", "0.7", "--min-bond", "0.3", "--min-lift", "1.1",
+    "--variant", "all",
+]
+
+
 def test_bench_sweep_on_example(tmp_path):
-    out = tmp_path / "bench.csv"
-    code = main(
-        ["bench", "--db", str(EXAMPLE_DB), "--utils", str(EXAMPLE_UT),
-         "--min-util", "0,50,80", "--min-conf", "0.7", "--min-bond", "0.3",
-         "--min-lift", "1.1", "--variant", "all", "--out", str(out)]
-    )
+    out = tmp_path / "bench.jsonl"
+    code = main(["bench", *README_BENCH_FLAGS, "--out", str(out)])
     assert code == EXIT_OK
-    lines = out.read_text().splitlines()
-    assert lines[0] == BENCH_HEADER
-    assert len(lines) == 1 + 4 * 3
+    records = read_records(out)
+    assert len(records) == 4 * 3
     by_variant: dict[str, list[int]] = {}
-    for line in lines[1:]:
-        variant, minutil, rules, *_ = line.split(";")
-        by_variant.setdefault(variant, []).append(int(rules))
+    for record in records:
+        by_variant.setdefault(record["config"]["variant"], []).append(record["rule_count"])
+    assert list(by_variant) == list(VARIANTS)
     for counts in by_variant.values():
-        assert counts == sorted(counts, reverse=True)  # non-increasing in minutil
+        assert counts == sorted(counts, reverse=True)  # non-increasing in min_util
+
+
+def test_bench_points_are_mine_report_records(tmp_path):
+    # each line is the record `mine --report` writes for its variant and cut,
+    # key for key; only timing and peak_rss_bytes may differ between runs
+    out = tmp_path / "bench.jsonl"
+    assert main(["bench", *README_BENCH_FLAGS, "--out", str(out)]) == EXIT_OK
+    records = read_records(out)
+    expected = []
+    report = tmp_path / "report.json"
+    for variant in VARIANTS:
+        for min_util in ("0", "50", "80"):
+            code, _ = run_mine(tmp_path, "--min-util", min_util, "--variant", variant,
+                               "--report", str(report))
+            assert code == EXIT_OK
+            expected.append(json.loads(report.read_text()))
+    assert [sorted(record) for record in records] == [sorted(record) for record in expected]
+    assert list(map(deterministic, records)) == list(map(deterministic, expected))
+    assert all(record["timing"]["wall_ms"] > 0 for record in records)
+    assert main(["bench", *README_BENCH_FLAGS, "--out", str(out)]) == EXIT_OK
+    assert list(map(deterministic, read_records(out))) == list(map(deterministic, records))
 
 
 def test_bench_single_point_synthetic(tmp_path, capsys):
@@ -440,8 +469,21 @@ def test_bench_single_point_synthetic(tmp_path, capsys):
     )
     assert code == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2
-    assert lines[1].startswith("s6s7;30;")
+    assert len(lines) == 1
+    config = json.loads(lines[0])["config"]
+    assert (config["variant"], config["min_util"]) == ("s6s7", "30")
+
+
+@pytest.mark.parametrize(
+    "files", [["--db", "x.db"], ["--utils", "x.ut"], ["--db", "x.db", "--utils", "x.ut"]]
+)
+def test_bench_synthetic_with_input_files_is_config_error(files, monkeypatch, capsys):
+    # the files would be silently ignored; nothing is read or generated
+    monkeypatch.setattr(cli, "load_database", lambda *args: pytest.fail("read the input files"))
+    monkeypatch.setattr(cli.synth, "synthesize_database", lambda *args: pytest.fail("generated"))
+    code = main(["bench", "--synthetic", "60,12,5,9", *files, "--min-util", "30"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("cousr: config error: --synthetic excludes")
 
 
 def test_bench_seed_flag_is_gone(capsys):
@@ -464,18 +506,18 @@ def test_bench_synthetic_spec_out_of_range_is_config_error(spec, capsys):
 
 
 def test_bench_variant_subset(tmp_path):
-    out = tmp_path / "bench.csv"
+    out = tmp_path / "bench.jsonl"
     code = main(
         ["bench", "--db", str(EXAMPLE_DB), "--utils", str(EXAMPLE_UT),
          "--min-util", "50", "--variant", "s6,s7", "--out", str(out)]
     )
     assert code == EXIT_OK
-    variants = [line.split(";")[0] for line in out.read_text().splitlines()[1:]]
+    variants = [record["config"]["variant"] for record in read_records(out)]
     assert variants == ["s6", "s7"]
 
 
 def test_bench_unknown_variant_is_config_error_before_any_run(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "bench.csv"
+    out = tmp_path / "bench.jsonl"
     monkeypatch.setattr(cli, "mine", lambda *args: pytest.fail("mined before the variants were checked"))
     code = main(
         ["bench", "--db", str(EXAMPLE_DB), "--utils", str(EXAMPLE_UT),

@@ -3,7 +3,7 @@ from __future__ import annotations
 import gc
 import random
 import weakref
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from math import ceil
 
@@ -111,6 +111,19 @@ def test_long_config_value_is_quoted_as_an_excerpt(make):
 def test_unknown_variant_rejected():
     with pytest.raises(ConfigError):
         MinerConfig.for_variant("s8")
+
+
+def test_config_is_frozen_and_replace_rechecks(example_db):
+    # mine() trusts the checked fields: an assignment would skip the checks
+    # (min_conf 5 silently mines nothing) and the coercion (a float min_util)
+    config = MinerConfig(**GOLDEN_THRESHOLDS)
+    for name, value in (("min_conf", 5), ("min_util", 50.00000000000001)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, value)
+    assert len(mine(example_db, config).rules) == 4
+    with pytest.raises(ConfigError):
+        replace(config, min_conf=5)
+    assert replace(config, min_util=0.5).min_util == Fraction(1, 2)
 
 
 # -- filter phase --------------------------------------------------------------------
