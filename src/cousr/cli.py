@@ -205,6 +205,8 @@ def _verify_random_seed(seed: int) -> list[str]:
 
 def cmd_verify(args) -> int:
     if args.random is not None:
+        if args.db or args.utils:
+            raise ConfigError("--random excludes --db and --utils")
         count = _as_int(args.random, "--random")
         if count < 0:
             raise ConfigError(f"--random must be >= 0, got {count}")

@@ -15,10 +15,12 @@ and lift (``min_lift``). The search:
    right (consequent) expansions first, then left; a left expansion is never
    followed by a right one, which makes the enumeration canonical.
 
-The search is one recursive step per node, nested in :func:`mine`; its
-cuts (s3 to s7 and the child bound) are made and counted there. The step
-counts the node, emits its rule if it qualifies, then grows it right (unless
-it came from a left expansion) and left. A direction is gated by
+The search is one loop in :func:`mine` over a stack of generators nested in
+it: ``roots`` yields the kept pairs' utility-lists, and ``node`` counts a
+node, emits its rule if it qualifies, then yields its children, right (unless
+it came from a left expansion) then left; it makes and counts the cuts (s3 to
+s7 and the child bound). No function calls itself, so rule size is not bounded
+by the interpreter's recursion limit. A direction is gated by
 ``max_rule_side``, then by the utility-list bounds: the rows' summed
 ``total`` for right subtrees (strategy 4), ``left_total`` for left ones
 (strategy 5). Its candidates are one item mask
@@ -31,7 +33,7 @@ side (strategy 3) and the child bound, which
 building the child's utility-list only when it reaches ``min_util``.
 Strategies 6 and 7 are sound, so toggling them never changes the mined rule
 set, only the stats: which check cuts a candidate and, where no later check
-would, how many utility-lists are built. Confidence gates no recursion: a low-confidence
+would, how many utility-lists are built. Confidence gates no descent: a low-confidence
 rule can still have high-confidence left descendants, because left
 expansions shrink the antecedent's support (see the counterexample in the
 test suite).
@@ -46,7 +48,8 @@ US-Rule (Huang, Gan et al., arXiv 2111.15020); see
 :meth:`~cousr.rulecore.UtilityList.expand`.
 
 :func:`mine` holds the row tables (:class:`cousr.rulecore.SequenceTables`
-of the filtered database) for its search alone, so they go when it returns.
+of the filtered database) for its search alone; no function of the search
+refers to itself, so they go when it returns, without the cyclic collector.
 
 Threshold comparisons are exact: utilities are compared on the utility
 table's integer grid, against ``ceil(min_util * scale)`` computed once per
@@ -288,7 +291,7 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
 
     The result is independent of the strategy-6/7 toggles; the stats are not.
 
-    Every input of the search, the recursive step ``grow``, is built first,
+    Every input of the search, the ``node`` generators, is built first,
     from the reduced database and in this order: its item bit vectors, its
     items' dense ranks (:func:`cousr.rulecore.item_ranks`), the pass masks of
     :func:`_pass_masks` over those ranks, and last the row tables, created
@@ -336,12 +339,12 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
     cap = config.max_rule_side
     emitted: list[MinedRule] = []
 
-    def grow(ul: UtilityList, sids_x: int, sids_y: int, or_x: int, or_y: int,
-             left_only: bool) -> None:
+    def node(ul: UtilityList, sids_x: int, sids_y: int, or_x: int, or_y: int,
+             left_only: bool):
         """Count the node ``ul`` (the rule ``ul.antecedent => ul.consequent``
-        and its rows), emit the rule if it qualifies, then grow it right
-        (unless ``left_only``) and left. ``sids_*``/``or_*`` are the
-        intersection/union masks of the sides (support/disjunctive support)."""
+        and its rows), emit the rule if it qualifies, then yield its children's
+        arguments, right (unless ``left_only``) then left. ``sids_*``/``or_*``
+        are the intersection/union masks of the sides (support/disjunctive support)."""
         x, y = ul.antecedent, ul.consequent
         sup_rule = ul.support
         stats.utility_lists_built += 1
@@ -385,13 +388,22 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
                 if child is None:
                     stats.pruned_child_bound += 1
                 elif right:
-                    grow(child, sids_x, new_sids, or_x, new_union, left_only=False)
+                    yield child, sids_x, new_sids, or_x, new_union, False
                 else:
-                    grow(child, new_sids, sids_y, new_union, or_y, left_only=True)
+                    yield child, new_sids, sids_y, new_union, or_y, True
 
-    for a, b in kept:
-        ul = rulecore.build_utility_list(a, b, tables, sids=bitvectors[a] & bitvectors[b])
-        grow(ul, bitvectors[a], bitvectors[b], bitvectors[a], bitvectors[b], left_only=False)
+    def roots():
+        for a, b in kept:
+            ul = rulecore.build_utility_list(a, b, tables, sids=bitvectors[a] & bitvectors[b])
+            yield ul, bitvectors[a], bitvectors[b], bitvectors[a], bitvectors[b], False
+
+    stack = [roots()]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(node(*child))
 
     stats.row_tables = sum(sums is not None for sums in tables.sums)
     rules = tuple(sorted(emitted))

@@ -366,6 +366,19 @@ def test_verify_negative_random_count_is_config_error(capsys):
     assert err.startswith("cousr: config error:") and "verified" not in err
 
 
+@pytest.mark.parametrize("flags", [("--db",), ("--utils",), ("--db", "--utils")])
+def test_verify_random_with_inputs_is_config_error(flags, tmp_path, monkeypatch, capsys):
+    # refused before any seed runs, and before the missing inputs are read
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    inputs = [arg for flag in flags for arg in (flag, str(tmp_path / f"missing{flag}"))]
+    assert main(["verify", "--random", "2", *inputs]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "cousr: config error: --random excludes --db and --utils\n"
+
+
 def test_failed_write_leaves_no_temporary_file(tmp_path):
     target = tmp_path / "rules.csv"
     target.mkdir()

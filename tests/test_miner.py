@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
 import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
@@ -606,6 +607,46 @@ def test_pair_tables_are_freed_before_the_row_tables_are_built(monkeypatch):
     monkeypatch.setattr(rulecore, "SequenceTables", Tables)
     assert search_counters("s6s7") == S6S7_PINS
     assert freed_at_creation == [{"scan_rule_pairs": True, "build_bond_matrix": True}]
+
+
+def test_row_tables_are_freed_when_mine_returns(monkeypatch, example_db):
+    # no function of the search refers to itself, so mine()'s frame is no
+    # reference cycle: its store goes at the return, without the collector
+    stores = []
+
+    class Tables(SequenceTables):
+        def __init__(self, db):
+            super().__init__(db)
+            stores.append(weakref.ref(self))
+
+    monkeypatch.setattr(rulecore, "SequenceTables", Tables)
+    gc.disable()
+    try:
+        assert mine(example_db, MinerConfig(min_util=50)).rules
+        assert [ref() for ref in stores] == [None]
+    finally:
+        gc.enable()
+
+
+def test_rule_size_is_not_bounded_by_the_recursion_limit():
+    # every item of the one rule 1 => 2..300 is one search level; the search
+    # keeps them on its own stack, not as interpreter frames
+    items = range(2, 301)
+    text = "1:1 -1 " + " ".join(f"{item}:1" for item in items) + " -1 -2\n"
+    table = "".join(f"{item} 1\n" for item in range(1, 301))
+    db = with_utilities(parse_database(text), parse_utility_table(table))
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        result = mine(db, MinerConfig(min_util=300))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [(m.antecedent, m.consequent, m.utility) for m in result.rules] == [
+        ((1,), tuple(items), 300)
+    ]
 
 
 # -- confidence is not a recursion bound ------------------------------------------------------
