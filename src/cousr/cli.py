@@ -204,13 +204,15 @@ def _verify_random_seed(seed: int) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    if args.random is None and args.seed is not None:
+        raise ConfigError("--seed needs --random")
     if args.random is not None:
         if args.db or args.utils:
             raise ConfigError("--random excludes --db and --utils")
         count = _as_int(args.random, "--random")
         if count < 0:
             raise ConfigError(f"--random must be >= 0, got {count}")
-        base = _as_int(args.seed, "--seed")
+        base = 0 if args.seed is None else _as_int(args.seed, "--seed")
         seeds = range(base, base + count)
         # imported here, so that mine and bench do not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -307,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--utils", help="unit utility file")
     _add_threshold_flags(p_verify)
     p_verify.add_argument("--random", help="verify N seeded random databases instead of --db")
-    p_verify.add_argument("--seed", default="0", help="base seed for --random")
+    p_verify.add_argument("--seed", help="base seed for --random (default 0)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="sweep thresholds/variants, one JSON run record per line")

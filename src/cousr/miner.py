@@ -23,14 +23,16 @@ s7 and the child bound). No function calls itself, so rule size is not bounded
 by the interpreter's recursion limit. A direction is gated by
 ``max_rule_side``, then by the utility-list bounds: the rows' summed
 ``total`` for right subtrees (strategy 4), ``left_total`` for left ones
-(strategy 5). Its candidates are one item mask
-(:meth:`cousr.rulecore.UtilityList.candidates`) cut by the pass masks of the
-rule-seu table (strategy 7, toggleable) and of the pairwise bond matrix
-(strategy 6, toggleable), taken from the tables once before the search;
-then, item by item in ascending order, by the exact bond of the extended
-side (strategy 3) and the child bound, which
-:meth:`~cousr.rulecore.UtilityList.expand` sums over the parent's rows,
-building the child's utility-list only when it reaches ``min_util``.
+(strategy 5). Its candidates are one item mask, the items that share a
+row's sequence with the rule, in canonical order, whatever their positions
+(:meth:`cousr.rulecore.UtilityList.candidates`, read once per node). They
+are cut by the pass masks of the rule-seu table (strategy 7, toggleable) and
+of the pairwise bond matrix (strategy 6, toggleable), taken from the tables
+once before the search; then, item by item in ascending order, by the exact
+bond of the extended side (strategy 3) and the child bound, which
+:meth:`~cousr.rulecore.UtilityList.expand` sums over the parent's rows where
+the item's position is feasible (none: no child), building the child's
+utility-list only when it reaches ``min_util``.
 Strategies 6 and 7 are sound, so toggling them never changes the mined rule
 set, only the stats: which check cuts a candidate and, where no later check
 would, how many utility-lists are built. Confidence gates no descent: a low-confidence
@@ -176,13 +178,15 @@ class MiningStats:
     """Counters mirroring the pruning strategies (s1..s7) plus build totals,
     each an integer that the inputs and config fix (the caller times a run).
 
+    ``pruned_s3``, ``pruned_s6`` and ``pruned_s7`` count the candidates each
+    strategy cuts, feasible at their positions or not (see :func:`mine`).
     ``pruned_unpaired`` counts the s1-promising items that the pair
     reduction drops and ``pruned_child_bound`` the candidates the child
-    bound cuts; ``initial_rules_kept`` is the number of pairs strategy 2
-    keeps. ``utility_list_rows`` counts every utility-list tuple allocated.
-    ``row_tables`` counts the sequences whose row table the search filled
-    (each one a root touched); with the rows, the tables are most of the
-    search's memory.
+    bound cuts, those feasible in no row included; ``initial_rules_kept`` is
+    the number of pairs strategy 2 keeps. ``utility_list_rows`` counts every
+    utility-list tuple allocated. ``row_tables`` counts the sequences whose
+    row table the search filled (each one a root touched); with the rows,
+    the tables are most of the search's memory.
     """
 
     promising_items: int = 0
@@ -358,6 +362,7 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
                     x, y, Fraction(ul.utility, scale), sup_rule, confidence, lift,
                     Fraction(sup_x, or_x.bit_count()), Fraction(sup_y, or_y.bit_count()),
                 ))
+        both = ul.candidates(tables)  # (left, right)
         for right in (False,) if left_only else (True, False):
             grown, fixed = (y, x) if right else (x, y)
             if cap is not None and len(grown) >= cap:
@@ -368,7 +373,7 @@ def mine(db: SequenceDatabase, config: MinerConfig) -> MiningResult:
             if not right and ul.left_total < min_util_grid:
                 stats.pruned_s5 += 1
                 continue
-            candidates = ul.candidates(right, tables)
+            candidates = both[right]
             if candidates and s7_right is not None:
                 passes = (s7_right if right else s7_left).get(fixed[-1], 0)
                 stats.pruned_s7 += (candidates & ~passes).bit_count()

@@ -78,18 +78,16 @@ one ``mx' = max(mx, p)``, so :meth:`UtilityList.expand` grows a rule by one
 item with a constant-time step per parent row, and
 :func:`build_utility_list` builds the 1*1 roots, the only lists made from
 scratch, through the same method.
-The store also keeps, per position ``q`` of sequence ``k``, the items at or
-before ``q`` as a cumulative bit mask over the database's dense item ranks,
-in one list ``upto`` shared by all sequences: sequence ``k``'s ``l + 1``
-masks sit at ``seq_starts[k] + k + q`` for ``q = 0..l``, so the CSR columns
-give every offset. With ``u = upto[seq_starts[k] + k:]``, the items after
-``q`` are ``u[l] ^ u[q]`` and those before it ``u[q - 1]``, so a node's
-candidate items (:meth:`UtilityList.candidates`) are the OR of one mask per
-row. ``masks[k]`` is ``u[l]``, the sequence's items, and ``lasts[k]`` is
-``l``. The mask is the table's only item index: an item is in the sequence
-iff its bit is set, and as dense ranks follow item order, the set bits below
-it count its rank in the sequence, which gives its row's offset (the
-formula is in :class:`SequenceTables`).
+The store also keeps, per sequence, ``masks[k]``, the bit mask of its items
+over the database's dense item ranks, and ``lasts[k]``, its ``l``. The mask
+is the table's only item index: an item is in the sequence iff its bit is
+set, and as dense ranks follow item order, the set bits below it count its
+rank in the sequence, which gives its row's offset (the formula is in
+:class:`SequenceTables`). The OR of the masks of a node's rows, cut to the
+canonical order, gives its candidates (:meth:`UtilityList.candidates`), a
+superset of the feasible items: :meth:`UtilityList.expand` tests each row's
+position as it sums the child bound, and an item feasible in no row gives
+no child.
 
 All utility amounts in this module are integers on the utility table's grid
 (see :attr:`cousr.seqdb.UtilityTable.scale`).
@@ -152,37 +150,36 @@ class UtilityList(NamedTuple):
     def left_total(self) -> int:
         return sum(row[3] for row in self.rows)
 
-    def candidates(self, right: bool, tables: SequenceTables) -> int:
-        """Mask (over the dense item ranks of ``tables``) of the items
-        feasible in at least one row for a right (consequent) or left
-        expansion."""
-        upto, starts = tables.upto, tables.db.seq_starts
+    def candidates(self, tables: SequenceTables) -> tuple[int, int]:
+        """The ``(left, right)`` candidate masks (over the dense item ranks of
+        ``tables``), indexed by ``right``: the items of the rows' sequences
+        above the grown side's last item and outside the other side. They
+        hold every item feasible in some row on that side, and may hold
+        items feasible in none (see :meth:`expand`)."""
+        masks, rank = tables.masks, tables.rank
         mask = 0
-        if right:
-            masks = tables.masks
-            for seq_index, _, _, _, max_pos_x, _ in self.rows:
-                mask |= masks[seq_index] ^ upto[starts[seq_index] + seq_index + max_pos_x]
-        else:
-            for seq_index, _, _, _, _, min_pos_y in self.rows:
-                mask |= upto[starts[seq_index] + seq_index + min_pos_y - 1]
-        if mask:
-            cut = tables.rank[self.consequent[-1] if right else self.antecedent[-1]] + 1
-            mask = mask >> cut << cut
-        return mask
+        for row in self.rows:
+            mask |= masks[row[0]]
+        for item in self.antecedent + self.consequent:
+            mask &= ~(1 << rank[item])
+        cut_x, cut_y = rank[self.antecedent[-1]] + 1, rank[self.consequent[-1]] + 1
+        return mask >> cut_x << cut_x, mask >> cut_y << cut_y
 
     def expand(
         self, item: int, right: bool, tables: SequenceTables, floor: int = 0
     ) -> UtilityList | None:
         """The utility-list of the rule grown by ``item`` on the right
         (consequent) or left side, derived row by row from this one, or
-        ``None`` when the child's expansion bound is below ``floor``;
-        ``tables`` holds the rows' tables.
+        ``None`` when ``item`` is feasible in no row or the child's
+        expansion bound is below ``floor``; ``tables`` holds the rows'
+        tables.
 
-        The bound sums, over the rows where ``item`` is feasible on that
-        side, the row's ``total`` for a right child and its ``left_total``
-        for a left one; it bounds the utility of the child and of every
-        canonical descendant of it. A cut child costs one mask test per row
-        and derives no row. Each row's table is ``tables.sums[seq_index]``.
+        The child occurs in the rows whose sequence holds ``item`` (a mask
+        test) after ``max_pos_x`` for a right child, or before ``min_pos_y``
+        for a left one (a position read). The bound sums ``total`` (right)
+        or ``left_total`` (left) over those rows; it bounds the utility of
+        the child and of every canonical descendant of it. A cut child
+        derives no row. Each row's table is ``tables.sums[seq_index]``.
 
         An item that breaks the canonical order constraint (it must exceed
         every item of the extended side) or already belongs to the rule
@@ -217,7 +214,7 @@ class UtilityList(NamedTuple):
             elif pos < row[5]:
                 bound += row[3]
                 feasible.append((row, base, pos))
-        if bound < floor:
+        if not feasible or bound < floor:
             return None
         rows = []
         for (seq_index, iutil, _, _, max_pos_x, min_pos_y), base, pos in feasible:
@@ -258,10 +255,8 @@ class SequenceTables:
     rows ``0..n`` (``n`` items) one after the other, each ``last + 2``
     cells long, the ``last + 1`` sums ``T[r][0..last]`` and then the
     position of the item of rank ``r - 1`` (0 in row 0). ``lasts[k]`` is
-    the sequence's itemset count ``last``. ``upto`` holds, at
-    ``db.seq_starts[k] + k + q`` for ``q = 0..last``, the mask of the
-    sequence's items positioned at or before ``q``, and ``masks[k]`` is the
-    last of them, the sequence's items (0 until filled). Item masks index
+    the sequence's itemset count ``last`` and ``masks[k]`` the mask of its
+    items (0 until filled); only ``sums`` keeps positions. Item masks index
     :attr:`items` (the database's items, ascending) by position, so the
     lowest set bit is the smallest item; :attr:`rank` maps an item to its
     bit.
@@ -281,7 +276,6 @@ class SequenceTables:
         self.lasts = [end - first for first, end in zip(starts, starts[1:])]
         self.sums: list[bytes | array | list[int] | None] = [None] * db.sequence_count
         self.masks = [0] * db.sequence_count
-        self.upto = [0] * (len(db.set_starts) - 1 + db.sequence_count)
         self.items, self.rank = item_ranks(db)
 
     def table(self, index: int) -> bytes | array | list[int]:
@@ -301,21 +295,18 @@ class SequenceTables:
             zip(db.items[start:stop], positions, db.qtys[start:stop]), reverse=True
         )
         last = end - first
-        width = last + 2
-        upto, at = self.upto, first + index  # upto[at + q]: the items at or before q
         # table rows from the highest item rank down; row r sums ranks >= r
-        row = [0] * width
+        row = [0] * (last + 2)
         rows = [row]
+        mask = 0
         for item, pos, qty in occurrences:
             value = qty * grid_units[item]
             row[-1] = pos
             row = row[:pos] + [cell + value for cell in row[pos:-1]]
             row.append(0)
             rows.append(row)
-            upto[at + pos] |= 1 << rank[item]
+            mask |= 1 << rank[item]
         rows.reverse()
-        for q in range(at + 1, at + last + 1):
-            upto[q] |= upto[q - 1]
         cells = [cell for row in rows for cell in row]
         # the largest cell is the sequence's utility T[0][last] or a position
         largest = max(rows[0][last], last)
@@ -325,7 +316,7 @@ class SequenceTables:
             typecode = next((code for bound, code in _SUM_TYPECODES if largest < bound), None)
             sums = cells if typecode is None else array(typecode, cells)
         self.sums[index] = sums
-        self.masks[index] = upto[at + last]
+        self.masks[index] = mask
         return sums
 
     def row(

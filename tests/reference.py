@@ -119,13 +119,23 @@ def rebuild_utility_list(rule: Rule | UtilityList, tables: SequenceTables) -> Ut
     return UtilityList(rule.antecedent, rule.consequent, tuple(rows))
 
 
+def feasible_items(ul: UtilityList, db: SequenceDatabase, right: bool) -> list[int]:
+    """The items, ascending, that the reference classification finds
+    feasible on the given side in at least one of the list's rows."""
+    feasible: set[int] = set()
+    for row in ul.rows:
+        classes = classify_expansion_items(ul, db.sequences[row[0]])
+        feasible |= classes.left_right | (classes.only_right if right else classes.only_left)
+    return sorted(feasible)
+
+
 def random_expansions(ul: UtilityList, tables: SequenceTables, rng, steps: int):
-    """Up to ``steps`` utility-lists, each a random feasible expansion of the
-    one before, starting from ``ul``; ends early when the drawn side has
-    no candidate item."""
+    """Up to ``steps`` utility-lists, each a random feasible expansion (by
+    :func:`feasible_items`) of the one before, starting from ``ul``; ends
+    early when the drawn side has no feasible item."""
     for _ in range(steps):
         right = rng.choice((False, True))
-        feasible = tables.items_of(ul.candidates(right, tables))
+        feasible = feasible_items(ul, tables.db, right)
         if not feasible:
             return
         ul = ul.expand(rng.choice(feasible), right, tables)

@@ -36,6 +36,7 @@ from conftest import A, B, C, D, E, G
 from reference import (
     class_sums,
     descendant_keys,
+    feasible_items,
     pair_values,
     random_expansions,
     rebuild_utility_list,
@@ -240,7 +241,7 @@ def _assert_bounds_dominate(db):
                     assert bound >= grid_utility.get(descendant, 0), (
                         f"{'s4 total' if right else 's5 left_total'} of {key} under {descendant}"
                     )
-                for item in row_tables.items_of(ul.candidates(right, row_tables)):
+                for item in feasible_items(ul, row_tables.db, right):
                     child = ul.expand(item, right, row_tables)[:2]
                     reach = max(grid_utility.get(descendant, 0) for descendant in
                                 descendant_keys(*child, items, right))

@@ -379,6 +379,14 @@ def test_verify_random_with_inputs_is_config_error(flags, tmp_path, monkeypatch,
     assert err == "cousr: config error: --random excludes --db and --utils\n"
 
 
+@pytest.mark.parametrize("seed", ["99", "0"])
+def test_verify_seed_without_random_is_config_error(seed, tmp_path, capsys):
+    # refused before the missing inputs are read, even at the default base seed
+    inputs = ["--db", str(tmp_path / "missing.db"), "--utils", str(tmp_path / "missing.ut")]
+    assert main(["verify", *inputs, "--seed", seed]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "cousr: config error: --seed needs --random\n"
+
+
 def test_failed_write_leaves_no_temporary_file(tmp_path):
     target = tmp_path / "rules.csv"
     target.mkdir()

@@ -537,13 +537,13 @@ def search_counters(variant, max_rule_side=None):
 S6S7_PINS = {
     "initial_rules_kept": 1822,
     "pruned_s2": 12959,
-    "pruned_s3": 4236,
+    "pruned_s3": 4627,
     "pruned_s4": 774,
     "pruned_s5": 1553,
-    "pruned_s6": 66996,
-    "pruned_s7": 82499,
+    "pruned_s6": 83924,
+    "pruned_s7": 122818,
     "pruned_unpaired": 8,
-    "pruned_child_bound": 5175,
+    "pruned_child_bound": 5546,
     "utility_lists_built": 3396,
     "utility_list_rows": 53583,
     "row_tables": 1972,
@@ -557,9 +557,9 @@ def test_search_counters_are_pinned():
 # every variant builds the same lists, so these per-strategy counters are
 # what shows a strategy's masks keyed in the wrong direction
 @pytest.mark.parametrize("variant, s3, s6, s7, child_bound", [
-    ("base", 150647, 0, 0, 8259),
-    ("s6", 4757, 145890, 0, 8259),
-    ("s7", 71232, 0, 82499, 5175),
+    ("base", 207597, 0, 0, 9318),
+    ("s6", 5290, 202307, 0, 9318),
+    ("s7", 88551, 0, 122818, 5546),
 ])
 def test_search_counters_of_each_variant_are_pinned(variant, s3, s6, s7, child_bound):
     assert search_counters(variant) == {
@@ -572,7 +572,7 @@ def test_search_counters_of_each_variant_are_pinned(variant, s3, s6, s7, child_b
 # or counted as cut, and at cap 2 only the nodes with a side below 2 items are
 @pytest.mark.parametrize("cap, s4, s5, s6, s7, child_bound, lists, rows", [
     (1, 0, 0, 0, 0, 0, 1822, 30273),
-    (2, 695, 1408, 37246, 56682, 4635, 3258, 52109),
+    (2, 695, 1408, 47473, 86038, 4963, 3258, 52109),
 ])
 def test_search_counters_under_a_side_cap_are_pinned(cap, s4, s5, s6, s7, child_bound,
                                                       lists, rows):

@@ -200,3 +200,27 @@ def test_miner_matches_oracle_at_the_oracle_limits():
         expected = oracle_chusrs(db, config)
         for variant_config in _variant_configs(config):
             assert mine(db, variant_config).rules == expected
+
+
+def test_an_item_feasible_in_no_row_gives_no_child():
+    # 3 shares the one sequence of 1 => 2, so its item mask makes 3 a right
+    # candidate, but 3 comes before 1: it is feasible in no row, and the rule
+    # 1 => 2,3 does not occur (it would have support 0)
+    db = with_utilities(parse_database("3:1 -1 1:1 -1 2:1 -1 -2\n"),
+                        parse_utility_table("1 1\n2 1\n3 1\n"))
+    expected = oracle_chusrs(db, UNFILTERED)
+    assert len(expected) == 5
+    assert ((1,), (2, 3)) not in {(r.antecedent, r.consequent) for r in expected}
+    for variant_config in _variant_configs(UNFILTERED):
+        assert mine(db, variant_config).rules == expected
+
+
+def test_miner_matches_oracle_at_all_zero_thresholds():
+    # random_thresholds makes all four thresholds 0 about once in 1,080
+    # draws; at 0 no bound cuts, so only the feasibility test keeps a
+    # candidate that shares a sequence with the rule from becoming a child
+    for seed in range(200):
+        db = random_small_database(random.Random(40_000 + seed))
+        expected = oracle_chusrs(db, UNFILTERED)
+        for variant_config in _variant_configs(UNFILTERED):
+            assert mine(db, variant_config).rules == expected, (seed, variant_config)

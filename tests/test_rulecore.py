@@ -165,8 +165,8 @@ def test_expansion_with_item_absent_from_all_rows():
     tables = SequenceTables(tiny_db("4:1 1:1 -1 2:1 -1 -2\n1:1 -1 2:1 3:1 -1 -2\n"))
     parent = rebuild_utility_list(rule_of([1], [2]), tables)
     assert parent.support == 2
-    expanded = parent.expand(4, True, tables)
-    assert expanded.rows == ()
+    assert tables.items_of(parent.candidates(tables)[True]) == [3, 4]  # 4 shares a sequence
+    assert parent.expand(4, True, tables) is None
 
 
 @pytest.mark.parametrize(
@@ -348,6 +348,23 @@ def test_pair_tables_stay_small_on_many_pairs_per_item():
     assert peak < 0.9 * 2**20, peak
 
 
+def test_filled_tables_keep_nothing_per_itemset_position():
+    # 2,000 sequences of about 8 items: a filled table is its packed sums
+    # and one item mask, with no mask per itemset position beside them
+    db = synthesize_database(2_000, 200, 8, seed=0)
+    assert db.require_utilities().grid_units  # cached before tracing
+    tracemalloc.start()
+    try:
+        tables = SequenceTables(db)
+        for index in range(db.sequence_count):
+            tables.table(index)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(sums is not None for sums in tables.sums)
+    assert size < 0.5 * 2**20, size
+
+
 # -- randomized invariants ----------------------------------------------------------------
 
 @settings(max_examples=80, deadline=None)
@@ -400,23 +417,17 @@ MANY_ITEMS_DB = _many_items_database()
 def _assert_table_layout(db):
     """Every sequence's columns find each item's row from its item mask, and
     that row reads back the item's position and grid utility; an item
-    outside the sequence has no bit; the shared cumulative masks, at the
-    offsets the CSR columns give, hold the items after / before every
-    position."""
+    outside the sequence has no bit."""
     tables = SequenceTables(db)
     assert tables.sums == [None] * db.sequence_count  # nothing filled before use
     for index, seq in enumerate(db.sequences):
         sums = tables.table(index)
         assert sums is tables.sums[index] is tables.table(index)
         last, mask = tables.lasts[index], tables.masks[index]
-        at = db.seq_starts[index] + index
-        upto = tables.upto[at:at + last + 1]
         width = last + 2
         position, grid = positions(seq), grid_utilities(seq, db)
         assert last == len(seq.itemsets)
         assert len(sums) == (len(position) + 1) * width
-        assert mask is tables.upto[at + last]
-        assert upto[0] == 0  # positions start at 1
         for item in tables.items:
             bit = 1 << tables.rank[item]
             assert bool(mask & bit) == (item in position)
@@ -427,17 +438,6 @@ def _assert_table_layout(db):
             assert sums[base + last + 1] == position[item]
             # T[rank][last] - T[rank + 1][last]
             assert sums[base - width + last] - sums[base + last] == grid[item]
-        for q in range(1, last + 1):
-            after = before = 0
-            for item, pos in position.items():
-                if pos > q:
-                    after |= 1 << tables.rank[item]
-                elif pos < q:
-                    before |= 1 << tables.rank[item]
-            assert upto[last] ^ upto[q] == after
-            assert upto[q - 1] == before
-    # every slot of the shared list belongs to exactly one sequence
-    assert len(tables.upto) == len(db.set_starts) - 1 + db.sequence_count
 
 
 @settings(max_examples=80, deadline=None)
@@ -475,14 +475,12 @@ def test_tables_are_columns_with_no_object_per_sequence():
     assert any(sums is not None for sums in tables.sums)
     for sums in tables.sums:
         assert sums is None or type(sums) in (bytes, array, list)
-    # the store's own state: one entry per sequence in each column, and the
-    # shared mask list; nothing else per sequence
-    assert set(vars(tables)) == {
-        "db", "_grid_units", "lasts", "sums", "masks", "upto", "items", "rank",
-    }
+    # the store's own state: one entry per sequence in each column; nothing
+    # per itemset position and nothing else per sequence
+    assert set(vars(tables)) == {"db", "_grid_units", "lasts", "sums", "masks", "items", "rank"}
     for column in (tables.lasts, tables.sums, tables.masks):
         assert type(column) is list and len(column) == db.sequence_count
-    assert all(type(value) is int for value in tables.lasts + tables.masks + tables.upto)
+    assert all(type(value) is int for value in tables.lasts + tables.masks)
 
 
 @pytest.mark.parametrize(
@@ -526,8 +524,10 @@ def test_table_sums_hold_positions_beyond_the_utility():
 
 
 def _assert_rows_match_classification(ul, db, tables):
-    """Rows and candidates agree with the item-by-item reference classification."""
-    left, right = set(), set()
+    """Rows agree with the item-by-item reference classification, and the
+    candidates are the items of the rows' sequences above the grown side's
+    last item and outside the other side, a superset of the feasible ones."""
+    left, right, occurring = set(), set(), set()
     for seq_index, iutil, total, left_total, max_pos_x, min_pos_y in ul.rows:
         assert tables.sums[seq_index] is not None  # filled before its rows
         seq = db.sequences[seq_index]
@@ -541,8 +541,12 @@ def _assert_rows_match_classification(ul, db, tables):
         assert min_pos_y == min(position[item] for item in ul.consequent)
         left |= classes.only_left | classes.left_right
         right |= classes.only_right | classes.left_right
-    assert tables.items_of(ul.candidates(False, tables)) == sorted(left)
-    assert tables.items_of(ul.candidates(True, tables)) == sorted(right)
+        occurring |= position.keys()
+    occurring -= set(ul.antecedent + ul.consequent)
+    candidates = [set(tables.items_of(mask)) for mask in ul.candidates(tables)]
+    assert candidates == [{item for item in occurring if item > side[-1]}
+                          for side in (ul.antecedent, ul.consequent)]
+    assert candidates[False] >= left and candidates[True] >= right
 
 
 @settings(max_examples=80, deadline=None)
