@@ -56,10 +56,9 @@ refers to itself, so they go when it returns, without the cyclic collector.
 Threshold comparisons are exact: utilities are compared on the utility
 table's integer grid, against ``ceil(min_util * scale)`` computed once per
 run; bond is checked by integer cross-multiplication, and confidence and
-lift are compared as exact :class:`~fractions.Fraction` values.
-Lift is always computed against the sequence count of the database handed to
-:func:`mine`, not of the filtered one, since item filtering may drop
-sequences.
+lift are compared as exact :class:`~fractions.Fraction` values. The
+reductions keep every sequence in place (:func:`keep_items`), so sequence
+``k`` is input sequence ``k`` in every mask, column and row of a run.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ from array import array
 from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import accumulate, chain, compress, pairwise
 from math import ceil
 
 from . import measures, rulecore
@@ -236,25 +235,22 @@ def keep_items(db: SequenceDatabase, kept: frozenset[int]) -> SequenceDatabase:
     """The database without the occurrences of items outside ``kept``.
 
     A masked copy of the columns: the other items' occurrences go, then the
-    itemsets and sequences they empty; the surviving sequences are numbered
-    from 0 again, in order. When ``kept`` holds every item of the database
-    the database itself is returned.
+    itemsets they empty. Every sequence stays, one whose items all go as a
+    sequence of no itemsets, so sequence ``k`` of the copy is sequence ``k``
+    of ``db``. When ``kept`` holds every item of the database the database
+    itself is returned.
     """
     if kept >= db.item_universe:
         return db
     items = db.items
     keep = bytes([item in kept for item in items])
-    set_bounds = zip(db.set_starts, db.set_starts[1:])
-    kept_per_set = [keep.count(1, start, stop) for start, stop in set_bounds]
-    seq_starts, set_starts = array("i", [0]), array("i", [0])
-    for first, end in zip(db.seq_starts, db.seq_starts[1:]):
-        for count in kept_per_set[first:end]:
-            if count:
-                set_starts.append(set_starts[-1] + count)
-        if len(set_starts) - 1 > seq_starts[-1]:
-            seq_starts.append(len(set_starts) - 1)
+    kept_per_set = [keep.count(1, start, stop) for start, stop in pairwise(db.set_starts)]
+    # per sequence, its itemsets less those that keep no item
+    kept_sets = (end - first - kept_per_set[first:end].count(0)
+                 for first, end in pairwise(db.seq_starts))
     return replace(
-        db, seq_starts=seq_starts, set_starts=set_starts,
+        db, seq_starts=array("i", accumulate(kept_sets, initial=0)),
+        set_starts=array("i", accumulate(filter(None, kept_per_set), initial=0)),
         items=array("i", compress(items, keep)), qtys=array("i", compress(db.qtys, keep)),
     )
 

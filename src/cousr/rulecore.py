@@ -25,11 +25,11 @@ of six ints that the hot loops read by position::
 
     (seq_index, iutil, total, left_total, max_pos_x, min_pos_y)
 
-``seq_index`` is the sequence's position ``k`` in the database (from 0, the
-bit ``k`` of every sequence mask and index ``k`` of every column of a
-:class:`SequenceTables`) and ``iutil`` is the rule's utility in that
-sequence. With ``lutil``, ``rutil``, ``lrutil`` the utility sums over the
-three classes, ``total = iutil + lutil + rutil + lrutil`` and
+``seq_index`` is the sequence's input number ``k`` (from 0), which every
+database a run derives keeps: bit ``k`` of every sequence mask and index
+``k`` of every column of a :class:`SequenceTables`. ``iutil`` is the rule's
+utility in that sequence. With ``lutil``, ``rutil``, ``lrutil`` the utility
+sums over the three classes, ``total = iutil + lutil + rutil + lrutil`` and
 ``left_total = iutil + lutil + lrutil``; the search reads the class sums
 only through these two. Consequences used by the miner:
 
@@ -248,7 +248,7 @@ def _set_bits(mask: int) -> list[int]:
 
 class SequenceTables:
     """The row tables of one database, as columns indexed by the sequence's
-    position ``k``; sequence ``k``'s entries are filled on first use
+    input number ``k``; sequence ``k``'s entries are filled on first use
     (:meth:`table`).
 
     ``sums[k]`` is the sequence's packed table, ``None`` until filled: its

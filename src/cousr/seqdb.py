@@ -142,8 +142,8 @@ class SequenceDatabase:
     (:mod:`cousr.measures`, the oracle, the tests); it is built on first
     access and never on the mine path. :meth:`from_sequences` checks and
     encodes sequences. A sequence's number is its position ``k``: no
-    column stores it, and a derived database (filtering) that drops
-    sequences numbers the kept ones from 0 again.
+    column stores it, and every database a run derives keeps it
+    (:func:`cousr.miner.keep_items` keeps an emptied sequence in place).
     """
 
     seq_starts: array

@@ -71,7 +71,6 @@ def random_small_database(
     *,
     max_sequences: int = 8,
     max_items: int = 8,
-    max_itemset: int = 3,
 ) -> SequenceDatabase:
     """A tiny random database within the exhaustive oracle's comfort zone.
 
@@ -87,7 +86,7 @@ def random_small_database(
     for _ in range(rng.randint(2, max_sequences)):
         length = rng.randint(1, n_items)
         items = _pick_distinct(rng, population, cum_weights, length)
-        sequences.append(Sequence(_split_into_itemsets(rng, items, max_itemset)))
+        sequences.append(Sequence(_split_into_itemsets(rng, items, 3)))
     if rng.random() < 0.25:
         entries = {item: Fraction(rng.randint(1, 40), 10) for item in population}
     else:

@@ -15,10 +15,11 @@ from types import SimpleNamespace
 import pytest
 
 import cousr
-from cousr import cli, load_database
+from cousr import MinerConfig, cli, load_database, mine
 from cousr.cli import (
     EXIT_CONFIG,
     EXIT_LIMITS,
+    EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PARSE,
     RULES_HEADER,
@@ -27,6 +28,7 @@ from cousr.cli import (
     main,
 )
 from cousr.measures import (
+    MinedRule,
     bond,
     build_item_bitvectors,
     confidence,
@@ -387,6 +389,76 @@ def test_verify_seed_without_random_is_config_error(seed, tmp_path, capsys):
     assert capsys.readouterr().err == "cousr: config error: --seed needs --random\n"
 
 
+class InProcessPool:
+    """A stand-in for ``concurrent.futures.ProcessPoolExecutor`` that runs
+    each call in this process, in order."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+def tampered_oracle(kind, problems):
+    """``oracle_chusrs`` with one rule added (``missing``), its first rule
+    dropped (``extra``) or that rule's support raised by one (``differs``).
+    Per call, appends the problem ``verify`` should report for each variant,
+    or ``None`` when there was no rule to drop or change."""
+
+    def oracle(db, config):
+        rules = list(oracle_chusrs(db, config))
+        if kind == "missing":
+            rules.append(MinedRule((98,), (99,), 1, 1, 1, 1, 1, 1))
+            problems.append("missing from miner: (98,) => (99,)")
+        elif not rules:
+            problems.append(None)
+        elif kind == "extra":
+            first = rules.pop(0)
+            problems.append(f"not in oracle: {first.antecedent} => {first.consequent}")
+        else:
+            first = rules[0]
+            rules[0] = changed = first._replace(support=first.support + 1)
+            problems.append(f"measures differ for {first.antecedent} => {first.consequent}:"
+                            f" miner {first} oracle {changed}")
+        return tuple(rules)
+
+    return oracle
+
+
+@pytest.mark.parametrize("kind", ["missing", "extra", "differs"])
+def test_verify_reports_each_mismatch(kind, monkeypatch, capsys):
+    problems = []
+    monkeypatch.setattr("cousr.cli.oracle_chusrs", tampered_oracle(kind, problems))
+    code = main(["verify", "--db", str(EXAMPLE_DB), "--utils", str(EXAMPLE_UT), *GOLDEN_FLAGS])
+    assert code == EXIT_MISMATCH
+    [problem] = problems
+    assert capsys.readouterr().err.splitlines() == [
+        *(f"[{variant}] {problem}" for variant in VARIANTS), "verify: MISMATCH",
+    ]
+
+
+@pytest.mark.parametrize("kind", ["missing", "extra", "differs"])
+def test_verify_random_reports_each_mismatch(kind, monkeypatch, capsys):
+    # seeds 0 to 7 draw databases with rules and without
+    problems = []
+    monkeypatch.setattr("cousr.cli.oracle_chusrs", tampered_oracle(kind, problems))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    assert main(["verify", "--random", "8"]) == EXIT_MISMATCH
+    assert len(problems) == 8 and any(problems)
+    lines = [f"seed {seed}: [{variant}] {problem}"
+             for seed, problem in enumerate(problems) if problem for variant in VARIANTS]
+    assert capsys.readouterr().err.splitlines() == [
+        *lines, f"verified 8 random databases x {len(VARIANTS)} variants: {len(lines)} mismatches",
+    ]
+
+
 def test_failed_write_leaves_no_temporary_file(tmp_path):
     target = tmp_path / "rules.csv"
     target.mkdir()
@@ -579,6 +651,23 @@ def test_importing_the_cli_loads_no_process_pool():
     proc = run_python("-c", "import sys, cousr.cli; print('multiprocessing' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_readme_library_example_runs(monkeypatch, capsys, example_db):
+    # the first python block under "## Library", run from the repository root
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```python\n", readme.index("\n## Library\n")) + len("```python\n")
+    monkeypatch.chdir(root)
+    exec(compile(readme[start:readme.index("```\n", start)], "README.md", "exec"), {})
+    config = MinerConfig(min_util=50, min_conf="0.7", min_bond="0.3", min_lift="1.1")
+    assert capsys.readouterr().out.splitlines() == [
+        "(1, 2, 3, 4) (7,) 55 1 5/4",
+        "(1, 2, 4) (7,) 74 1 5/4",
+        "(1, 4) (7,) 54 1 5/4",
+        "(2, 4) (7,) 53 1 5/4",
+        str(mine(example_db, config).stats.as_dict()),
+    ]
 
 
 def test_module_entry_point():

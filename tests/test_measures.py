@@ -82,6 +82,16 @@ def test_support_requires_non_empty_itemset(example_db):
 
 # -- rules ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("antecedent, consequent, side", [
+    ((0,), (1,), "antecedent"),
+    ((-1, 2), (3,), "antecedent"),
+    ((1,), (0, 2), "consequent"),
+])
+def test_rule_refuses_item_ids_below_one(antecedent, consequent, side):
+    with pytest.raises(ValueError, match=f"rule {side} items must be >= 1"):
+        Rule(antecedent, consequent)
+
+
 def test_rule_validation():
     with pytest.raises(ValueError):
         Rule((1,), (1,))
@@ -193,8 +203,8 @@ def test_bitset_matches_naive_scan_randomized(seed):
     for itemset in all_itemsets(db, 3):
         assert itemset_support(itemset, bvs) == naive_support(itemset, db)
         assert itemset_dissup(itemset, bvs) == naive_dissup(itemset, db)
-    # a filtered database numbers its sequences from 0 again, and bit k
-    # still marks the k-th; the filter's threshold is on the utility grid
+    # a filtered database keeps every sequence in place, so bit k marks
+    # input sequence k; the filter's threshold is on the utility grid
     scale = db.utilities.scale
     levels = sorted({int(seu_of_item(item, db) * scale) for item in db.item_universe})
     _, filtered = filter_unpromising_items(db, rng.choice(levels))

@@ -17,6 +17,7 @@ from cousr import (
     Rule,
     load_database,
     mine,
+    miner,
     oracle_chusrs,
     parse_database,
     parse_utility_table,
@@ -30,6 +31,7 @@ from cousr.miner import (
     _bond_passes,
     as_fraction,
     filter_unpromising_items,
+    keep_items,
 )
 from cousr.rulecore import (
     SequenceTables,
@@ -156,8 +158,8 @@ def test_filter_can_drop_whole_sequences():
     )
     promising, filtered = filter_unpromising_items(db, 10)
     assert promising == frozenset({2, 3})
-    # the kept sequence is numbered again from 0
-    assert filtered.sequences == (db.sequences[1],)
+    # the emptied sequence stays in place, so the kept one is still sequence 1
+    assert filtered.sequences == (Sequence(()), db.sequences[1])
 
 
 def test_filter_is_a_masked_copy_of_the_columns():
@@ -170,8 +172,8 @@ def test_filter_is_a_masked_copy_of_the_columns():
     )
     promising, filtered = filter_unpromising_items(db, 200)
     assert promising == frozenset({2, 3})
-    assert filtered.sequence_count == 3
-    assert list(filtered.seq_starts) == [0, 2, 3, 5]
+    assert filtered.sequence_count == 4  # sequence 3 stays, with no itemsets
+    assert list(filtered.seq_starts) == [0, 2, 3, 3, 5]
     assert list(filtered.set_starts) == [0, 1, 2, 3, 4, 5]
     assert list(filtered.items) == [2, 3, 2, 2, 3]
     assert list(filtered.qtys) == [5, 5, 5, 5, 5]
@@ -183,7 +185,48 @@ def test_filter_is_a_masked_copy_of_the_columns():
 def test_filter_above_total_utility_empties_db(example_db):
     promising, filtered = filter_unpromising_items(example_db, 10**9)
     assert promising == frozenset()
-    assert filtered.sequences == ()
+    assert filtered.sequences == (Sequence(()),) * 5
+    assert list(filtered.seq_starts) == [0] * 6 and list(filtered.set_starts) == [0]
+    assert len(filtered.items) == len(filtered.qtys) == 0
+
+
+def derived_databases(monkeypatch, db, config):
+    """The databases ``mine(db, config)`` derives with :func:`keep_items`."""
+    derived = []
+
+    def recording(*args):
+        derived.append(keep_items(*args))
+        return derived[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(miner, "keep_items", recording)
+        mine(db, config)
+    return derived
+
+
+def test_derived_databases_keep_the_input_numbering(monkeypatch, example_db):
+    # at random cuts each reduction keeps sequence k as input sequence k
+    # less the dropped items, and so each kept item's bit vector
+    rng = random.Random(34)
+    draws = [(example_db, MinerConfig(min_util=rng.randint(0, 120))) for _ in range(10)]
+    for _ in range(40):
+        db = random_small_database(rng)
+        draws.append((db, MinerConfig(*random_thresholds(rng, db))))
+    for db, config in draws:
+        vectors = build_item_bitvectors(db)
+        derived = derived_databases(monkeypatch, db, config)
+        assert len(derived) == 2
+        for reduced in derived:
+            kept = reduced.item_universe
+            assert reduced.sequence_count == db.sequence_count
+            assert reduced.sequences == tuple(
+                Sequence(tuple(filter(None, (
+                    tuple(pair for pair in itemset if pair[0] in kept)
+                    for itemset in seq.itemsets
+                ))))
+                for seq in db.sequences
+            )
+            assert build_item_bitvectors(reduced) == {item: vectors[item] for item in kept}
 
 
 # -- initial 1*1 rules ------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -352,6 +353,17 @@ def test_serialize_round_trip(example_db):
     assert again.sequences == once.sequences
     # canonical form is a fixed point
     assert serialize_database(again) == canonical
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({0: Fraction(1)}, "item ids must be >= 1, got 0"),
+    ({-4: Fraction(1)}, "item ids must be >= 1, got -4"),
+    ({1: Fraction(2), 2: Fraction(-1, 2)}, "unit utilities must be non-negative, got 2 -> -1/2"),
+])
+def test_utility_table_refuses_bad_entries(entries, message):
+    # the parser refuses such lines first; the constructor checks tables built in code
+    with pytest.raises(ValueError, match=re.escape(message)):
+        UtilityTable(entries=entries)
 
 
 def test_serialize_utility_table_round_trip():
